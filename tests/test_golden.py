@@ -1,0 +1,218 @@
+"""Golden behaviour lock: exact session logs and oracle output on fixed inputs.
+
+Every registered scheme runs on three fixed traces over a CBR and a VBR
+manifest (both with quality values), and the sha256 of each
+`SessionLog.to_csv()` must match the recorded value. The offline oracle's
+sequence and objective on a small instance are pinned the same way. A change
+that alters any of these on purpose must update the values here and say why.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from _builders import cbr_manifest, constant_trace, vbr_manifest
+from abrsim import (
+    SCHEMES,
+    OfflineObjective,
+    SimConfig,
+    classify_chunks,
+    make_scheme,
+    offline_optimal,
+    simulate_session,
+)
+from abrsim.cli import noisy_bandwidth, square_wave
+
+_RATES = (400, 1000, 2200, 4000)
+_N_CHUNKS = 60
+_DELTA = 2.0
+
+
+def _cbr():
+    vmafs = (45.0, 66.0, 81.0, 92.0)
+    return cbr_manifest(_RATES, duration_s=_DELTA, n_chunks=_N_CHUNKS, vmafs=vmafs, name="gold-cbr")
+
+
+def _vbr():
+    rng = random.Random(11)
+    complexity = [rng.uniform(0.5, 1.6) for _ in range(_N_CHUNKS)]
+    sizes = [[round(rate * 125 * _DELTA * c) for c in complexity] for rate in _RATES]
+    vmafs = [
+        [min(100.0, max(0.0, base - 12.0 * (c - 1.0))) for c in complexity]
+        for base in (48.0, 67.0, 82.0, 93.0)
+    ]
+    return vbr_manifest(sizes, duration_s=_DELTA, vmafs_by_level=vmafs, name="gold-vbr")
+
+
+MANIFESTS = {"cbr": _cbr, "vbr": _vbr}
+TRACES = {
+    "constant": lambda: constant_trace(1800.0, 120),
+    "square7": lambda: square_wave(600.0, 3500.0, 30.0, 180, seed=7),
+    "noisy3": lambda: noisy_bandwidth(1500.0, 900.0, 150, seed=3),
+}
+
+GOLDEN_LOGS = {
+    # (scheme, manifest, trace): sha256 of SessionLog.to_csv()
+    ("bba0", "cbr", "constant"):
+        "66f5c49599c1d89ed054cca5197d4fe830e605f31eb4630e62b4cb66d5769707",
+    ("bba0", "cbr", "square7"):
+        "a226c936a8b5092059d5504bad39af93ebd66325383c7d77ba823f8399239df6",
+    ("bba0", "cbr", "noisy3"):
+        "53c95e95f6a57f7a54ea935b96e5649ec83bedc641d17f521945af0359e0651d",
+    ("bba0", "vbr", "constant"):
+        "6cf3b1f4a028884f75b0599d30fe7abf5758580884f7151f00bd850aceffff0c",
+    ("bba0", "vbr", "square7"):
+        "8bdab4774d4523b6e4716e35b29c6536f6c3395b419762e571c203d8e8278f7a",
+    ("bba0", "vbr", "noisy3"):
+        "5f089fc3322fd98896d0ed2c26ccab0ce039481c1403c0b1983913efbb0cea4b",
+    ("cava", "cbr", "constant"):
+        "744f9a1ae3fbd18ec429358525427935a049108cc01d1227d04aa746cb7b187c",
+    ("cava", "cbr", "square7"):
+        "4caf817751016a121d63da0af6311a9243bc9e52816f69cabd0e0159ee82968c",
+    ("cava", "cbr", "noisy3"):
+        "7253d2ca90e731ef72f11836e078ecf441823cd2c01edfe00915b44af1c8c3a4",
+    ("cava", "vbr", "constant"):
+        "4ed26675fee8f7b2c233cef47286256d2abf40e3d5a4fa503cb06e58ab4e3f37",
+    ("cava", "vbr", "square7"):
+        "c0f3098d14f44f13369be2780e59d47abf1b8f3d1b9875ea00607ba7310bc734",
+    ("cava", "vbr", "noisy3"):
+        "8cafb1a3523ad02f853537fcf3a57199071f78cdfd28700fec72118388f5e17e",
+    ("mpc", "cbr", "constant"):
+        "f17a65f3ecb2dad46b3816e25968b56c79a80881de50562f71ba5bd33cce5c0a",
+    ("mpc", "cbr", "square7"):
+        "fef4a2e8581bb01a89495fcdb64388c24793e5ae036bb4614c767df4e894567d",
+    ("mpc", "cbr", "noisy3"):
+        "d6cd5993f7244fe9a42ff9a7bd5553518b9223790103f1352f820df17656bcd1",
+    ("mpc", "vbr", "constant"):
+        "1d02f146a8d0a5c03e4585a9fb65eda42a4861d8e02703bf2f44f0a8701e1956",
+    ("mpc", "vbr", "square7"):
+        "9583cc0880ef6bf31a50b03633679f8c219ec97da433eae329fb0fb4b91b03b0",
+    ("mpc", "vbr", "noisy3"):
+        "0e9a91845f83eda14d29d5c7f5413bd25bbe652bc2f6b2eb2dd6f1520dc6b6a9",
+    ("pia", "cbr", "constant"):
+        "ddf6b9137cac65c9d8bbe321d8383b54d40fed9735e59661a9de8885936811b5",
+    ("pia", "cbr", "square7"):
+        "43b7e8f352384f830d3bb9d4f828a745af875638eee45d0bd3f3343aa32e850f",
+    ("pia", "cbr", "noisy3"):
+        "56f860cbfe7e343cdc0a25d5ef68103fed30211b7079f0186f55a35364cc486e",
+    ("pia", "vbr", "constant"):
+        "9032611493a8afd15973d1f9691fa95c6483dea01d31c332b53c8658cf8ff18e",
+    ("pia", "vbr", "square7"):
+        "f2f6c25bb15e3f2a0efc3d698e82929323354842c2f520467a5e39b30d68676e",
+    ("pia", "vbr", "noisy3"):
+        "5e8fa0e0adee2ebcad2d4d1a7410a3388073a9598feca8bc5aadbeb3790e9a0a",
+    ("piae", "cbr", "constant"):
+        "9e8b1a018f61eef29cd6dce86d0e8c5b29c649d023cf5643646ff5afa02e4810",
+    ("piae", "cbr", "square7"):
+        "b5d91719537b6944265cfa6dc16e0fa95cf1ad40cc805fd16b9fca8cc9cd341c",
+    ("piae", "cbr", "noisy3"):
+        "e2eab2c38fab737ad4f85c0e9d1e03c60ececa13d6ec3a31b13300e0a2507a90",
+    ("piae", "vbr", "constant"):
+        "d1e6bbe2959ccfad9d9c6c5e6fc889c682e24de4ea15be217c1fb7b12940a932",
+    ("piae", "vbr", "square7"):
+        "db2302faeff5a63788e6120b18e5732038774ca100b05ae4616c8279c4279b4d",
+    ("piae", "vbr", "noisy3"):
+        "ddb8ef3d5f0216e991e079c33526973be9a4e99705a73f3ac330cc125674e7c0",
+    ("quad", "cbr", "constant"):
+        "c88aa4e2905f5cb3c214e79ff6ff356dbdfc699b2b6784530bc1d4db3197731b",
+    ("quad", "cbr", "square7"):
+        "d8702df1b3dc52e962999503c97470fbcc61f846171b956ad835eb6720ae814c",
+    ("quad", "cbr", "noisy3"):
+        "c080aad6ff7298c5028fa530c6448abef62911ee0124ace87d0ca7666796297d",
+    ("quad", "vbr", "constant"):
+        "52d7495413443e0b5aa4fb623d9b50666057b73219d1095953e6234dcc5d8ef7",
+    ("quad", "vbr", "square7"):
+        "5eed502a898ad95f616e11b6be83736e6db90c4211d7c821c9ea49cc2283a028",
+    ("quad", "vbr", "noisy3"):
+        "d3c534023deff54c4109697c70f4c453d0a5d797ade050e90211cc2e5e37615a",
+    ("rb", "cbr", "constant"):
+        "dee14c1f9b89598b0ac7b7db701984a8c7871de9d725d334fa951e995a29b7f4",
+    ("rb", "cbr", "square7"):
+        "b576e024f52ea48b032aeeabdb39058386ea2778f6d38a33f830242f529a845c",
+    ("rb", "cbr", "noisy3"):
+        "de8494fc9bd3f8a645d4fd1dc2db5ced59aa28618da79b4a9ec5e0ef14a4e7b8",
+    ("rb", "vbr", "constant"):
+        "47d9c47282dbbd23c450d6c37c84d50e5bce33e99603162bf899a85eb1ebb6c4",
+    ("rb", "vbr", "square7"):
+        "2b19727dc7ca35bc6249299075a85724eaf95dc51a212b5882f8832b14551623",
+    ("rb", "vbr", "noisy3"):
+        "d9780c021a6731e3d779edc15dcc94d15b98246cde590cb841fed345edb36952",
+    ("rba", "cbr", "constant"):
+        "cc729aa098353a49eebf90654c9dfced513e551f43956ca60164974ccc43ee09",
+    ("rba", "cbr", "square7"):
+        "511e923c50e81553b3f4696a404ffcd90af7df6180e5cf11bce2b69d1914543d",
+    ("rba", "cbr", "noisy3"):
+        "4767ac26fcd3434151f2fae0f3a8486acd0267ce8690b831a6f95204a9d3c870",
+    ("rba", "vbr", "constant"):
+        "437f15beda208cca31e291cc8cb76d5210dce33e9703b69523cfefc9b00fe0d9",
+    ("rba", "vbr", "square7"):
+        "44e9c43c50d44f01e6d2da1eb3f769eac54f12e14563cdc5256f11cf6bf0bed3",
+    ("rba", "vbr", "noisy3"):
+        "88288c5e19d03d7243858ad79a02c694e1fa3291e4c97559730f484b4f0899a2",
+    ("robustmpc", "cbr", "constant"):
+        "f17a65f3ecb2dad46b3816e25968b56c79a80881de50562f71ba5bd33cce5c0a",
+    ("robustmpc", "cbr", "square7"):
+        "5a5f3970c2f14ad79999e2a50239eb36389de9f14b8f895c283fc634f6208528",
+    ("robustmpc", "cbr", "noisy3"):
+        "d98d2300a829d39e591a713664df8591fc0022a1f996c5dd90f0b73e6ab44939",
+    ("robustmpc", "vbr", "constant"):
+        "1d02f146a8d0a5c03e4585a9fb65eda42a4861d8e02703bf2f44f0a8701e1956",
+    ("robustmpc", "vbr", "square7"):
+        "fe7e9d6041be8d2a82fc5bd61ad7cca0bef4936d4a17e3d2f2b1135e9d36535d",
+    ("robustmpc", "vbr", "noisy3"):
+        "4f38a1d61cecb5bb77a7952229a19dbb2a26bdd34bf5ba2bf5898de2574b57c2",
+}
+
+GOLDEN_ORACLE = {
+    "sequence": (2, 2, 2, 3, 3, 3, 3, 3, 3, 3),
+    "objective": 808.900614709426,
+}
+
+
+def session_csv(scheme_name: str, manifest_key: str, trace_key: str) -> str:
+    manifest = MANIFESTS[manifest_key]()
+    trace = TRACES[trace_key]()
+    chunk_class = None
+    if scheme_name == "cava":
+        chunk_class = classify_chunks(manifest, (manifest.n_levels + 1) // 2)
+    log = simulate_session(
+        make_scheme(scheme_name), trace, manifest, SimConfig(), chunk_class=chunk_class
+    )
+    return log.to_csv()
+
+
+def oracle_result():
+    rng = random.Random(5)
+    sizes = [
+        [round(rate * 125 * _DELTA * rng.uniform(0.7, 1.3)) for _ in range(10)]
+        for rate in (500, 1500, 3000, 4500)
+    ]
+    vmafs = [
+        [base + rng.uniform(-4.0, 4.0) for _ in range(10)] for base in (40.0, 70.0, 85.0, 95.0)
+    ]
+    manifest = vbr_manifest(sizes, duration_s=_DELTA, vmafs_by_level=vmafs, name="gold-oracle")
+    trace = square_wave(300.0, 4000.0, 8.0, 60, seed=2)
+    return offline_optimal(trace, manifest, OfflineObjective(80.0, 10000.0), SimConfig())
+
+
+CASES = [
+    (scheme, manifest, trace)
+    for scheme in sorted(SCHEMES)
+    for manifest in MANIFESTS
+    for trace in TRACES
+]
+
+
+@pytest.mark.parametrize("scheme,manifest,trace", CASES)
+def test_session_log_is_unchanged(scheme, manifest, trace):
+    digest = hashlib.sha256(session_csv(scheme, manifest, trace).encode()).hexdigest()
+    assert digest == GOLDEN_LOGS[(scheme, manifest, trace)]
+
+
+def test_offline_optimal_is_unchanged():
+    levels, value = oracle_result()
+    assert levels == GOLDEN_ORACLE["sequence"]
+    assert value == GOLDEN_ORACLE["objective"]
