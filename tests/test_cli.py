@@ -185,6 +185,21 @@ def test_run_cbf_filter_echoes_allowed_levels(workdir):
         assert row.split(",")[-1] == "|".join(str(l) for l in caps[i])
 
 
+def test_run_infinite_trace_sample_exits_2(workdir, capsys):
+    tmp, manifest, _ = workdir
+    trace = tmp / "inf.csv"
+    trace.write_text("t_s,bandwidth_kbps\n0,inf\n1,1000\n")
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(manifest),
+        traces=[str(trace)],
+        scheme="rb",
+        out_dir=str(tmp / "out"),
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_run_requires_exactly_one_trace(workdir, capsys):
     tmp, manifest, trace = workdir
     second = write_trace(tmp / "trace2.csv", kbps=900.0)

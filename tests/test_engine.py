@@ -361,6 +361,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             StartupRule("warp", 1.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SimConfig(max_buffer_s=float("nan")),
+            lambda: SimConfig(max_buffer_s=float("inf")),
+            lambda: SimConfig(rtt_s=float("nan")),
+            lambda: SimConfig(rtt_s=float("inf")),
+            lambda: StartupRule("latency", float("nan")),
+            lambda: StartupRule("latency", float("inf")),
+            lambda: StartupRule("chunks_buffered", float("nan")),
+        ],
+        ids=[
+            "max_buffer-nan",
+            "max_buffer-inf",
+            "rtt-nan",
+            "rtt-inf",
+            "latency-nan",
+            "latency-inf",
+            "chunks_buffered-nan",
+        ],
+    )
+    def test_non_finite_values_rejected(self, build):
+        with pytest.raises(ConfigError, match="finite"):
+            build()
+
     def test_simulate_validation(self):
         manifest = cbr_manifest([500, 1000], duration_s=2.0, n_chunks=3)
         trace = constant_trace(2000, 10)

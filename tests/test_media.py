@@ -65,6 +65,11 @@ class TestParseTrace:
         with pytest.raises(MediaError, match="line 2"):
             parse_trace("t_s,bandwidth_kbps\n0")
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "1e400", "-inf"])
+    def test_non_finite_bandwidth_names_line(self, value):
+        with pytest.raises(MediaError, match="line 2"):
+            parse_trace(f"t_s,bandwidth_kbps\n0,{value}\n1,1000\n")
+
     def test_bad_header(self):
         with pytest.raises(MediaError, match="header"):
             parse_trace("time,bw\n0,1000")
@@ -106,6 +111,10 @@ class TestBandwidthTrace:
     def test_rejects_negative(self):
         with pytest.raises(MediaError):
             BandwidthTrace("x", (5.0, -1.0))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(MediaError, match="t=1"):
+            BandwidthTrace("x", (5.0, float("inf")))
 
     def test_zero_order_hold_and_wrap(self):
         trace = BandwidthTrace("x", (10.0, 20.0))
