@@ -378,9 +378,11 @@ def _build_scheme(
         raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None
 
 
-def _classes_for(config: RunConfig, manifest: VideoManifest, scheme_name: str):
-    if scheme_name != "cava" and config.reference_level is None:
-        return None
+def _uses_classes(config: RunConfig, scheme_name: str) -> bool:
+    return scheme_name == "cava" or config.reference_level is not None
+
+
+def _classes_for(config: RunConfig, manifest: VideoManifest):
     reference = config.reference_level or (manifest.n_levels + 1) // 2
     return classify_chunks(manifest, reference)
 
@@ -462,13 +464,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
     scheme = _build_scheme(config.scheme, config.scheme_params, manifest, config.target_quality)
+    uses_classes = _uses_classes(config, config.scheme)
     log = simulate_session(
         scheme,
         trace,
         manifest,
         config.sim,
         allowed_levels=allowed,
-        chunk_class=_classes_for(config, manifest, config.scheme),
+        chunk_class=_classes_for(config, manifest) if uses_classes else None,
     )
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights
@@ -485,16 +488,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _compare_cell(task):
-    index, name, trace, manifest, config = task
+    index, name, trace, manifest, config, allowed, chunk_class = task
     scheme = _build_scheme(name, {}, manifest, config.target_quality)
-    spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     log = simulate_session(
         scheme,
         trace,
         manifest,
         config.sim,
-        allowed_levels=allowed_from_filter(spec, manifest),
-        chunk_class=_classes_for(config, manifest, name),
+        allowed_levels=allowed,
+        chunk_class=chunk_class,
     )
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights
@@ -535,14 +537,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     manifest = _load_manifest(config)
     traces = _load_traces(config)
     names = config.schemes or (config.scheme,)
-    tasks = []
-    for si, name in enumerate(names):
+    for name in names:
         if name not in SCHEMES:
             raise ConfigError(
                 f"unknown scheme {name!r}; choose from {', '.join(sorted(SCHEMES))}"
             )
+    spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
+    allowed = allowed_from_filter(spec, manifest)
+    classes = None
+    if any(_uses_classes(config, name) for name in names):
+        classes = _classes_for(config, manifest)
+    tasks = []
+    for si, name in enumerate(names):
+        chunk_class = classes if _uses_classes(config, name) else None
         for ti, trace in enumerate(traces):
-            tasks.append(((si, ti), name, trace, manifest, config))
+            tasks.append(((si, ti), name, trace, manifest, config, allowed, chunk_class))
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             cells = list(pool.map(_compare_cell, tasks))

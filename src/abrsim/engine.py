@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .media import BandwidthTrace, VideoManifest, track_avg_bitrate
+from .media import BandwidthTrace, VideoManifest
 from .schemes import AbrScheme, ConfigError, DecisionContext
 
 CSV_HEADER = "chunk,level,bitrate_kbps,vmaf,dl_start_s,dl_end_s,buffer_s,est_kbps,u"
@@ -39,6 +39,8 @@ class StartupRule:
     value: float = 5.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise ConfigError("startup value must be finite")
         if self.kind == "latency":
             if self.value < 0:
                 raise ConfigError("startup delay must be >= 0")
@@ -61,6 +63,8 @@ class SimConfig:
     first_chunk_level: int | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.max_buffer_s) and math.isfinite(self.rtt_s)):
+            raise ConfigError("max buffer and rtt must be finite")
         if self.max_buffer_s <= 0:
             raise ConfigError("max buffer must be positive")
         if self.resume_margin_s is not None and not 0 < self.resume_margin_s < self.max_buffer_s:
@@ -90,7 +94,7 @@ class DownloadHistory:
         self.estimates.append(kbps)
 
 
-def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec, clock: float = 0.0) -> float:
+def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec) -> float:
     """Harmonic mean of the most recent `window` samples; any non-positive sample -> 0."""
     if spec.kind == "harmonic_seconds":
         samples = history.second_samples
@@ -135,14 +139,12 @@ def advance_download(
 
 @dataclass
 class SessionState:
-    """Mutable per-session state; integral mirrors the scheme's PID state when present."""
+    """Mutable per-session state."""
 
     clock: float = 0.0
     buffer: float = 0.0
     playing: bool = False
-    next_chunk: int = 0
     last_level: int | None = None
-    integral: float = 0.0
     stall_accum: float = 0.0
     bytes_downloaded: int = 0
 
@@ -377,8 +379,8 @@ class _Session:
         else:
             have = bool(self.history.chunk_samples)
         if not have:
-            return track_avg_bitrate(self.manifest.tracks[0])
-        return estimate_bandwidth(self.history, self.config.estimator, self.st.clock)
+            return self.manifest.avg_kbps[0]
+        return estimate_bandwidth(self.history, self.config.estimator)
 
     def _clamp_to_allowed(self, level: int, allowed: tuple[int, ...]) -> int:
         below = [lvl for lvl in allowed if lvl <= level]
@@ -428,13 +430,9 @@ class _Session:
         self.scheme.observe_chunk(i, level, throughput)
         self.st.bytes_downloaded += chunk.size_bytes
         self.st.last_level = level
-        self.st.next_chunk = i + 1
         rule = self.config.startup
         if rule.kind == "chunks_buffered" and not self.st.playing and i + 1 >= int(rule.value):
             self._enable_playback(self.st.clock)
-        pid_state = getattr(self.scheme, "pid_state", None)
-        if pid_state is not None:
-            self.st.integral = pid_state.integral
         self.decisions.append(
             Decision(
                 chunk=i,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 TRACE_HEADER = "t_s,bandwidth_kbps"
 
@@ -24,8 +25,8 @@ class BandwidthTrace:
         if not self.samples:
             raise MediaError("trace has no samples")
         for t, value in enumerate(self.samples):
-            if not value >= 0.0:
-                raise MediaError(f"bandwidth at t={t} must be >= 0")
+            if not (value >= 0.0 and math.isfinite(value)):
+                raise MediaError(f"bandwidth at t={t} must be finite and >= 0")
 
     @property
     def duration_s(self) -> int:
@@ -65,8 +66,8 @@ def parse_trace(text: str, name: str = "trace") -> BandwidthTrace:
             raise MediaError(f"line {lineno}: timestamp gap, expected t={row}")
         if t < row:
             raise MediaError(f"line {lineno}: non-monotone timestamp, expected t={row}")
-        if not value >= 0.0:
-            raise MediaError(f"line {lineno}: bandwidth must be >= 0")
+        if not (value >= 0.0 and math.isfinite(value)):
+            raise MediaError(f"line {lineno}: bandwidth must be finite and >= 0")
         samples.append(value)
     if not samples:
         raise MediaError("trace has no samples")
@@ -131,12 +132,20 @@ def windowed_avg_bitrate(track: Track, start: int, window: int) -> float:
 
 @dataclass(frozen=True)
 class VideoManifest:
-    """A video's bitrate ladder plus the global chunk duration."""
+    """A video's bitrate ladder plus the global chunk duration.
+
+    Construction also builds two rate tables that decisions read instead of
+    walking tracks: `avg_kbps[level - 1]` is `track_avg_bitrate` of that
+    track, and `rate_rows[level - 1][i]` is the bitrate of chunk i. They take
+    no part in equality or repr.
+    """
 
     name: str
     chunk_duration_s: float
     is_vbr: bool
     tracks: tuple[Track, ...]
+    avg_kbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    rate_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", tuple(self.tracks))
@@ -152,7 +161,7 @@ class VideoManifest:
             for chunk in track.chunks:
                 if chunk.duration_s != self.chunk_duration_s:
                     raise MediaError("chunk duration differs from manifest duration")
-        averages = [track_avg_bitrate(t) for t in self.tracks]
+        averages = tuple(track_avg_bitrate(t) for t in self.tracks)
         for lower, upper in zip(averages, averages[1:]):
             if upper < lower - 1e-9:
                 raise MediaError("tracks must be ordered by increasing average bitrate")
@@ -165,6 +174,9 @@ class VideoManifest:
                             f"CBR size mismatch at level {track.level} chunk {i}: "
                             f"{chunk.size_bytes} vs {expected:.1f} bytes"
                         )
+        object.__setattr__(self, "avg_kbps", averages)
+        rows = tuple(tuple(c.bitrate_kbps for c in t.chunks) for t in self.tracks)
+        object.__setattr__(self, "rate_rows", rows)
 
     @property
     def n_levels(self) -> int:
@@ -178,6 +190,11 @@ class VideoManifest:
     def levels(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_levels + 1))
 
+    def _index(self, level: int) -> int:
+        if not 1 <= level <= self.n_levels:
+            raise MediaError(f"level {level} outside 1..{self.n_levels}")
+        return level - 1
+
     def track(self, level: int) -> Track:
         if not 1 <= level <= self.n_levels:
             raise MediaError(f"level {level} outside 1..{self.n_levels}")
@@ -188,7 +205,22 @@ class VideoManifest:
 
     def bitrate_kbps(self, level: int, index: int) -> float:
         """Instantaneous bitrate of one chunk in kbps."""
-        return self.chunk(level, index).bitrate_kbps
+        return self.rate_rows[self._index(level)][index]
+
+    def avg_bitrate_kbps(self, level: int) -> float:
+        """Whole-track average bitrate of one level, as `track_avg_bitrate`."""
+        return self.avg_kbps[self._index(level)]
+
+    def windowed_bitrate_kbps(self, level: int, start: int, window: int) -> float:
+        """Mean chunk bitrate of one level over [start, start+window), as
+        `windowed_avg_bitrate`: the same slice, summed in the same order."""
+        row = self.rate_rows[self._index(level)]
+        if not 0 <= start < len(row):
+            raise MediaError("window start outside track")
+        if window < 1:
+            raise MediaError("window must be >= 1")
+        span = row[start : start + window]
+        return sum(span) / len(span)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import json
 from dataclasses import asdict, dataclass
 
 from .engine import SessionLog, SimConfig, advance_download
-from .media import BandwidthTrace, VideoManifest, track_avg_bitrate
+from .media import BandwidthTrace, VideoManifest
 from .schemes import ConfigError
 
 LOW_QUALITY_VMAF = 60.0
@@ -41,7 +41,7 @@ class QoeWeights:
 
 def default_weights(manifest: VideoManifest, mu: float = 1.0) -> QoeWeights:
     """Stall weight pinned to the top ladder rate in Mbps, switch weight 1."""
-    top = max(track_avg_bitrate(track) for track in manifest.tracks)
+    top = max(manifest.avg_kbps)
     return QoeWeights(mu=mu, lam=top / 1000.0)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -16,7 +15,7 @@ from .control import (
     ramp_kp,
     ramp_xr,
 )
-from .media import ChunkClass, VideoManifest, track_avg_bitrate, windowed_avg_bitrate
+from .media import ChunkClass, VideoManifest
 
 if TYPE_CHECKING:
     from .engine import DownloadHistory
@@ -51,9 +50,7 @@ class DecisionContext:
 
     def track_pairs(self) -> tuple[tuple[int, float], ...]:
         """(level, track average bitrate kbps) pairs for the allowed levels."""
-        return tuple(
-            (lvl, track_avg_bitrate(self.manifest.track(lvl))) for lvl in self.allowed_levels
-        )
+        return tuple((lvl, self.manifest.avg_bitrate_kbps(lvl)) for lvl in self.allowed_levels)
 
 
 class AbrScheme:
@@ -168,34 +165,46 @@ class Mpc(AbrScheme):
         if self.lam is not None:
             lam = self.lam
         else:
-            lam = max(track_avg_bitrate(t) for t in ctx.manifest.tracks) / 1000.0
-        h = min(self.horizon, ctx.manifest.n_chunks - ctx.chunk_index)
+            lam = max(ctx.manifest.avg_kbps) / 1000.0
+        i = ctx.chunk_index
+        h = min(self.horizon, ctx.manifest.n_chunks - i)
         prev_rate = None
         if ctx.last_level is not None:
-            prev_rate = ctx.manifest.bitrate_kbps(ctx.last_level, ctx.chunk_index - 1)
-        best = best_seq = None
-        for seq in itertools.product(sorted(ctx.allowed_levels), repeat=h):
-            self.eval_count += 1
-            score = self._score(ctx, seq, est, lam, prev_rate)
-            if best is None or score > best:
-                best, best_seq = score, seq
-        return best_seq[0]
-
-    def _score(self, ctx, seq, est_kbps, lam, prev_rate):
+            prev_rate = ctx.manifest.bitrate_kbps(ctx.last_level, i - 1)
         delta = ctx.manifest.chunk_duration_s
-        x = ctx.buffer_s
-        total = change = stall = 0.0
-        last_rate = prev_rate
-        for k, lvl in enumerate(seq):
-            rate = ctx.manifest.bitrate_kbps(lvl, ctx.chunk_index + k)
-            dl = rate * delta / est_kbps
-            stall += max(0.0, dl - x)
-            x = max(x - dl, 0.0) + delta
-            total += rate
-            if last_rate is not None:
-                change += abs(rate - last_rate)
-            last_rate = rate
-        return total / 1000.0 - self.mu * change / 1000.0 - lam * stall
+        mu = self.mu
+        levels = sorted(ctx.allowed_levels)
+        # (level, rate, download seconds) per horizon step, in sorted level order
+        steps = []
+        for k in range(h):
+            rates = [(lvl, ctx.manifest.bitrate_kbps(lvl, i + k)) for lvl in levels]
+            steps.append([(lvl, rate, rate * delta / est) for lvl, rate in rates])
+        best = best_first = None
+
+        # Depth-first over the horizon in itertools.product order: each prefix's
+        # running (buffer, total, change, stall) is computed once and shared by
+        # every sequence that extends it. Each sequence still adds its terms in
+        # the same left-to-right order, so scores are those of a per-sequence
+        # rollout; the strict > keeps the first of tied sequences.
+        def walk(k, x, total, change, stall, last_rate, first):
+            nonlocal best, best_first
+            leaf = k == h - 1
+            for lvl, rate, dl in steps[k]:
+                s = stall + max(0.0, dl - x)
+                t = total + rate
+                c = change if last_rate is None else change + abs(rate - last_rate)
+                f = lvl if first is None else first
+                if leaf:
+                    score = t / 1000.0 - mu * c / 1000.0 - lam * s
+                    if best is None or score > best:
+                        best, best_first = score, f
+                else:
+                    walk(k + 1, max(x - dl, 0.0) + delta, t, c, s, rate, f)
+            if leaf:
+                self.eval_count += len(levels)
+
+        walk(0, ctx.buffer_s, 0.0, 0.0, 0.0, prev_rate, None)
+        return best_first
 
     def _worst_overestimate(self, history) -> float:
         if history is None:
@@ -291,10 +300,10 @@ class Pia(AbrScheme):
         delta = ctx.manifest.chunk_duration_s
         prev_rate = None
         if ctx.last_level is not None:
-            prev_rate = track_avg_bitrate(ctx.manifest.track(ctx.last_level))
+            prev_rate = ctx.manifest.avg_bitrate_kbps(ctx.last_level)
         best = best_lvl = None
         for lvl in sorted(ctx.allowed_levels):
-            rate = track_avg_bitrate(ctx.manifest.track(lvl))
+            rate = ctx.manifest.avg_bitrate_kbps(lvl)
             cost = _rollout_tracking_cost(
                 pid, kp, self.params.horizon, u, self.pid_state.integral,
                 ctx.buffer_s, ctx.playing_indicator, xr, rate, est, est, delta,
@@ -417,9 +426,9 @@ class Cava(AbrScheme):
         p = self.params
         if ctx.last_level is None:
             return p.base_target_buffer_s
-        track = ctx.manifest.track(ctx.last_level)
-        upcoming = windowed_avg_bitrate(track, ctx.chunk_index, p.outer_window)
-        ratio = upcoming / max(track_avg_bitrate(track), _EST_FLOOR_KBPS)
+        manifest = ctx.manifest
+        upcoming = manifest.windowed_bitrate_kbps(ctx.last_level, ctx.chunk_index, p.outer_window)
+        ratio = upcoming / max(manifest.avg_bitrate_kbps(ctx.last_level), _EST_FLOOR_KBPS)
         return p.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
 
     def _argmin(self, ctx, u, xr, alpha, eta):
@@ -429,18 +438,17 @@ class Cava(AbrScheme):
         target = alpha * est
         prev_rate = None
         if ctx.last_level is not None:
-            prev_rate = track_avg_bitrate(ctx.manifest.track(ctx.last_level))
+            prev_rate = ctx.manifest.avg_bitrate_kbps(ctx.last_level)
         best = best_lvl = None
         for lvl in sorted(ctx.allowed_levels):
-            track = ctx.manifest.track(lvl)
-            rate = windowed_avg_bitrate(track, ctx.chunk_index, p.inner_window)
+            rate = ctx.manifest.windowed_bitrate_kbps(lvl, ctx.chunk_index, p.inner_window)
             cost = _rollout_tracking_cost(
                 p.pid, p.pid.kp, p.horizon, u, self.pid_state.integral,
                 ctx.buffer_s, ctx.playing_indicator, xr, rate, target, est, delta,
             )
             self.eval_count += p.horizon
             if prev_rate is not None:
-                cost += eta * (track_avg_bitrate(track) - prev_rate) ** 2
+                cost += eta * (ctx.manifest.avg_bitrate_kbps(lvl) - prev_rate) ** 2
             if best is None or cost < best:
                 best, best_lvl = cost, lvl
         return best_lvl
