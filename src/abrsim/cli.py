@@ -464,14 +464,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
     scheme = _build_scheme(config.scheme, config.scheme_params, manifest, config.target_quality)
-    uses_classes = _uses_classes(config, config.scheme)
+    chunk_class = None
+    if _uses_classes(config, config.scheme):
+        chunk_class = _classes_for(config, manifest)
     log = simulate_session(
         scheme,
         trace,
         manifest,
         config.sim,
         allowed_levels=allowed,
-        chunk_class=_classes_for(config, manifest) if uses_classes else None,
+        chunk_class=chunk_class,
     )
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights

@@ -196,9 +196,7 @@ class VideoManifest:
         return level - 1
 
     def track(self, level: int) -> Track:
-        if not 1 <= level <= self.n_levels:
-            raise MediaError(f"level {level} outside 1..{self.n_levels}")
-        return self.tracks[level - 1]
+        return self.tracks[self._index(level)]
 
     def chunk(self, level: int, index: int) -> ChunkMeta:
         return self.track(level).chunks[index]

@@ -25,7 +25,8 @@ def _seeded_vbr(seed: int, n_levels: int = 5, n_chunks: int = 40):
     sizes = []
     rate = rng.uniform(200.0, 400.0)
     for _ in range(n_levels):
-        sizes.append([max(1, round(rate * 125 * 2.0 * c * rng.uniform(0.9, 1.1))) for c in complexity])
+        jitter = [rng.uniform(0.9, 1.1) for _ in complexity]
+        sizes.append([max(1, round(rate * 250 * c * j)) for c, j in zip(complexity, jitter)])
         rate *= rng.uniform(1.6, 2.2)
     return vbr_manifest(sizes, duration_s=2.0)
 
@@ -190,7 +191,9 @@ def test_mpc_walk_resolves_ties_to_the_first_sequence(allowed):
 
 def test_mpc_walk_all_sequences_tied():
     manifest = cbr_manifest((800, 800, 800), n_chunks=5)
-    ctx = _ctx(manifest, chunk_index=1, buffer_s=6.0, est_kbps=1000.0, last_level=3, allowed=(3, 1, 2))
+    ctx = _ctx(
+        manifest, chunk_index=1, buffer_s=6.0, est_kbps=1000.0, last_level=3, allowed=(3, 1, 2)
+    )
     scheme = Mpc(horizon=3)
     _assert_walk_matches_reference(scheme, ctx)
     assert scheme.decide(ctx) == 1
