@@ -3,13 +3,16 @@
 Every registered scheme runs on three fixed traces over a CBR and a VBR
 manifest (both with quality values), and the sha256 of each
 `SessionLog.to_csv()` must match the recorded value. The offline oracle's
-sequence and objective on a small instance are pinned the same way. A change
-that alters any of these on purpose must update the values here and say why.
+sequence and objective on a small instance are pinned the same way, and so
+are the files that `abrsim run`, `compare` and `sweep` write when the PID
+schemes are assembled from non-default `scheme_params`. A change that alters
+any of these on purpose must update the values here and say why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -24,7 +27,7 @@ from abrsim import (
     offline_optimal,
     simulate_session,
 )
-from abrsim.cli import noisy_bandwidth, square_wave
+from abrsim.cli import main, noisy_bandwidth, square_wave
 
 _RATES = (400, 1000, 2200, 4000)
 _N_CHUNKS = 60
@@ -216,3 +219,110 @@ def test_offline_optimal_is_unchanged():
     levels, value = oracle_result()
     assert levels == GOLDEN_ORACLE["sequence"]
     assert value == GOLDEN_ORACLE["objective"]
+
+
+# -- CLI path -------------------------------------------------------------------
+
+# scheme -> (scheme_params, extra config fields); every value is off its default
+CLI_RUNS = {
+    "pia": (
+        {"kp": 0.006, "ki": 2e-05, "beta": 0.5, "target_buffer": 40.0, "horizon": 4, "eta": 0.5},
+        {},
+    ),
+    "piae": (
+        {"kp": 0.01, "ki": 4e-05, "target_buffer": 50.0, "alpha": 3.0, "tau": 200.0, "eta": 2.0},
+        {},
+    ),
+    "cava": (
+        {
+            "kp": 0.007, "ki": 3e-05, "beta": 0.8, "horizon": 4, "inner_window": 8,
+            "outer_window": 6, "base_target_buffer_s": 25.0,
+        },
+        {"reference_level": 3},
+    ),
+    "quad": (
+        {"kp": 0.012, "ki": 5e-05, "target_buffer": 45.0, "alpha": 2.0, "fair_level": 3},
+        {"target_quality": 75.0},
+    ),
+}
+
+GOLDEN_CLI_RUNS = {
+    # scheme: sha256 of decisions.csv from `abrsim run` on the VBR manifest, square7
+    "pia":
+        "7896376626f82551a6962c7f9aa8f8381bcc0134c44861c21e77288533cfec73",
+    "piae":
+        "5f7a93381af13c1bb46a9c8f33956f0062a4ac3f5a04f252e48487dae0785b07",
+    "cava":
+        "3ee007ba01e8fa9d3257f4b9d86f2cc6bacde5c361d382ff4e4364fc1e116962",
+    "quad":
+        "0ba91c8f6f7998ac5e83cf3ee86defcaa42f0f901d21d5cad219ebafc0680a3f",
+}
+# compare.csv for pia/piae/cava/quad on two traces, target_quality 75 in the config
+GOLDEN_CLI_COMPARE = "2d1cc5ff96930ca8268e27ea5f7334265932d115fb2887061028efc0ebeddde3"
+# heatmap.csv for a 3x3 gain grid on three traces with PiaParams from scheme_params
+GOLDEN_CLI_SWEEP = "6b1f1ad4c3c30c78d3efa50fef5a44711a6aad0b58f1697212cba6d769e33d3a"
+
+
+def _manifest_json(manifest) -> str:
+    tracks = [
+        {
+            "level": track.level,
+            "declared_bitrate_kbps": track.declared_bitrate_kbps,
+            "chunks": [{"size_bytes": c.size_bytes, "vmaf": c.vmaf} for c in track.chunks],
+        }
+        for track in manifest.tracks
+    ]
+    return json.dumps(
+        {
+            "name": manifest.name,
+            "chunk_duration_s": manifest.chunk_duration_s,
+            "is_vbr": manifest.is_vbr,
+            "tracks": tracks,
+        }
+    )
+
+
+def _cli_output(tmp_path, command, filename, **fields) -> str:
+    """sha256 of one output file of an `abrsim` command on the golden VBR inputs."""
+    manifest = tmp_path / "gold-vbr.json"
+    manifest.write_text(_manifest_json(_vbr()))
+    traces = []
+    for key in fields.pop("trace_keys"):
+        path = tmp_path / f"{key}.csv"
+        path.write_text(TRACES[key]().to_csv())
+        traces.append(str(path))
+    out = tmp_path / "out"
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps(dict(fields, manifest=str(manifest), traces=traces, out_dir=str(out)))
+    )
+    assert main([command, "--config", str(config)]) == 0
+    return hashlib.sha256((out / filename).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("scheme", sorted(CLI_RUNS))
+def test_cli_run_with_scheme_params_is_unchanged(tmp_path, scheme):
+    params, extra = CLI_RUNS[scheme]
+    digest = _cli_output(
+        tmp_path, "run", "decisions.csv",
+        trace_keys=("square7",), scheme=scheme, scheme_params=params, **extra,
+    )
+    assert digest == GOLDEN_CLI_RUNS[scheme]
+
+
+def test_cli_compare_is_unchanged(tmp_path):
+    digest = _cli_output(
+        tmp_path, "compare", "compare.csv",
+        trace_keys=("square7", "noisy3"), schemes=sorted(CLI_RUNS), target_quality=75.0,
+    )
+    assert digest == GOLDEN_CLI_COMPARE
+
+
+def test_cli_sweep_with_scheme_params_is_unchanged(tmp_path):
+    digest = _cli_output(
+        tmp_path, "sweep", "heatmap.csv",
+        trace_keys=("constant", "square7", "noisy3"),
+        scheme_params={"beta": 0.5, "target_buffer": 40.0, "horizon": 3, "eta": 0.5},
+        grid={"kp_values": [0.006, 0.0088, 0.012], "ki_values": [2e-05, 3.6e-05, 6e-05]},
+    )
+    assert digest == GOLDEN_CLI_SWEEP
