@@ -200,6 +200,45 @@ def test_run_infinite_trace_sample_exits_2(workdir, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        (dict(scheme="pia", scheme_params={"kp": float("nan")}), "kp"),
+        (dict(scheme="piae", scheme_params={"alpha": "abc"}), "alpha"),
+        (dict(scheme="mpc", scheme_params={"robust": True}), "robust"),
+        (dict(scheme="rb", weights={"mu": float("nan"), "lam": 1.0}), "mu"),
+    ],
+    ids=["kp-nan", "piae-alpha-text", "mpc-robust", "weights-mu-nan"],
+)
+def test_run_bad_scheme_or_weight_values_exit_2(workdir, capsys, fields, message):
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(manifest),
+        traces=[str(trace)],
+        out_dir=str(tmp / "out"),
+        **fields,
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_run_non_numeric_manifest_value_exits_2(workdir, capsys):
+    tmp, _, trace = workdir
+    manifest = write_manifest(tmp / "bad.json", vmafs=(55.0, "abc", 90.0))
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(manifest),
+        traces=[str(trace)],
+        scheme="rb",
+        out_dir=str(tmp / "out"),
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert "vmaf" in capsys.readouterr().err
+
+
 def test_run_requires_exactly_one_trace(workdir, capsys):
     tmp, manifest, trace = workdir
     second = write_trace(tmp / "trace2.csv", kbps=900.0)

@@ -187,6 +187,23 @@ class TestRamps:
         with pytest.raises(ControlError):
             RampSchedule(tau=0.0)
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(alpha=float("nan")),
+            dict(alpha=float("inf")),
+            dict(tau=float("nan")),
+            dict(tau=float("inf")),
+            dict(base_kp=float("nan")),
+            dict(base_xr=float("inf")),
+            dict(delta=float("nan")),
+            dict(alpha="abc"),
+        ],
+    )
+    def test_schedule_rejects_non_finite(self, kw):
+        with pytest.raises(ControlError, match="finite"):
+            RampSchedule(**kw)
+
 
 class TestVelocityConstant:
     def test_full_weighting_zeroes_ramp_error(self):
@@ -207,12 +224,18 @@ class TestPidParamsValidation:
             dict(kp=0.0),
             dict(ki=0.0),
             dict(kp=-1.0),
-            dict(kd=0.1),
             dict(beta=0.0),
             dict(beta=1.5),
             dict(epsilon=0.0),
             dict(epsilon=1.0),
             dict(target_buffer=0.0),
+            dict(kp=float("nan")),
+            dict(kp=float("inf")),
+            dict(ki=float("nan")),
+            dict(ki=float("inf")),
+            dict(target_buffer=float("nan")),
+            dict(target_buffer=float("inf")),
+            dict(kp="abc"),
         ],
     )
     def test_rejects(self, kw):

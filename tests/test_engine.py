@@ -74,11 +74,9 @@ class TestAdvanceDownload:
         with pytest.raises(SimulationError):
             advance_download(constant_trace(1000, 2), 0.0, 0)
 
-    def test_loop_disabled_exhausts(self):
+    def test_download_wraps_past_trace_end(self):
         trace = constant_trace(1000, 1)
-        with pytest.raises(SimulationError, match="exhausted"):
-            advance_download(trace, 0.0, 250_000, loop=False)
-        assert advance_download(trace, 0.0, 250_000, loop=True) == 2.0
+        assert advance_download(trace, 0.0, 250_000) == 2.0
 
     def test_all_zero_trace_raises(self):
         trace = BandwidthTrace("dead", (0.0, 0.0))

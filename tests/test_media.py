@@ -200,6 +200,26 @@ class TestParseManifest:
         with pytest.raises(MediaError, match="JSON"):
             parse_manifest("not json {")
 
+    @pytest.mark.parametrize(
+        "where,field,value",
+        [
+            ("chunk", "vmaf", "abc"),
+            ("chunk", "size_bytes", "abc"),
+            ("chunk", "size_bytes", float("inf")),
+            ("track", "declared_bitrate_kbps", "abc"),
+            ("track", "declared_bitrate_kbps", float("nan")),
+            ("track", "level", "abc"),
+            ("top", "chunk_duration_s", "abc"),
+            ("top", "chunk_duration_s", float("inf")),
+        ],
+    )
+    def test_non_numeric_field_is_named(self, where, field, value):
+        raw = json.loads(manifest_json([350, 600], vmaf=80.0))
+        target = {"top": raw, "track": raw["tracks"][1], "chunk": raw["tracks"][1]["chunks"][2]}
+        target[where][field] = value
+        with pytest.raises(MediaError, match=field):
+            parse_manifest(json.dumps(raw))
+
 
 class TestClassifyChunks:
     def test_ordered_sizes_split_in_quartiles(self):

@@ -83,6 +83,21 @@ def test_qoe_weights_validated():
         QoeWeights(mu=1.0, lam=-2.0)
 
 
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(mu=float("nan"), lam=1.0),
+        dict(mu=float("inf"), lam=1.0),
+        dict(mu=1.0, lam=float("nan")),
+        dict(mu=1.0, lam=float("inf")),
+    ],
+    ids=["mu-nan", "mu-inf", "lam-nan", "lam-inf"],
+)
+def test_qoe_weights_reject_non_finite(kw):
+    with pytest.raises(ConfigError, match="finite"):
+        QoeWeights(**kw)
+
+
 def test_default_weights_use_ladder_max():
     manifest = cbr_manifest([350, 1000, 3000])
     w = default_weights(manifest)

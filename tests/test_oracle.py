@@ -35,6 +35,12 @@ def test_objective_validation():
         OfflineObjective(target_quality=101.0)
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_objective_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ConfigError, match="finite"):
+        OfflineObjective(target_quality=80.0, gamma=gamma)
+
+
 def test_single_chunk_on_target_is_free():
     manifest = cbr_manifest([500, 1000], n_chunks=1, vmafs=[80.0, 80.0])
     seq, value = offline_optimal(FAST, manifest, OfflineObjective(80.0), SimConfig())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
-from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams, RampSchedule
+from abrsim.control import DEFAULT_KI, DEFAULT_KP, ControlError, PidParams, RampSchedule
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, simulate_session
 from abrsim.media import classify_chunks, track_avg_bitrate
 from abrsim.schemes import (
@@ -28,6 +28,7 @@ from abrsim.schemes import (
     RateBased,
     RobustMpc,
     allowed_from_filter,
+    build_scheme,
     cbf_filter,
     make_scheme,
     tbf_filter,
@@ -868,6 +869,104 @@ class TestRegistry:
         scheme = make_scheme("pia", params=PiaParams(horizon=3))
         assert scheme.params.horizon == 3
 
+    def test_only_cava_needs_a_chunk_classification(self):
+        assert {name for name, cls in SCHEMES.items() if cls.needs_chunk_class} == {"cava"}
+
+
+# ------------------------------------------------------- building from params
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteParams:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PiaParams(eta=NAN),
+            lambda: PiaParams(eta=INF),
+            lambda: CavaParams(alpha_q4=INF),
+            lambda: CavaParams(alpha_q123=NAN),
+            lambda: CavaParams(safe_buffer_s=NAN),
+            lambda: CavaParams(safe_buffer_s=INF),
+            lambda: CavaParams(base_target_buffer_s=INF),
+            lambda: QuadParams(target_quality=NAN),
+            lambda: QuadParams(alpha=NAN),
+            lambda: QuadParams(eta=INF),
+            lambda: QuadParams(low_buffer_chunks=NAN),
+            lambda: BufferBased(theta_low_s=NAN),
+            lambda: BufferBased(theta_high_s=INF),
+            lambda: Mpc(mu=NAN),
+            lambda: Mpc(mu=INF),
+            lambda: Mpc(lam=NAN),
+            lambda: Mpc(lam=INF),
+        ],
+        ids=[
+            "pia-eta-nan", "pia-eta-inf", "cava-alpha_q4-inf", "cava-alpha_q123-nan",
+            "cava-safe-nan", "cava-safe-inf", "cava-base-inf", "quad-target-nan",
+            "quad-alpha-nan", "quad-eta-inf", "quad-low-nan", "bba0-low-nan",
+            "bba0-high-inf", "mpc-mu-nan", "mpc-mu-inf", "mpc-lam-nan", "mpc-lam-inf",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ConfigError, match="finite"):
+            build()
+
+
+class TestBuildScheme:
+    def test_pid_keys_apply_over_the_schemes_own_default(self):
+        pia = build_scheme("pia", {"kp": 0.006, "horizon": 3}, LADDER5)
+        assert pia.params == PiaParams(pid=PidParams(kp=0.006, beta=0.2), horizon=3)
+        piae = build_scheme("piae", {"ki": 2e-05}, LADDER5)
+        assert piae.params.pid == PidParams(ki=2e-05)
+        cava = build_scheme("cava", {"beta": 0.5, "outer_window": 4}, LADDER5)
+        assert cava.params == CavaParams(pid=PidParams(beta=0.5), outer_window=4)
+
+    def test_piae_ramp_comes_from_params_and_manifest(self):
+        m = cbr_manifest([500, 1000], duration_s=4.0, n_chunks=6)
+        scheme = build_scheme("piae", {"alpha": 3.0, "tau": 120.0, "target_buffer": 40.0}, m)
+        assert scheme.schedule == RampSchedule(
+            alpha=3.0, tau=120.0, base_kp=DEFAULT_KP, base_xr=40.0, delta=4.0
+        )
+
+    def test_quad_falls_back_to_the_config_target(self):
+        assert build_scheme("quad", {}, QUAD_M, 70.0).params.target_quality == 70.0
+        own = build_scheme("quad", {"target_quality": 90.0}, QUAD_M, 70.0)
+        assert own.params.target_quality == 90.0
+        assert build_scheme("quad", {}, QUAD_M).params == QuadParams()
+
+    def test_plain_schemes_take_their_constructor_keywords(self):
+        scheme = build_scheme("bba0", {"theta_low_s": 5.0, "theta_high_s": 40.0}, LADDER5)
+        assert (scheme.theta_low_s, scheme.theta_high_s) == (5.0, 40.0)
+        assert build_scheme("mpc", {"horizon": 3}, LADDER5).horizon == 3
+
+    def test_robust_mpc_is_its_own_scheme(self):
+        assert build_scheme("robustmpc", {}, LADDER5).robust is True
+        assert build_scheme("mpc", {}, LADDER5).robust is False
+        with pytest.raises(ConfigError, match="robust"):
+            build_scheme("mpc", {"robust": True}, LADDER5)
+
+    @pytest.mark.parametrize(
+        "name,raw",
+        [
+            ("pia", {"gain": 1.0}),
+            ("pia", {"kd": 0.1}),
+            ("pia", {"horizon": "abc"}),
+            ("rb", {"horizon": 3}),
+        ],
+    )
+    def test_bad_parameters_are_config_errors(self, name, raw):
+        with pytest.raises(ConfigError, match=f"scheme {name!r}"):
+            build_scheme(name, raw, LADDER5)
+
+    def test_non_numeric_ramp_is_a_typed_error(self):
+        with pytest.raises(ControlError, match="alpha"):
+            build_scheme("piae", {"alpha": "abc"}, LADDER5)
+
+    def test_unknown_scheme(self):
+        with pytest.raises(ConfigError, match="unknown scheme 'bola'"):
+            build_scheme("bola", {}, LADDER5)
+
 
 # ------------------------------------------------------- engine integration
 
@@ -895,6 +994,18 @@ class TestEngineIntegration:
             Pia(), trace, SMOKE_M, SimConfig(startup=StartupRule("latency", 0.0))
         )
         assert all(d.u is not None for d in log.decisions)
+
+    @pytest.mark.parametrize("name", ["pia", "piae", "cava", "quad"])
+    def test_reused_instance_starts_each_session_fresh(self, name):
+        trace = constant_trace(900.0, 60)
+        config = SimConfig(startup=StartupRule("latency", 0.0))
+        chunk_class = classify_chunks(SMOKE_M, 2)
+        scheme = make_scheme(name)
+        first = simulate_session(scheme, trace, SMOKE_M, config, chunk_class=chunk_class)
+        evals = scheme.eval_count
+        second = simulate_session(scheme, trace, SMOKE_M, config, chunk_class=chunk_class)
+        assert second.to_csv() == first.to_csv()
+        assert scheme.eval_count == 2 * evals  # a cumulative counter, not session state
 
     def test_cbf_filter_restricts_session_levels(self):
         trace = constant_trace(5000.0, 60)
