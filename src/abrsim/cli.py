@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .control import ControlError, PidParams, RampSchedule
+from .control import ControlError
 from .engine import (
     EstimatorSpec,
     SessionLog,
@@ -40,19 +40,12 @@ from .metrics import (
     session_metrics,
 )
 from .schemes import (
-    SCHEMES,
     AbrScheme,
-    Cava,
-    CavaParams,
     ConfigError,
     FilterSpec,
-    Pia,
-    PiaParams,
-    PiaStartup,
-    Quad,
-    QuadParams,
     allowed_from_filter,
-    make_scheme,
+    build_scheme,
+    scheme_class,
 )
 from .tuning import GainGrid, extract_region, sweep_gains
 
@@ -334,52 +327,9 @@ def _parse_grid(raw) -> GainGrid | None:
 
 # ------------------------------------------------------------- scheme assembly
 
-_PID_KEYS = ("kp", "ki", "kd", "beta", "epsilon", "target_buffer")
-
-
-def _pid_from(params: dict, default_beta: float) -> PidParams:
-    kwargs = {key: params.pop(key) for key in _PID_KEYS if key in params}
-    kwargs.setdefault("beta", default_beta)
-    return PidParams(**kwargs)
-
-
-def _build_scheme(
-    name: str, raw_params: dict, manifest: VideoManifest, target_quality: float | None
-) -> AbrScheme:
-    if name not in SCHEMES:
-        raise ConfigError(f"unknown scheme {name!r}; choose from {', '.join(sorted(SCHEMES))}")
-    params = dict(raw_params)
-    try:
-        if name == "pia":
-            pid = _pid_from(params, 0.2)
-            return Pia(PiaParams(pid=pid, **params))
-        if name == "piae":
-            alpha = float(params.pop("alpha", 4.0))
-            tau = float(params.pop("tau", 300.0))
-            pid = _pid_from(params, 1.0)
-            schedule = RampSchedule(
-                alpha=alpha,
-                tau=tau,
-                base_kp=pid.kp,
-                base_xr=pid.target_buffer,
-                delta=manifest.chunk_duration_s,
-            )
-            return PiaStartup(PiaParams(pid=pid, **params), schedule)
-        if name == "cava":
-            pid = _pid_from(params, 1.0)
-            return Cava(CavaParams(pid=pid, **params))
-        if name == "quad":
-            pid = _pid_from(params, 1.0)
-            if target_quality is not None:
-                params.setdefault("target_quality", target_quality)
-            return Quad(QuadParams(pid=pid, **params))
-        return make_scheme(name, **params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None
-
 
 def _uses_classes(config: RunConfig, scheme_name: str) -> bool:
-    return scheme_name == "cava" or config.reference_level is not None
+    return scheme_class(scheme_name).needs_chunk_class or config.reference_level is not None
 
 
 def _classes_for(config: RunConfig, manifest: VideoManifest):
@@ -463,10 +413,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = traces[0]
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
-    scheme = _build_scheme(config.scheme, config.scheme_params, manifest, config.target_quality)
-    chunk_class = None
-    if _uses_classes(config, config.scheme):
-        chunk_class = _classes_for(config, manifest)
+    scheme = build_scheme(config.scheme, config.scheme_params, manifest, config.target_quality)
+    chunk_class = _classes_for(config, manifest) if _uses_classes(config, config.scheme) else None
     log = simulate_session(
         scheme,
         trace,
@@ -491,7 +439,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _compare_cell(task):
     index, name, trace, manifest, config, allowed, chunk_class = task
-    scheme = _build_scheme(name, {}, manifest, config.target_quality)
+    scheme = build_scheme(name, {}, manifest, config.target_quality)
     log = simulate_session(
         scheme,
         trace,
@@ -512,20 +460,21 @@ def _compare_cell(task):
 ORACLE_MAX_CHUNKS = 24
 
 
-def _check_oracle_size(manifest: VideoManifest) -> None:
+def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):
+    """Offline-optimal (levels, objective) for one trace."""
+    if config.target_quality is None:
+        raise ConfigError("the offline oracle needs target_quality")
     if manifest.n_chunks > ORACLE_MAX_CHUNKS:
         raise ConfigError(
             f"oracle supports manifests up to {ORACLE_MAX_CHUNKS} chunks; "
             f"this one has {manifest.n_chunks}"
         )
+    objective = OfflineObjective(config.target_quality, config.gamma)
+    return offline_optimal(trace, manifest, objective, config.sim)
 
 
 def _oracle_line(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):
-    if config.target_quality is None:
-        raise ConfigError("offline-optimal rows need target_quality")
-    _check_oracle_size(manifest)
-    objective = OfflineObjective(config.target_quality, config.gamma)
-    levels, _ = offline_optimal(trace, manifest, objective, config.sim)
+    levels, _ = _solve_oracle(config, manifest, trace)
     log = simulate_session(_FixedSequence(levels), trace, manifest, config.sim)
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights
@@ -539,19 +488,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     manifest = _load_manifest(config)
     traces = _load_traces(config)
     names = config.schemes or (config.scheme,)
-    for name in names:
-        if name not in SCHEMES:
-            raise ConfigError(
-                f"unknown scheme {name!r}; choose from {', '.join(sorted(SCHEMES))}"
-            )
+    uses_classes = [_uses_classes(config, name) for name in names]  # rejects unknown names
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
-    classes = None
-    if any(_uses_classes(config, name) for name in names):
-        classes = _classes_for(config, manifest)
+    classes = _classes_for(config, manifest) if any(uses_classes) else None
     tasks = []
-    for si, name in enumerate(names):
-        chunk_class = classes if _uses_classes(config, name) else None
+    for si, (name, uses) in enumerate(zip(names, uses_classes)):
+        chunk_class = classes if uses else None
         for ti, trace in enumerate(traces):
             tasks.append(((si, ti), name, trace, manifest, config, allowed, chunk_class))
     if config.jobs > 1 and len(tasks) > 1:
@@ -577,11 +520,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     traces = _load_traces(config)
     if config.grid is None:
         raise ConfigError("sweep needs a gain grid in the config")
-    params = dict(config.scheme_params)
-    try:
-        template = PiaParams(pid=_pid_from(params, 0.2), **params)
-    except TypeError as exc:
-        raise ConfigError(f"bad sweep parameters: {exc}") from None
+    # the sweep tunes pia's gains; scheme_params fix the rest of its params
+    template = build_scheme("pia", config.scheme_params, manifest, config.target_quality).params
     weights = config.weights if config.weights is not None else default_weights(manifest)
     heatmap = sweep_gains(
         config.grid, traces, manifest, template, weights, config.sim, jobs=config.jobs
@@ -607,12 +547,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     traces = _load_traces(config)
     if len(traces) != 1:
         raise ConfigError("oracle takes exactly one trace")
-    if config.target_quality is None:
-        raise ConfigError("oracle needs target_quality")
-    _check_oracle_size(manifest)
     trace = traces[0]
-    objective = OfflineObjective(config.target_quality, config.gamma)
-    levels, value = offline_optimal(trace, manifest, objective, config.sim)
+    levels, value = _solve_oracle(config, manifest, trace)
     payload = {
         "trace": trace.name,
         "manifest": manifest.name,

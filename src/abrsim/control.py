@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 DEFAULT_KP = 8.8e-3
 DEFAULT_KI = 3.6e-5
@@ -17,22 +17,33 @@ class ControlError(ValueError):
     """Invalid controller parameters or arguments."""
 
 
+def require_finite(error: type[ValueError], **values) -> None:
+    """Raise `error` naming the first value that is not a finite real number;
+    range checks written as comparisons let NaN through."""
+    for name, value in values.items():
+        try:
+            finite = math.isfinite(value)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise error(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PidParams:
     """PI controller gains plus setpoint weighting and anti-windup threshold."""
 
     kp: float = DEFAULT_KP
     ki: float = DEFAULT_KI
-    kd: float = 0.0
     beta: float = 1.0
     epsilon: float = DEFAULT_EPSILON
     target_buffer: float = DEFAULT_TARGET_BUFFER_S
 
     def __post_init__(self) -> None:
+        require_finite(ControlError, kp=self.kp, ki=self.ki, beta=self.beta,
+                       epsilon=self.epsilon, target_buffer=self.target_buffer)
         if self.kp <= 0 or self.ki <= 0:
             raise ControlError("kp and ki must be positive")
-        if self.kd != 0.0:
-            raise ControlError("kd is fixed at 0 (PI controller)")
         if not 0.0 < self.beta <= 1.0:
             raise ControlError("beta must lie in (0, 1]")
         if not 0.0 < self.epsilon < 1.0:
@@ -121,6 +132,8 @@ class RampSchedule:
     delta: float = 2.0
 
     def __post_init__(self) -> None:
+        require_finite(ControlError, alpha=self.alpha, tau=self.tau, base_kp=self.base_kp,
+                       base_xr=self.base_xr, delta=self.delta)
         if self.alpha <= 1:
             raise ControlError("alpha must exceed 1")
         if self.tau <= 0:

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+from .control import require_finite
 from .media import BandwidthTrace, VideoManifest
 from .schemes import AbrScheme, ConfigError, DecisionContext
 
@@ -39,8 +40,7 @@ class StartupRule:
     value: float = 5.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ConfigError("startup value must be finite")
+        require_finite(ConfigError, startup_value=self.value)
         if self.kind == "latency":
             if self.value < 0:
                 raise ConfigError("startup delay must be >= 0")
@@ -63,8 +63,7 @@ class SimConfig:
     first_chunk_level: int | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.max_buffer_s) and math.isfinite(self.rtt_s)):
-            raise ConfigError("max buffer and rtt must be finite")
+        require_finite(ConfigError, max_buffer_s=self.max_buffer_s, rtt_s=self.rtt_s)
         if self.max_buffer_s <= 0:
             raise ConfigError("max buffer must be positive")
         if self.resume_margin_s is not None and not 0 < self.resume_margin_s < self.max_buffer_s:
@@ -108,10 +107,9 @@ def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec) -> float:
     return len(window) / sum(1.0 / v for v in window)
 
 
-def advance_download(
-    trace: BandwidthTrace, start_clock: float, size_bytes: int, *, loop: bool = True
-) -> float:
-    """Earliest clock at which size_bytes have arrived over the zero-order-hold trace."""
+def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int) -> float:
+    """Earliest clock at which size_bytes have arrived over the zero-order-hold
+    trace, which repeats past its end."""
     if size_bytes <= 0:
         raise SimulationError("download size must be positive")
     remaining = size_bytes * 8.0 / 1000.0
@@ -121,8 +119,6 @@ def advance_download(
     while True:
         # A clock a hair under an integer counts as that second (float dust).
         sec = int(math.floor(t + _TINY))
-        if not loop and sec >= n:
-            raise SimulationError("trace exhausted with looping disabled")
         c = trace.samples[sec % n]
         span = float(sec + 1) - t
         if c > 0.0:
@@ -207,7 +203,7 @@ class SessionLog:
 class _Session:
     """Event walker for one session; all floats advance via explicit events."""
 
-    def __init__(self, scheme, trace, manifest, config, allowed):
+    def __init__(self, scheme, trace, manifest, config, allowed, chunk_class):
         self.scheme = scheme
         self.trace = trace
         self.manifest = manifest
@@ -227,7 +223,7 @@ class _Session:
         self._stall_acc = 0.0
         self.startup_latency: float | None = None
         self.decisions: list[Decision] = []
-        self.chunk_class = None
+        self.chunk_class = chunk_class
         if config.startup.kind == "latency" and config.startup.value == 0.0:
             self._enable_playback(0.0)
 
@@ -288,13 +284,11 @@ class _Session:
     def _next_boundary_h(self) -> float:
         return self._current_second() + 1.0 - self.st.clock
 
-    def _fire_startup_if_due(self) -> bool:
+    def _fire_startup_if_due(self) -> None:
         due = self._startup_pending_at()
         if due is not None and self.st.clock >= due - _TINY:
             self.st.clock = max(self.st.clock, due)
             self._enable_playback(due)
-            return True
-        return False
 
     # -- advancing phases -----------------------------------------------------
 
@@ -478,7 +472,11 @@ def simulate_session(
     allowed_levels=None,
     chunk_class=None,
 ) -> SessionLog:
-    """Run one deterministic session; raises SimulationError on invariant breaks."""
+    """Run one deterministic session; raises SimulationError on invariant breaks.
+
+    The scheme is reset first, so a reused instance starts without the
+    previous session's controller state.
+    """
     delta = manifest.chunk_duration_s
     if config.max_buffer_s <= delta:
         raise ConfigError("max buffer must exceed one chunk duration")
@@ -487,8 +485,8 @@ def simulate_session(
     if config.first_chunk_level is not None and not 1 <= config.first_chunk_level <= manifest.n_levels:
         raise ConfigError("first_chunk_level outside manifest levels")
     allowed = _normalize_allowed(manifest, allowed_levels)
-    session = _Session(scheme, trace, manifest, config, allowed)
-    session.chunk_class = chunk_class
+    scheme.reset()
+    session = _Session(scheme, trace, manifest, config, allowed, chunk_class)
     for i in range(manifest.n_chunks):
         session.run_chunk(i)
     session._close_stall()

@@ -134,10 +134,11 @@ def windowed_avg_bitrate(track: Track, start: int, window: int) -> float:
 class VideoManifest:
     """A video's bitrate ladder plus the global chunk duration.
 
-    Construction also builds two rate tables that decisions read instead of
-    walking tracks: `avg_kbps[level - 1]` is `track_avg_bitrate` of that
-    track, and `rate_rows[level - 1][i]` is the bitrate of chunk i. They take
-    no part in equality or repr.
+    Construction also builds tables that decisions read instead of walking
+    tracks: `avg_kbps[level - 1]` is `track_avg_bitrate` of that track,
+    `rate_rows[level - 1][i]` is the bitrate of chunk i, and
+    `quality_rows[level - 1][i]` its quality value; `quality_rows` is None
+    unless every chunk has one. They take no part in equality or repr.
     """
 
     name: str
@@ -146,6 +147,7 @@ class VideoManifest:
     tracks: tuple[Track, ...]
     avg_kbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
     rate_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    quality_rows: tuple[tuple[float, ...], ...] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", tuple(self.tracks))
@@ -177,6 +179,9 @@ class VideoManifest:
         object.__setattr__(self, "avg_kbps", averages)
         rows = tuple(tuple(c.bitrate_kbps for c in t.chunks) for t in self.tracks)
         object.__setattr__(self, "rate_rows", rows)
+        qualities = tuple(tuple(c.vmaf for c in t.chunks) for t in self.tracks)
+        complete = not any(None in row for row in qualities)
+        object.__setattr__(self, "quality_rows", qualities if complete else None)
 
     @property
     def n_levels(self) -> int:
@@ -245,6 +250,18 @@ def classify_chunks(manifest: VideoManifest, reference_level: int) -> ChunkClass
     return ChunkClass(tuple(classes), reference_level)
 
 
+def _number(raw: dict, key: str, kind: type):
+    """raw[key] as `kind` (int or float); MediaError naming the key unless finite."""
+    value = raw[key]
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise MediaError(f"manifest field {key!r} must be a finite number, got {value!r}")
+
+
 def parse_manifest(text: str) -> VideoManifest:
     """Parse manifest JSON into a validated VideoManifest."""
     try:
@@ -252,16 +269,16 @@ def parse_manifest(text: str) -> VideoManifest:
     except json.JSONDecodeError as exc:
         raise MediaError(f"manifest is not valid JSON: {exc}") from None
     try:
-        duration = float(raw["chunk_duration_s"])
+        duration = _number(raw, "chunk_duration_s", float)
         tracks = tuple(
             Track(
-                level=int(t["level"]),
-                declared_bitrate_kbps=float(t["declared_bitrate_kbps"]),
+                level=_number(t, "level", int),
+                declared_bitrate_kbps=_number(t, "declared_bitrate_kbps", float),
                 chunks=tuple(
                     ChunkMeta(
-                        size_bytes=int(c["size_bytes"]),
+                        size_bytes=_number(c, "size_bytes", int),
                         duration_s=duration,
-                        vmaf=None if c.get("vmaf") is None else float(c["vmaf"]),
+                        vmaf=None if c.get("vmaf") is None else _number(c, "vmaf", float),
                     )
                     for c in t["chunks"]
                 ),
@@ -276,5 +293,5 @@ def parse_manifest(text: str) -> VideoManifest:
         )
     except KeyError as exc:
         raise MediaError(f"manifest missing field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         raise MediaError(f"malformed manifest: {exc}") from None

@@ -18,7 +18,8 @@ from dataclasses import asdict, dataclass
 
 from .engine import SessionLog, SimConfig, advance_download
 from .media import BandwidthTrace, VideoManifest
-from .schemes import ConfigError
+from .control import require_finite
+from .schemes import ConfigError, require_quality
 
 LOW_QUALITY_VMAF = 60.0
 _BINS_PER_S = 10.0
@@ -35,14 +36,15 @@ class QoeWeights:
     lam: float
 
     def __post_init__(self) -> None:
+        require_finite(ConfigError, mu=self.mu, lam=self.lam)
         if self.mu < 0.0 or self.lam < 0.0:
             raise ConfigError("qoe weights must be >= 0")
 
 
-def default_weights(manifest: VideoManifest, mu: float = 1.0) -> QoeWeights:
+def default_weights(manifest: VideoManifest) -> QoeWeights:
     """Stall weight pinned to the top ladder rate in Mbps, switch weight 1."""
     top = max(manifest.avg_kbps)
-    return QoeWeights(mu=mu, lam=top / 1000.0)
+    return QoeWeights(mu=1.0, lam=top / 1000.0)
 
 
 def qoe_score(log: SessionLog, weights: QoeWeights) -> float:
@@ -145,6 +147,7 @@ class OfflineObjective:
     gamma: float = 10000.0
 
     def __post_init__(self) -> None:
+        require_finite(ConfigError, target_quality=self.target_quality, gamma=self.gamma)
         if not 0.0 < self.target_quality <= 100.0:
             raise ConfigError("target quality must lie in (0, 100]")
         if self.gamma < 0.0:
@@ -211,28 +214,18 @@ def _transition(
     return _bin(x), _bin(end), stall
 
 
-def _quality(manifest: VideoManifest, level: int, index: int) -> float:
-    q = manifest.chunk(level, index).vmaf
-    if q is None:
-        raise ConfigError(
-            f"chunk {index} level {level} has no quality value; "
-            "the offline objective needs quality metadata"
-        )
-    return q
-
-
 def _step_cost(
-    manifest: VideoManifest,
+    quality: tuple[tuple[float, ...], ...],
     objective: OfflineObjective,
     chunk_index: int,
     level: int,
     prev_level: int | None,
     stall_s: float,
 ) -> float:
-    q = _quality(manifest, level, chunk_index)
+    q = quality[level - 1][chunk_index]
     cost = (objective.target_quality - q) ** 2
     if prev_level is not None:
-        cost += (q - _quality(manifest, prev_level, chunk_index - 1)) ** 2
+        cost += (q - quality[prev_level - 1][chunk_index - 1]) ** 2
     return cost + objective.gamma * stall_s
 
 
@@ -250,12 +243,13 @@ def score_sequence(
     for level in levels:
         if level not in manifest.levels:
             raise ConfigError(f"level {level} not in manifest")
+    quality = require_quality(manifest)
     total = 0.0
     prev: int | None = None
     x_key = t_key = 0
     for i, level in enumerate(levels):
         x_key, t_key, stall = _transition(trace, manifest, config, i, level, x_key, t_key)
-        total += _step_cost(manifest, objective, i, level, prev, stall)
+        total += _step_cost(quality, objective, i, level, prev, stall)
         prev = level
     return total
 
@@ -271,9 +265,7 @@ def offline_optimal(
     States are (last level, binned buffer, binned clock), so two prefixes
     reaching the same state merge; the kept cost is the exact running sum.
     """
-    for level in manifest.levels:
-        for i in range(manifest.n_chunks):
-            _quality(manifest, level, i)
+    quality = require_quality(manifest)
     frontier: dict[tuple[int | None, int, int], float] = {(None, 0, 0): 0.0}
     parents: list[dict] = []
     for i in range(manifest.n_chunks):
@@ -282,7 +274,7 @@ def offline_optimal(
         for (prev, x_key, t_key), cost in frontier.items():
             for level in manifest.levels:
                 nx, nt, stall = _transition(trace, manifest, config, i, level, x_key, t_key)
-                total = cost + _step_cost(manifest, objective, i, level, prev, stall)
+                total = cost + _step_cost(quality, objective, i, level, prev, stall)
                 key = (level, nx, nt)
                 if key not in nxt or total < nxt[key]:
                     nxt[key] = total

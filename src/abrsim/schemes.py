@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .control import (
@@ -14,6 +15,7 @@ from .control import (
     pid_output,
     ramp_kp,
     ramp_xr,
+    require_finite,
 )
 from .media import ChunkClass, VideoManifest
 
@@ -26,6 +28,19 @@ _EST_FLOOR_KBPS = 1e-9
 
 class ConfigError(ValueError):
     """Invalid simulation, scheme, or filter configuration."""
+
+
+def require_quality(manifest: VideoManifest) -> tuple[tuple[float, ...], ...]:
+    """Per-level, per-chunk quality values; ConfigError if any chunk lacks one."""
+    if manifest.quality_rows is None:
+        level, index = next(
+            (t.level, i) for t in manifest.tracks for i, c in enumerate(t.chunks) if c.vmaf is None
+        )
+        raise ConfigError(
+            f"chunk {index} of level {level} has no quality value; quality-aware schemes, "
+            "filters and the offline objective need one on every chunk"
+        )
+    return manifest.quality_rows
 
 
 @dataclass(frozen=True)
@@ -43,9 +58,9 @@ class DecisionContext:
     playing_indicator: int
     history: "DownloadHistory | None" = None
 
-    def allowed_pairs(self, chunk_index: int | None = None) -> tuple[tuple[int, float], ...]:
-        """(level, per-chunk bitrate kbps) pairs for the allowed levels."""
-        i = self.chunk_index if chunk_index is None else chunk_index
+    def allowed_pairs(self) -> tuple[tuple[int, float], ...]:
+        """(level, bitrate kbps of this chunk) pairs for the allowed levels."""
+        i = self.chunk_index
         return tuple((lvl, self.manifest.bitrate_kbps(lvl, i)) for lvl in self.allowed_levels)
 
     def track_pairs(self) -> tuple[tuple[int, float], ...]:
@@ -57,7 +72,16 @@ class AbrScheme:
     """Per-session strategy consulted once per chunk; hooks observe elapsed time."""
 
     name = "base"
+    needs_chunk_class = False
     last_u: float | None = None
+
+    @classmethod
+    def from_params(cls, raw: dict, manifest: VideoManifest, target_quality: float | None):
+        """Build from a job's raw `scheme_params`, its manifest and its quality target."""
+        return cls(**raw)
+
+    def reset(self) -> None:
+        """Drop per-session state; the engine calls this before chunk 0."""
 
     def decide(self, ctx: DecisionContext) -> int:
         raise NotImplementedError
@@ -88,6 +112,7 @@ class BufferBased(AbrScheme):
     name = "bba0"
 
     def __init__(self, theta_low_s: float = 10.0, theta_high_s: float = 60.0) -> None:
+        require_finite(ConfigError, theta_low_s=theta_low_s, theta_high_s=theta_high_s)
         if theta_high_s <= theta_low_s:
             raise ConfigError("theta_high must exceed theta_low")
         self.theta_low_s = theta_low_s
@@ -134,15 +159,16 @@ class Mpc(AbrScheme):
     """
 
     name = "mpc"
+    robust = False
 
     def __init__(
         self,
         horizon: int = 5,
         mu: float = 1.0,
         lam: float | None = None,
-        robust: bool = False,
         error_window: int = 5,
     ) -> None:
+        require_finite(ConfigError, mu=mu, lam=0.0 if lam is None else lam)
         if horizon < 1:
             raise ConfigError("mpc horizon must be >= 1")
         if mu < 0:
@@ -154,7 +180,6 @@ class Mpc(AbrScheme):
         self.horizon = horizon
         self.mu = mu
         self.lam = lam
-        self.robust = robust
         self.error_window = error_window
         self.eval_count = 0
 
@@ -221,18 +246,12 @@ class RobustMpc(Mpc):
     """Mpc with the conservative bandwidth estimate enabled."""
 
     name = "robustmpc"
-
-    def __init__(
-        self,
-        horizon: int = 5,
-        mu: float = 1.0,
-        lam: float | None = None,
-        error_window: int = 5,
-    ) -> None:
-        super().__init__(horizon, mu, lam, robust=True, error_window=error_window)
+    robust = True
 
 
 # ---------------------------------------------------------------- pid schemes
+
+_PID_KEYS = tuple(f.name for f in fields(PidParams))
 
 
 @dataclass
@@ -244,88 +263,141 @@ class PiaParams:
     eta: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(ConfigError, eta=self.eta)
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.eta < 0:
             raise ConfigError("eta must be >= 0")
 
 
-def _rollout_tracking_cost(pid, kp, horizon, u0, integral0, x0, ind0, xr, rate, target, est, delta):
-    """Sum of (u_k*rate - target)^2 stepping the closed loop one chunk at a time."""
-    cost = 0.0
-    x, integral, u, ind = x0, integral0, u0, float(ind0)
-    d = rate * delta / est
-    for _ in range(horizon):
-        cost += (u * rate - target) ** 2
-        nx = max(x + delta - (d if ind else 0.0), 0.0)
-        integral += (xr - x) * d
-        ind = 1.0 if nx >= delta else 0.0
-        u = max(kp * (pid.beta * xr - nx) + pid.ki * integral + ind, pid.epsilon)
-        x = nx
-    return cost
+class _PidScheme(AbrScheme):
+    """Buffer-driven PI controller shared by the PID schemes: the integral fed by
+    `observe_interval` toward `_target`, the PI step with setpoint weighting and
+    anti-windup, and the rollout argmin. Subclasses supply `decide` and
+    `_default_params`, a factory for params with a `pid` field."""
 
-
-class Pia(AbrScheme):
-    """PID controller on the buffer plus a short smoothing lookahead."""
-
-    name = "pia"
-
-    def __init__(self, params: PiaParams | None = None) -> None:
-        self.params = params if params is not None else PiaParams()
-        self.pid_state = PidState()
+    def __init__(self, params=None) -> None:
+        self.params = params if params is not None else self._default_params()
         self.eval_count = 0
-        self.last_u: float | None = None
+        self.reset()
 
-    def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
-        self.pid_state.accumulate(self._target(clock_s), buffer_s, dt_s)
+    @classmethod
+    def from_params(cls, raw, manifest, target_quality):
+        return cls(cls._params_from(raw))
+
+    @classmethod
+    def _params_from(cls, raw: dict):
+        """The scheme's default params with `raw` applied; PidParams keys go to `pid`."""
+        rest = dict(raw)
+        pid_keys = {key: rest.pop(key) for key in _PID_KEYS if key in rest}
+        default = cls._default_params()
+        return replace(default, pid=replace(default.pid, **pid_keys), **rest)
+
+    def reset(self) -> None:
+        self.pid_state = PidState()
+        self.last_u = None
 
     def _target(self, clock_s: float) -> float:
         return self.params.pid.target_buffer
 
-    def _kp(self, clock_s: float) -> float:
-        return self.params.pid.kp
+    def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
+        # PidState.accumulate's rule, inlined: this runs on every engine interval
+        state = self.pid_state
+        if not state.freeze:
+            state.integral += (self._target(clock_s) - buffer_s) * dt_s
 
-    def decide(self, ctx: DecisionContext) -> int:
+    def _control(self, ctx: DecisionContext, kp: float, xr: float) -> tuple[float, bool]:
+        """PI output after anti-windup and whether it forces the top level; sets freeze, last_u."""
         pid = self.params.pid
-        kp = self._kp(ctx.clock_s)
-        xr = self._target(ctx.clock_s)
-        eff = pid if kp == pid.kp else replace(pid, kp=kp)
-        u_raw = pid_output(eff, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator)
+        gains = pid if kp == pid.kp else replace(pid, kp=kp)
+        u_raw = pid_output(gains, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator)
         u, freeze, force_max = anti_windup(u_raw, pid)
         self.pid_state.freeze = freeze
         self.last_u = u
-        if force_max:
-            return max(ctx.allowed_levels)
+        return u, force_max
+
+    def _rollout_rate(self, ctx: DecisionContext, level: int) -> float:
+        return ctx.manifest.avg_bitrate_kbps(level)
+
+    def _argmin(self, ctx: DecisionContext, u, kp, xr, alpha, eta) -> int:
+        """Allowed level with the least cost: the sum of (u_k * rate - alpha * est)^2
+        stepping the closed loop one chunk at a time over the horizon, plus eta
+        times the squared change in track average from the last level."""
+        pid, horizon = self.params.pid, self.params.horizon
+        manifest = ctx.manifest
+        delta = manifest.chunk_duration_s
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
-        delta = ctx.manifest.chunk_duration_s
+        target = alpha * est
         prev_rate = None
         if ctx.last_level is not None:
-            prev_rate = ctx.manifest.avg_bitrate_kbps(ctx.last_level)
+            prev_rate = manifest.avg_bitrate_kbps(ctx.last_level)
         best = best_lvl = None
         for lvl in sorted(ctx.allowed_levels):
-            rate = ctx.manifest.avg_bitrate_kbps(lvl)
-            cost = _rollout_tracking_cost(
-                pid, kp, self.params.horizon, u, self.pid_state.integral,
-                ctx.buffer_s, ctx.playing_indicator, xr, rate, est, est, delta,
-            )
-            self.eval_count += self.params.horizon
+            rate = self._rollout_rate(ctx, lvl)
+            d = rate * delta / est
+            cost = 0.0
+            x, integral, uk = ctx.buffer_s, self.pid_state.integral, u
+            ind = float(ctx.playing_indicator)
+            for _ in range(horizon):
+                cost += (uk * rate - target) ** 2
+                nx = max(x + delta - (d if ind else 0.0), 0.0)
+                integral += (xr - x) * d
+                ind = 1.0 if nx >= delta else 0.0
+                uk = max(kp * (pid.beta * xr - nx) + pid.ki * integral + ind, pid.epsilon)
+                x = nx
+            self.eval_count += horizon
             if prev_rate is not None:
-                cost += self.params.eta * (rate - prev_rate) ** 2
+                cost += eta * (manifest.avg_bitrate_kbps(lvl) - prev_rate) ** 2
             if best is None or cost < best:
                 best, best_lvl = cost, lvl
         return best_lvl
 
 
+class Pia(_PidScheme):
+    """PID controller on the buffer plus a short smoothing lookahead."""
+
+    name = "pia"
+    _default_params = PiaParams
+
+    def _kp(self, clock_s: float) -> float:
+        return self.params.pid.kp
+
+    def decide(self, ctx: DecisionContext) -> int:
+        kp, xr = self._kp(ctx.clock_s), self._target(ctx.clock_s)
+        u, force_max = self._control(ctx, kp, xr)
+        if force_max:
+            return max(ctx.allowed_levels)
+        return self._argmin(ctx, u, kp, xr, 1.0, self.params.eta)
+
+
 class PiaStartup(Pia):
-    """Pia with ramped gain and buffer target for a faster startup phase."""
+    """Pia with ramped gain and buffer target for a faster startup phase; without a given
+    schedule, the first decision builds the default ramp for the manifest's chunk duration."""
 
     name = "piae"
+    _default_params = partial(PiaParams, pid=PidParams())
 
     def __init__(self, params: PiaParams | None = None, schedule: RampSchedule | None = None):
-        super().__init__(params if params is not None else PiaParams(pid=PidParams()))
+        self._given_schedule = schedule
+        super().__init__(params)
         if self.params.pid.beta != 1.0:
             raise ConfigError("piae requires beta = 1")
-        self.schedule = schedule
+
+    @classmethod
+    def from_params(cls, raw, manifest, target_quality):
+        rest = dict(raw)
+        shape = {key: rest.pop(key) for key in ("alpha", "tau") if key in rest}
+        params = cls._params_from(rest)
+        return cls(params, cls._ramp(params, manifest.chunk_duration_s, **shape))
+
+    @staticmethod
+    def _ramp(params: PiaParams, delta: float, **shape) -> RampSchedule:
+        pid = params.pid
+        return RampSchedule(base_kp=pid.kp, base_xr=pid.target_buffer, delta=delta, **shape)
+
+    def reset(self) -> None:
+        super().reset()
+        self.schedule = self._given_schedule
 
     def _target(self, clock_s: float) -> float:
         if self.schedule is None:
@@ -339,12 +411,7 @@ class PiaStartup(Pia):
 
     def decide(self, ctx: DecisionContext) -> int:
         if self.schedule is None:
-            pid = self.params.pid
-            self.schedule = RampSchedule(
-                base_kp=pid.kp,
-                base_xr=pid.target_buffer,
-                delta=ctx.manifest.chunk_duration_s,
-            )
+            self.schedule = self._ramp(self.params, ctx.manifest.chunk_duration_s)
         return super().decide(ctx)
 
 
@@ -364,6 +431,9 @@ class CavaParams:
     q4_low_buffer_relief: bool = False
 
     def __post_init__(self) -> None:
+        require_finite(ConfigError, alpha_q4=self.alpha_q4, alpha_q123=self.alpha_q123,
+                       safe_buffer_s=self.safe_buffer_s,
+                       base_target_buffer_s=self.base_target_buffer_s)
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.inner_window < self.horizon:
@@ -378,31 +448,30 @@ class CavaParams:
             raise ConfigError("buffer thresholds must be positive")
 
 
-class Cava(AbrScheme):
+class Cava(_PidScheme):
     """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets."""
 
     name = "cava"
+    needs_chunk_class = True
+    _default_params = CavaParams
 
-    def __init__(self, params: CavaParams | None = None) -> None:
-        self.params = params if params is not None else CavaParams()
-        self.pid_state = PidState()
-        self.eval_count = 0
-        self.last_u: float | None = None
+    def reset(self) -> None:
+        super().reset()
         self._target_buffer = self.params.base_target_buffer_s
 
-    def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
-        self.pid_state.accumulate(self._target_buffer, buffer_s, dt_s)
+    def _target(self, clock_s: float) -> float:
+        return self._target_buffer
+
+    def _rollout_rate(self, ctx: DecisionContext, level: int) -> float:
+        return ctx.manifest.windowed_bitrate_kbps(level, ctx.chunk_index, self.params.inner_window)
 
     def decide(self, ctx: DecisionContext) -> int:
         if ctx.chunk_class is None:
             raise ConfigError("cava needs a chunk classification")
         p = self.params
-        self._target_buffer = self._outer_target(ctx)
-        xr = self._target_buffer
-        u_raw = pid_output(p.pid, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator)
-        u, freeze, force_max = anti_windup(u_raw, p.pid)
-        self.pid_state.freeze = freeze
-        self.last_u = u
+        kp = p.pid.kp
+        xr = self._target_buffer = self._outer_target(ctx)
+        u, force_max = self._control(ctx, kp, xr)
         if force_max:
             return max(ctx.allowed_levels)
         i = ctx.chunk_index
@@ -413,13 +482,9 @@ class Cava(AbrScheme):
         eta = 1.0
         if i > 0 and (ctx.chunk_class.quartile(i - 1) == 4) != is_q4:
             eta = 0.0  # class switch: do not penalize the level change
-        level = self._argmin(ctx, u, xr, alpha, eta)
-        if (
-            not is_q4
-            and level <= p.low_level_cutoff
-            and ctx.buffer_s > p.safe_buffer_s
-        ):
-            level = self._argmin(ctx, u, xr, 1.0, eta)
+        level = self._argmin(ctx, u, kp, xr, alpha, eta)
+        if not is_q4 and level <= p.low_level_cutoff and ctx.buffer_s > p.safe_buffer_s:
+            level = self._argmin(ctx, u, kp, xr, 1.0, eta)
         return level
 
     def _outer_target(self, ctx: DecisionContext) -> float:
@@ -430,28 +495,6 @@ class Cava(AbrScheme):
         upcoming = manifest.windowed_bitrate_kbps(ctx.last_level, ctx.chunk_index, p.outer_window)
         ratio = upcoming / max(manifest.avg_bitrate_kbps(ctx.last_level), _EST_FLOOR_KBPS)
         return p.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
-
-    def _argmin(self, ctx, u, xr, alpha, eta):
-        p = self.params
-        est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
-        delta = ctx.manifest.chunk_duration_s
-        target = alpha * est
-        prev_rate = None
-        if ctx.last_level is not None:
-            prev_rate = ctx.manifest.avg_bitrate_kbps(ctx.last_level)
-        best = best_lvl = None
-        for lvl in sorted(ctx.allowed_levels):
-            rate = ctx.manifest.windowed_bitrate_kbps(lvl, ctx.chunk_index, p.inner_window)
-            cost = _rollout_tracking_cost(
-                p.pid, p.pid.kp, p.horizon, u, self.pid_state.integral,
-                ctx.buffer_s, ctx.playing_indicator, xr, rate, target, est, delta,
-            )
-            self.eval_count += p.horizon
-            if prev_rate is not None:
-                cost += eta * (ctx.manifest.avg_bitrate_kbps(lvl) - prev_rate) ** 2
-            if best is None or cost < best:
-                best, best_lvl = cost, lvl
-        return best_lvl
 
 
 @dataclass
@@ -466,6 +509,8 @@ class QuadParams:
     low_buffer_chunks: float = 4.0
 
     def __post_init__(self) -> None:
+        require_finite(ConfigError, target_quality=self.target_quality, alpha=self.alpha,
+                       eta=self.eta, low_buffer_chunks=self.low_buffer_chunks)
         if not 0.0 < self.target_quality <= 100.0:
             raise ConfigError("target quality must lie in (0, 100]")
         if self.alpha < 0 or self.eta < 0:
@@ -476,41 +521,37 @@ class QuadParams:
             raise ConfigError("low buffer threshold must be positive")
 
 
-class Quad(AbrScheme):
-    """PID scheme that targets a quality value instead of maximal bitrate."""
+class Quad(_PidScheme):
+    """PID scheme that targets a quality value instead of maximal bitrate; it never
+    forces the top level, so at saturation it still weighs quality."""
 
     name = "quad"
+    _default_params = QuadParams
 
-    def __init__(self, params: QuadParams | None = None) -> None:
-        self.params = params if params is not None else QuadParams()
-        self.pid_state = PidState()
-        self.last_u: float | None = None
-
-    def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
-        self.pid_state.accumulate(self.params.pid.target_buffer, buffer_s, dt_s)
+    @classmethod
+    def from_params(cls, raw, manifest, target_quality):
+        if target_quality is not None:
+            raw = {"target_quality": target_quality, **raw}
+        return super().from_params(raw, manifest, target_quality)
 
     def decide(self, ctx: DecisionContext) -> int:
         p = self.params
-        u_raw = pid_output(
-            p.pid, ctx.buffer_s, self.pid_state.integral,
-            p.pid.target_buffer, ctx.playing_indicator,
-        )
-        u, freeze, _ = anti_windup(u_raw, p.pid)
-        self.pid_state.freeze = freeze
-        self.last_u = u
+        quality = require_quality(ctx.manifest)
+        u, _ = self._control(ctx, p.pid.kp, p.pid.target_buffer)
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
         if ctx.buffer_s < p.low_buffer_chunks * ctx.manifest.chunk_duration_s:
             want = min(p.fair_level, bitrate_from_u(u, est, ctx.allowed_pairs()))
             fits = [lvl for lvl in ctx.allowed_levels if lvl <= want]
             return max(fits) if fits else min(ctx.allowed_levels)
+        i = ctx.chunk_index
         qr = p.target_quality
         prev_q = None
         if ctx.last_level is not None:
-            prev_q = self._vmaf(ctx, ctx.last_level, ctx.chunk_index - 1)
+            prev_q = quality[ctx.last_level - 1][i - 1]
         best = best_lvl = None
         for lvl in sorted(ctx.allowed_levels):
-            rate = ctx.manifest.bitrate_kbps(lvl, ctx.chunk_index)
-            q = self._vmaf(ctx, lvl, ctx.chunk_index)
+            rate = ctx.manifest.bitrate_kbps(lvl, i)
+            q = quality[lvl - 1][i]
             cost = (max(0.0, u * rate - est) / est) ** 2
             cost += p.alpha * ((qr - q) / qr) ** 2
             if prev_q is not None:
@@ -518,13 +559,6 @@ class Quad(AbrScheme):
             if best is None or cost < best:
                 best, best_lvl = cost, lvl
         return best_lvl
-
-    @staticmethod
-    def _vmaf(ctx: DecisionContext, level: int, index: int) -> float:
-        vmaf = ctx.manifest.chunk(level, index).vmaf
-        if vmaf is None:
-            raise ConfigError(f"quad needs a quality value on every chunk (level {level}, chunk {index})")
-        return vmaf
 
 
 # ------------------------------------------------------------------- filters
@@ -546,20 +580,14 @@ class FilterSpec:
                 raise ConfigError("filter needs a target quality in (0, 100]")
 
 
-def _require_vmaf(manifest: VideoManifest, level: int, index: int) -> float:
-    vmaf = manifest.chunk(level, index).vmaf
-    if vmaf is None:
-        raise ConfigError(f"filter needs a quality value on every chunk (level {level}, chunk {index})")
-    return vmaf
-
-
 def cbf_filter(manifest: VideoManifest, target_quality: float) -> tuple[tuple[int, ...], ...]:
     """Per-position allowed sets {1..cap} where cap's quality is closest to target."""
+    quality = require_quality(manifest)
     allowed = []
     for i in range(manifest.n_chunks):
         best = cap = None
         for lvl in manifest.levels:
-            dev = abs(_require_vmaf(manifest, lvl, i) - target_quality)
+            dev = abs(quality[lvl - 1][i] - target_quality)
             if best is None or dev < best:
                 best, cap = dev, lvl
         allowed.append(tuple(range(1, cap + 1)))
@@ -571,12 +599,8 @@ def tbf_filter(manifest: VideoManifest, target_quality: float, variant: str) -> 
     the target, plus is one level above it."""
     if variant not in ("minus", "plus"):
         raise ConfigError(f"unknown tbf variant {variant!r}")
-    means = {}
-    for lvl in manifest.levels:
-        track = manifest.track(lvl)
-        means[lvl] = sum(
-            _require_vmaf(manifest, lvl, i) for i in range(len(track.chunks))
-        ) / len(track.chunks)
+    rows = require_quality(manifest)
+    means = {lvl: sum(row) / len(row) for lvl, row in zip(manifest.levels, rows)}
     below = [lvl for lvl in manifest.levels if means[lvl] <= target_quality]
     if not below:
         return 1  # every track overshoots: keep only the lowest
@@ -611,10 +635,26 @@ SCHEMES: dict[str, type[AbrScheme]] = {
 }
 
 
+def scheme_class(name: str) -> type[AbrScheme]:
+    """The registered scheme class for `name`."""
+    try:
+        return SCHEMES[name]
+    except KeyError:
+        choices = ", ".join(sorted(SCHEMES))
+        raise ConfigError(f"unknown scheme {name!r}; choose from {choices}") from None
+
+
 def make_scheme(name: str, **kwargs) -> AbrScheme:
     """Instantiate a registered scheme by name."""
+    return scheme_class(name)(**kwargs)
+
+
+def build_scheme(
+    name: str, raw: dict, manifest: VideoManifest, target_quality: float | None = None
+) -> AbrScheme:
+    """A registered scheme built from a job's raw `scheme_params`."""
+    cls = scheme_class(name)
     try:
-        factory = SCHEMES[name]
-    except KeyError:
-        raise ConfigError(f"unknown scheme {name!r}; choose from {sorted(SCHEMES)}") from None
-    return factory(**kwargs)
+        return cls.from_params(raw, manifest, target_quality)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None

@@ -688,6 +688,15 @@ class TestQuad:
         with pytest.raises(ConfigError):
             Quad(QuadParams(target_quality=80.0)).decide(ctx_for(m, buffer_s=60.0))
 
+    def test_missing_quality_found_at_the_first_decision(self):
+        # the low-buffer branch reads no quality value, yet the gap is reported
+        m = vbr_manifest(
+            [[125000] * 4, [250000] * 4],
+            vmafs_by_level=[[60.0] * 4, [80.0, 80.0, None, 80.0]],
+        )
+        with pytest.raises(ConfigError, match="chunk 2 of level 2"):
+            Quad(QuadParams(target_quality=80.0)).decide(ctx_for(m, buffer_s=0.0))
+
     def test_params_validation(self):
         with pytest.raises(ConfigError):
             QuadParams(target_quality=0.0)
