@@ -1004,10 +1004,13 @@ class TestEngineIntegration:
         )
         assert all(d.u is not None for d in log.decisions)
 
+    # a fixed first level skips decide at chunk 0, so piae's lazily built ramp
+    # must be dropped too or the second session integrates toward it early
+    @pytest.mark.parametrize("first_level", [None, 1])
     @pytest.mark.parametrize("name", ["pia", "piae", "cava", "quad"])
-    def test_reused_instance_starts_each_session_fresh(self, name):
+    def test_reused_instance_starts_each_session_fresh(self, name, first_level):
         trace = constant_trace(900.0, 60)
-        config = SimConfig(startup=StartupRule("latency", 0.0))
+        config = SimConfig(startup=StartupRule("latency", 0.0), first_chunk_level=first_level)
         chunk_class = classify_chunks(SMOKE_M, 2)
         scheme = make_scheme(name)
         first = simulate_session(scheme, trace, SMOKE_M, config, chunk_class=chunk_class)
