@@ -1,8 +1,10 @@
-"""Equivalence of the manifest rate tables and the MPC prefix walk with their references.
+"""Equivalence of the fast paths with the references they replaced.
 
 The tables must reproduce `track_avg_bitrate` and `windowed_avg_bitrate` to the
-bit, and `Mpc.decide` must pick the same level and count the same evaluations
-as scoring every sequence from `itertools.product` one at a time.
+bit, `Mpc.decide` must pick the same level and count the same evaluations
+as scoring every sequence from `itertools.product` one at a time, and
+`offline_optimal` must return the same sequence and objective as the DP that
+runs one full transition per (previous level, state, level).
 """
 
 from __future__ import annotations
@@ -14,8 +16,16 @@ import random
 import pytest
 
 from _builders import cbr_manifest, vbr_manifest
-from abrsim.engine import DownloadHistory
-from abrsim.media import track_avg_bitrate, windowed_avg_bitrate
+from abrsim.engine import DownloadHistory, SimConfig, StartupRule, advance_download
+from abrsim.media import BandwidthTrace, track_avg_bitrate, windowed_avg_bitrate
+from abrsim.metrics import (
+    OfflineObjective,
+    _bin,
+    _drain,
+    _playback_window,
+    _started,
+    offline_optimal,
+)
 from abrsim.schemes import DecisionContext, Mpc, RobustMpc
 
 
@@ -198,3 +208,142 @@ def test_mpc_walk_all_sequences_tied():
     _assert_walk_matches_reference(scheme, ctx)
     assert scheme.decide(ctx) == 1
     assert scheme.eval_count == 2 * 3**3
+
+
+# -- offline-optimal DP ---------------------------------------------------------
+
+
+def _reference_transition(trace, manifest, config, chunk_index, level, x_key, t_key):
+    """One chunk request from a binned state, computed whole for every call."""
+    delta = manifest.chunk_duration_s
+    cap = config.max_buffer_s
+    margin = config.resume_margin_s if config.resume_margin_s is not None else delta
+    x = x_key / 10.0
+    t = t_key / 10.0
+    stall = 0.0
+    if x >= cap and _started(config, t, chunk_index):
+        resume = max(cap - margin, delta)
+        t += x - resume
+        x = resume
+    if config.rtt_s > 0.0:
+        x, s = _drain(x, _playback_window(config, t, config.rtt_s, chunk_index))
+        stall += s
+        t += config.rtt_s
+    end = advance_download(trace, t, manifest.chunk(level, chunk_index).size_bytes)
+    x, s = _drain(x, _playback_window(config, t, end - t, chunk_index))
+    stall += s
+    x = min(x + delta, cap)
+    return _bin(x), _bin(end), stall
+
+
+def _reference_step_cost(quality, objective, chunk_index, level, prev_level, stall_s):
+    q = quality[level - 1][chunk_index]
+    cost = (objective.target_quality - q) ** 2
+    if prev_level is not None:
+        cost += (q - quality[prev_level - 1][chunk_index - 1]) ** 2
+    return cost + objective.gamma * stall_s
+
+
+def _reference_offline_optimal(trace, manifest, objective, config):
+    """The DP the fast solver must reproduce: every (prev, x, t, level) move in full."""
+    quality = manifest.quality_rows
+    frontier = {(None, 0, 0): 0.0}
+    parents = []
+    for i in range(manifest.n_chunks):
+        nxt = {}
+        back = {}
+        for (prev, x_key, t_key), cost in frontier.items():
+            for level in manifest.levels:
+                nx, nt, stall = _reference_transition(
+                    trace, manifest, config, i, level, x_key, t_key
+                )
+                total = cost + _reference_step_cost(quality, objective, i, level, prev, stall)
+                key = (level, nx, nt)
+                if key not in nxt or total < nxt[key]:
+                    nxt[key] = total
+                    back[key] = (prev, x_key, t_key)
+        frontier = nxt
+        parents.append(back)
+    best = min(frontier, key=lambda key: (frontier[key], key))
+    value = frontier[best]
+    sequence = []
+    key = best
+    for back in reversed(parents):
+        sequence.append(key[0])
+        key = back[key]
+    sequence.reverse()
+    return tuple(sequence), value
+
+
+def _oracle_instance(seed):
+    rng = random.Random(seed)
+    n_levels = rng.randint(2, 4)
+    n_chunks = rng.randint(3, 7)
+    manifest = _seeded_vbr(seed, n_levels=n_levels, n_chunks=n_chunks)
+    vmafs = [[round(rng.uniform(30.0, 99.0), 1) for _ in range(n_chunks)] for _ in range(n_levels)]
+    sizes = [[c.size_bytes for c in t.chunks] for t in manifest.tracks]
+    manifest = vbr_manifest(sizes, vmafs_by_level=vmafs)
+    samples = [float(rng.randrange(100, 6000)) for _ in range(rng.randint(3, 15))]
+    trace = BandwidthTrace(name=f"rng{seed}", samples=tuple(samples))
+    objective = OfflineObjective(
+        target_quality=rng.choice([70.0, 80.0, 90.0]),
+        gamma=rng.choice([0.0, 100.0, 10000.0]),
+    )
+    return trace, manifest, objective
+
+
+CONFIGS = {
+    "default": SimConfig(),
+    "rtt0": SimConfig(rtt_s=0.0),
+    "latency0": SimConfig(startup=StartupRule("latency", 0.0)),
+    "latency0-rtt0": SimConfig(startup=StartupRule("latency", 0.0), rtt_s=0.0),
+    "chunks1": SimConfig(startup=StartupRule("chunks_buffered", 1.0)),
+    "chunks2-rtt0": SimConfig(startup=StartupRule("chunks_buffered", 2.0), rtt_s=0.0),
+    "gate": SimConfig(max_buffer_s=5.0, resume_margin_s=1.5, rtt_s=0.3),
+    "gate-latency0": SimConfig(
+        startup=StartupRule("latency", 0.0), max_buffer_s=6.0, resume_margin_s=3.0
+    ),
+    "gate-chunks1-rtt0": SimConfig(
+        startup=StartupRule("chunks_buffered", 1.0), max_buffer_s=4.5, resume_margin_s=0.5,
+        rtt_s=0.0,
+    ),
+}
+
+
+def _assert_dp_matches_reference(trace, manifest, objective, config):
+    assert offline_optimal(trace, manifest, objective, config) == _reference_offline_optimal(
+        trace, manifest, objective, config
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("seed", range(4))
+def test_dp_matches_reference_dp(seed, config):
+    _assert_dp_matches_reference(*_oracle_instance(seed), config)
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("same_sizes", [True, False], ids=["same-sizes", "own-sizes"])
+def test_dp_matches_reference_dp_on_tied_levels(config, same_sizes):
+    # Levels 1 and 2 carry identical quality rows; with identical sizes every
+    # move through one has an equal-cost twin through the other.
+    rng = random.Random(11)
+    n = 6
+    low = [rng.randrange(60_000, 120_000) for _ in range(n)]
+    mid = list(low) if same_sizes else [s + 30_000 for s in low]
+    high = [s + 400_000 for s in low]
+    row = [round(rng.uniform(50.0, 90.0), 1) for _ in range(n)]
+    manifest = vbr_manifest([low, mid, high], vmafs_by_level=[row, list(row), [95.0] * n])
+    trace = BandwidthTrace("steps", (900.0, 2500.0, 400.0, 1800.0, 3200.0))
+    for gamma in (0.0, 100.0):
+        _assert_dp_matches_reference(trace, manifest, OfflineObjective(80.0, gamma), config)
+
+
+def test_dp_matches_reference_dp_on_a_longer_instance():
+    rng = random.Random(5)
+    manifest = _seeded_vbr(5, n_levels=4, n_chunks=9)
+    vmafs = [[round(rng.uniform(30.0, 99.0), 1) for _ in range(9)] for _ in range(4)]
+    sizes = [[c.size_bytes for c in t.chunks] for t in manifest.tracks]
+    manifest = vbr_manifest(sizes, vmafs_by_level=vmafs)
+    trace = BandwidthTrace("walk", tuple(float(rng.randrange(200, 5000)) for _ in range(40)))
+    _assert_dp_matches_reference(trace, manifest, OfflineObjective(85.0), SimConfig())
