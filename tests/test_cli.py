@@ -207,8 +207,17 @@ def test_run_infinite_trace_sample_exits_2(workdir, capsys):
         (dict(scheme="piae", scheme_params={"alpha": "abc"}), "alpha"),
         (dict(scheme="mpc", scheme_params={"robust": True}), "robust"),
         (dict(scheme="rb", weights={"mu": float("nan"), "lam": 1.0}), "mu"),
+        (dict(scheme="rb", target_quality=float("nan")), "target_quality"),
+        (dict(scheme="rb", gamma=float("inf")), "gamma"),
     ],
-    ids=["kp-nan", "piae-alpha-text", "mpc-robust", "weights-mu-nan"],
+    ids=[
+        "kp-nan",
+        "piae-alpha-text",
+        "mpc-robust",
+        "weights-mu-nan",
+        "target-quality-nan",
+        "gamma-inf",
+    ],
 )
 def test_run_bad_scheme_or_weight_values_exit_2(workdir, capsys, fields, message):
     tmp, manifest, trace = workdir
@@ -397,6 +406,26 @@ def test_sweep_all_invalid_grid_is_diagnosed(workdir, capsys):
     )
     assert main(["sweep", "--config", str(config)]) == 2
     assert "no valid gain pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"kp_values": [float("nan"), 0.0088], "ki_values": [3.6e-5]},
+        {"kp_values": [0.0088], "ki_values": [3.6e-5, float("inf")]},
+    ],
+    ids=["kp-nan", "ki-inf"],
+)
+def test_sweep_non_finite_grid_value_exits_2(workdir, capsys, grid):
+    tmp, manifest, trace = workdir
+    out = tmp / "out"
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], grid=grid, out_dir=str(out)
+    )
+    assert main(["sweep", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not (out / "heatmap.csv").exists()
 
 
 def test_sweep_without_grid_exits_2(workdir):

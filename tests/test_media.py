@@ -211,6 +211,8 @@ class TestParseManifest:
             ("track", "level", "abc"),
             ("top", "chunk_duration_s", "abc"),
             ("top", "chunk_duration_s", float("inf")),
+            ("chunk", "size_bytes", 150000.7),
+            ("track", "level", 2.5),
         ],
     )
     def test_non_numeric_field_is_named(self, where, field, value):
@@ -219,6 +221,15 @@ class TestParseManifest:
         target[where][field] = value
         with pytest.raises(MediaError, match=field):
             parse_manifest(json.dumps(raw))
+
+    def test_integral_float_fields_parse_as_ints(self):
+        raw = json.loads(manifest_json([350, 600], vmaf=80.0))
+        raw["tracks"][1]["level"] = 2.0
+        raw["tracks"][1]["chunks"][2]["size_bytes"] = 150000.0
+        track = parse_manifest(json.dumps(raw)).tracks[1]
+        assert track.level == 2 and type(track.level) is int
+        size = track.chunks[2].size_bytes
+        assert size == 150000 and type(size) is int
 
 
 class TestClassifyChunks:

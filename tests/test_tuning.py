@@ -43,6 +43,21 @@ def test_grid_values_must_be_positive():
         GainGrid(kp_values=(0.002,), ki_values=(-1e-5, 1e-5))
 
 
+@pytest.mark.parametrize(
+    "axes",
+    [
+        dict(kp_values=(float("nan"), 0.0088), ki_values=(3.6e-5,)),
+        dict(kp_values=(0.0088, float("inf")), ki_values=(3.6e-5,)),
+        dict(kp_values=(0.0088,), ki_values=(float("nan"), 3.6e-5)),
+        dict(kp_values=(0.0088,), ki_values=(3.6e-5, float("inf"))),
+    ],
+    ids=["kp-nan", "kp-inf", "ki-nan", "ki-inf"],
+)
+def test_grid_values_must_be_finite(axes):
+    with pytest.raises(ConfigError, match="finite"):
+        GainGrid(**axes)
+
+
 def test_grid_needs_one_valid_cell():
     # zeta = kp / (2 sqrt(ki)); these pairs sit far outside [0.6, 0.8].
     with pytest.raises(ConfigError):
