@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .control import ControlError
+from .control import ControlError, require_finite
 from .engine import (
     EstimatorSpec,
     SessionLog,
@@ -205,6 +205,9 @@ class RunConfig:
             raise ConfigError("runs are always deterministic; the flag cannot be disabled")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        require_finite(ConfigError, gamma=self.gamma)
+        if self.target_quality is not None:
+            require_finite(ConfigError, target_quality=self.target_quality)
         object.__setattr__(self, "trace_paths", tuple(self.trace_paths))
         object.__setattr__(self, "schemes", tuple(self.schemes))
         object.__setattr__(self, "scheme_params", dict(self.scheme_params))

@@ -251,15 +251,19 @@ def classify_chunks(manifest: VideoManifest, reference_level: int) -> ChunkClass
 
 
 def _number(raw: dict, key: str, kind: type):
-    """raw[key] as `kind` (int or float); MediaError naming the key unless finite."""
+    """raw[key] as `kind` (int or float); MediaError naming the key unless finite,
+    and for int unless integral (`int()` would truncate 100000.7)."""
     value = raw[key]
     try:
         number = kind(value)
-        if math.isfinite(number):
-            return number
+        finite = math.isfinite(number)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise MediaError(f"manifest field {key!r} must be a finite number, got {value!r}")
+        finite = False
+    if not finite:
+        raise MediaError(f"manifest field {key!r} must be a finite number, got {value!r}")
+    if isinstance(value, float) and number != value:
+        raise MediaError(f"manifest field {key!r} must be a whole number, got {value!r}")
+    return number
 
 
 def parse_manifest(text: str) -> VideoManifest:

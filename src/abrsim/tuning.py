@@ -11,7 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .control import is_valid_gain_pair
+from .control import is_valid_gain_pair, require_finite
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
@@ -31,6 +31,8 @@ class GainGrid:
         for name, axis in (("kp", self.kp_values), ("ki", self.ki_values)):
             if not axis:
                 raise ConfigError(f"{name} axis is empty")
+            for value in axis:
+                require_finite(ConfigError, **{name: value})
             if any(v <= 0.0 for v in axis):
                 raise ConfigError(f"{name} values must be positive")
             if any(b <= a for a, b in zip(axis, axis[1:])):
