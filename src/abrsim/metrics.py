@@ -182,16 +182,10 @@ def _drain(x: float, play_s: float) -> tuple[float, float]:
     return max(x - play_s, 0.0), max(play_s - x, 0.0)
 
 
-def _transition(
-    trace: BandwidthTrace,
-    manifest: VideoManifest,
-    config: SimConfig,
-    chunk_index: int,
-    level: int,
-    x_key: int,
-    t_key: int,
-) -> tuple[int, int, float]:
-    """One chunk request from a binned state; returns (x_key', t_key', stall_s)."""
+def _request_start(
+    manifest: VideoManifest, config: SimConfig, chunk_index: int, x_key: int, t_key: int
+) -> tuple[float, float, float]:
+    """Gate drain and RTT from a binned state: (buffer, clock, stall_s) when data starts."""
     delta = manifest.chunk_duration_s
     cap = config.max_buffer_s
     margin = config.resume_margin_s if config.resume_margin_s is not None else delta
@@ -207,26 +201,53 @@ def _transition(
         x, s = _drain(x, _playback_window(config, t, config.rtt_s, chunk_index))
         stall += s
         t += config.rtt_s
-    end = advance_download(trace, t, manifest.chunk(level, chunk_index).size_bytes)
+    return x, t, stall
+
+
+def _arrive(
+    manifest: VideoManifest,
+    config: SimConfig,
+    chunk_index: int,
+    x: float,
+    t: float,
+    stall: float,
+    end: float,
+) -> tuple[int, int, float]:
+    """Drain over the download [t, end), credit the chunk and bin: (x_key', t_key', stall_s)."""
     x, s = _drain(x, _playback_window(config, t, end - t, chunk_index))
     stall += s
-    x = min(x + delta, cap)
+    x = min(x + manifest.chunk_duration_s, config.max_buffer_s)
     return _bin(x), _bin(end), stall
 
 
-def _step_cost(
+def _transition(
+    trace: BandwidthTrace,
+    manifest: VideoManifest,
+    config: SimConfig,
+    chunk_index: int,
+    level: int,
+    x_key: int,
+    t_key: int,
+) -> tuple[int, int, float]:
+    """One chunk request from a binned state; returns (x_key', t_key', stall_s)."""
+    x, t, stall = _request_start(manifest, config, chunk_index, x_key, t_key)
+    end = advance_download(trace, t, manifest.chunk(level, chunk_index).size_bytes)
+    return _arrive(manifest, config, chunk_index, x, t, stall, end)
+
+
+def _pair_cost(
     quality: tuple[tuple[float, ...], ...],
-    objective: OfflineObjective,
+    target: float,
     chunk_index: int,
     level: int,
     prev_level: int | None,
-    stall_s: float,
 ) -> float:
+    """Quality deviation plus switching cost of one chunk; the stall term is added apart."""
     q = quality[level - 1][chunk_index]
-    cost = (objective.target_quality - q) ** 2
+    cost = (target - q) ** 2
     if prev_level is not None:
         cost += (q - quality[prev_level - 1][chunk_index - 1]) ** 2
-    return cost + objective.gamma * stall_s
+    return cost
 
 
 def score_sequence(
@@ -249,7 +270,8 @@ def score_sequence(
     x_key = t_key = 0
     for i, level in enumerate(levels):
         x_key, t_key, stall = _transition(trace, manifest, config, i, level, x_key, t_key)
-        total += _step_cost(quality, objective, i, level, prev, stall)
+        pair = _pair_cost(quality, objective.target_quality, i, level, prev)
+        total += pair + objective.gamma * stall
         prev = level
     return total
 
@@ -264,21 +286,47 @@ def offline_optimal(
 
     States are (last level, binned buffer, binned clock), so two prefixes
     reaching the same state merge; the kept cost is the exact running sum.
+    A move does not depend on the last level, so each chunk computes the moves
+    of a (buffer, clock) pair once, and each download once per start clock and
+    size; relaxation still runs in frontier order, then level order, keeping
+    the first of equal costs, so ties resolve as if every move ran in full.
     """
     quality = require_quality(manifest)
+    levels = manifest.levels
+    target = objective.target_quality
+    gamma = objective.gamma
+    downloads: dict[tuple[float, int], float] = {}
     frontier: dict[tuple[int | None, int, int], float] = {(None, 0, 0): 0.0}
     parents: list[dict] = []
     for i in range(manifest.n_chunks):
+        sizes = [manifest.chunk(level, i).size_bytes for level in levels]
+        pair_costs = {
+            prev: [_pair_cost(quality, target, i, level, prev) for level in levels]
+            for prev in ((None,) if i == 0 else levels)
+        }
+        # (x_key, t_key) -> [((level, x_key', t_key'), gamma * stall_s)] per level
+        moves: dict[tuple[int, int], list[tuple[tuple[int, int, int], float]]] = {}
         nxt: dict[tuple[int | None, int, int], float] = {}
         back: dict = {}
-        for (prev, x_key, t_key), cost in frontier.items():
-            for level in manifest.levels:
-                nx, nt, stall = _transition(trace, manifest, config, i, level, x_key, t_key)
-                total = cost + _step_cost(quality, objective, i, level, prev, stall)
-                key = (level, nx, nt)
-                if key not in nxt or total < nxt[key]:
+        for state, cost in frontier.items():
+            prev, x_key, t_key = state
+            out = moves.get((x_key, t_key))
+            if out is None:
+                x, t, stall = _request_start(manifest, config, i, x_key, t_key)
+                out = []
+                for level, size in zip(levels, sizes):
+                    end = downloads.get((t, size))
+                    if end is None:
+                        end = downloads[(t, size)] = advance_download(trace, t, size)
+                    nx, nt, s = _arrive(manifest, config, i, x, t, stall, end)
+                    out.append(((level, nx, nt), gamma * s))
+                moves[(x_key, t_key)] = out
+            for (key, penalty), pair in zip(out, pair_costs[prev]):
+                total = cost + (pair + penalty)
+                old = nxt.get(key)
+                if old is None or total < old:
                     nxt[key] = total
-                    back[key] = (prev, x_key, t_key)
+                    back[key] = state
         frontier = nxt
         parents.append(back)
     best = min(frontier, key=lambda key: (frontier[key], key))
