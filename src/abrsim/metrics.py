@@ -237,14 +237,14 @@ def _transition(
 
 def _pair_cost(
     quality: tuple[tuple[float, ...], ...],
-    target: float,
+    objective: OfflineObjective,
     chunk_index: int,
     level: int,
     prev_level: int | None,
 ) -> float:
     """Quality deviation plus switching cost of one chunk; the stall term is added apart."""
     q = quality[level - 1][chunk_index]
-    cost = (target - q) ** 2
+    cost = (objective.target_quality - q) ** 2
     if prev_level is not None:
         cost += (q - quality[prev_level - 1][chunk_index - 1]) ** 2
     return cost
@@ -270,7 +270,7 @@ def score_sequence(
     x_key = t_key = 0
     for i, level in enumerate(levels):
         x_key, t_key, stall = _transition(trace, manifest, config, i, level, x_key, t_key)
-        pair = _pair_cost(quality, objective.target_quality, i, level, prev)
+        pair = _pair_cost(quality, objective, i, level, prev)
         total += pair + objective.gamma * stall
         prev = level
     return total
@@ -293,7 +293,6 @@ def offline_optimal(
     """
     quality = require_quality(manifest)
     levels = manifest.levels
-    target = objective.target_quality
     gamma = objective.gamma
     downloads: dict[tuple[float, int], float] = {}
     frontier: dict[tuple[int | None, int, int], float] = {(None, 0, 0): 0.0}
@@ -301,7 +300,7 @@ def offline_optimal(
     for i in range(manifest.n_chunks):
         sizes = [manifest.chunk(level, i).size_bytes for level in levels]
         pair_costs = {
-            prev: [_pair_cost(quality, target, i, level, prev) for level in levels]
+            prev: [_pair_cost(quality, objective, i, level, prev) for level in levels]
             for prev in ((None,) if i == 0 else levels)
         }
         # (x_key, t_key) -> [((level, x_key', t_key'), gamma * stall_s)] per level
