@@ -275,14 +275,17 @@ def _reference_offline_optimal(trace, manifest, objective, config):
     return tuple(sequence), value
 
 
+def _rated_vbr(rng, seed, n_levels, n_chunks):
+    """`_seeded_vbr` sizes with a random quality value on every chunk."""
+    tracks = _seeded_vbr(seed, n_levels=n_levels, n_chunks=n_chunks).tracks
+    sizes = [[c.size_bytes for c in t.chunks] for t in tracks]
+    vmafs = [[round(rng.uniform(30.0, 99.0), 1) for _ in range(n_chunks)] for _ in range(n_levels)]
+    return vbr_manifest(sizes, vmafs_by_level=vmafs)
+
+
 def _oracle_instance(seed):
     rng = random.Random(seed)
-    n_levels = rng.randint(2, 4)
-    n_chunks = rng.randint(3, 7)
-    manifest = _seeded_vbr(seed, n_levels=n_levels, n_chunks=n_chunks)
-    vmafs = [[round(rng.uniform(30.0, 99.0), 1) for _ in range(n_chunks)] for _ in range(n_levels)]
-    sizes = [[c.size_bytes for c in t.chunks] for t in manifest.tracks]
-    manifest = vbr_manifest(sizes, vmafs_by_level=vmafs)
+    manifest = _rated_vbr(rng, seed, rng.randint(2, 4), rng.randint(3, 7))
     samples = [float(rng.randrange(100, 6000)) for _ in range(rng.randint(3, 15))]
     trace = BandwidthTrace(name=f"rng{seed}", samples=tuple(samples))
     objective = OfflineObjective(
@@ -341,9 +344,6 @@ def test_dp_matches_reference_dp_on_tied_levels(config, same_sizes):
 
 def test_dp_matches_reference_dp_on_a_longer_instance():
     rng = random.Random(5)
-    manifest = _seeded_vbr(5, n_levels=4, n_chunks=9)
-    vmafs = [[round(rng.uniform(30.0, 99.0), 1) for _ in range(9)] for _ in range(4)]
-    sizes = [[c.size_bytes for c in t.chunks] for t in manifest.tracks]
-    manifest = vbr_manifest(sizes, vmafs_by_level=vmafs)
+    manifest = _rated_vbr(rng, 5, n_levels=4, n_chunks=9)
     trace = BandwidthTrace("walk", tuple(float(rng.randrange(200, 5000)) for _ in range(40)))
     _assert_dp_matches_reference(trace, manifest, OfflineObjective(85.0), SimConfig())
