@@ -4,9 +4,10 @@ Every registered scheme runs on three fixed traces over a CBR and a VBR
 manifest (both with quality values), and the sha256 of each
 `SessionLog.to_csv()` must match the recorded value. The offline oracle's
 sequence and objective on a small instance are pinned the same way, and so
-are the files that `abrsim run`, `compare` and `sweep` write when the PID
-schemes are assembled from non-default `scheme_params`. A change that alters
-any of these on purpose must update the values here and say why.
+are the files that `abrsim run`, `compare`, `sweep` and `oracle` write (the
+PID schemes assembled from non-default `scheme_params`) and the
+`RunConfig.to_json()` text of a config that sets every key. A change that
+alters any of these on purpose must update the values here and say why.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from abrsim import (
     offline_optimal,
     simulate_session,
 )
-from abrsim.cli import main, noisy_bandwidth, square_wave
+from abrsim.cli import RunConfig, main, noisy_bandwidth, square_wave
 
 _RATES = (400, 1000, 2200, 4000)
 _N_CHUNKS = 60
@@ -187,7 +188,7 @@ def session_csv(scheme_name: str, manifest_key: str, trace_key: str) -> str:
     return log.to_csv()
 
 
-def oracle_result():
+def _oracle_manifest():
     rng = random.Random(5)
     sizes = [
         [round(rate * 125 * _DELTA * rng.uniform(0.7, 1.3)) for _ in range(10)]
@@ -196,9 +197,17 @@ def oracle_result():
     vmafs = [
         [base + rng.uniform(-4.0, 4.0) for _ in range(10)] for base in (40.0, 70.0, 85.0, 95.0)
     ]
-    manifest = vbr_manifest(sizes, duration_s=_DELTA, vmafs_by_level=vmafs, name="gold-oracle")
-    trace = square_wave(300.0, 4000.0, 8.0, 60, seed=2)
-    return offline_optimal(trace, manifest, OfflineObjective(80.0, 10000.0), SimConfig())
+    return vbr_manifest(sizes, duration_s=_DELTA, vmafs_by_level=vmafs, name="gold-oracle")
+
+
+def _oracle_trace():
+    return square_wave(300.0, 4000.0, 8.0, 60, seed=2)
+
+
+def oracle_result():
+    return offline_optimal(
+        _oracle_trace(), _oracle_manifest(), OfflineObjective(80.0, 10000.0), SimConfig()
+    )
 
 
 CASES = [
@@ -261,6 +270,44 @@ GOLDEN_CLI_RUNS = {
 GOLDEN_CLI_COMPARE = "2d1cc5ff96930ca8268e27ea5f7334265932d115fb2887061028efc0ebeddde3"
 # heatmap.csv for a 3x3 gain grid on three traces with PiaParams from scheme_params
 GOLDEN_CLI_SWEEP = "6b1f1ad4c3c30c78d3efa50fef5a44711a6aad0b58f1697212cba6d769e33d3a"
+# metrics.json from `abrsim run` of pia with weights and a quality target, square7
+GOLDEN_CLI_METRICS = "3342fcca4cb3686672169296b4eba1e18eb21a44232e85c49920d68a63794a39"
+# oracle.json from `abrsim oracle` on the oracle instance above, non-default sim
+# and gamma, with whole numbers given as JSON ints
+GOLDEN_CLI_ORACLE = "a8bdadcc93c853deb030f9196a5b592cacbae778bf95b157bee7f7f27f67faea"
+# RunConfig.to_json() of FULL_CONFIG
+GOLDEN_CONFIG_JSON = "109243062f9117bc80bb399d696845b955cfa2a89921394b2dccf540476ca272"
+
+# every job-config key off its default; numbers given as JSON ints where the
+# field is a float, so the pin also covers their conversion
+FULL_CONFIG = {
+    "manifest": "media/clip.json",
+    "traces": ["links/a.csv", "links/b.csv"],
+    "trace_dir": "links/more",
+    "scheme": "cava",
+    "scheme_params": {"kp": 0.007, "horizon": 4, "q4_low_buffer_relief": True},
+    "schemes": ["rb", "mpc", "quad"],
+    "filter": "tbf+",
+    "target_quality": 75,
+    "weights": {"mu": 2, "lam": 3.5},
+    "sim": {
+        "startup_kind": "chunks_buffered",
+        "startup_value": 2,
+        "max_buffer_s": 40,
+        "resume_margin_s": 6.5,
+        "rtt_s": 0.02,
+        "estimator_kind": "harmonic_chunks",
+        "estimator_window": 7,
+        "first_chunk_level": 2,
+    },
+    "gamma": 500,
+    "reference_level": 3,
+    "include_oracle": True,
+    "grid": {"kp_values": [0.006, 0.0088], "ki_values": [2e-05, 3.6e-05]},
+    "out_dir": "results/run1",
+    "jobs": 3,
+    "deterministic": True,
+}
 
 
 def _manifest_json(manifest) -> str:
@@ -282,14 +329,15 @@ def _manifest_json(manifest) -> str:
     )
 
 
-def _cli_output(tmp_path, command, filename, **fields) -> str:
-    """sha256 of one output file of an `abrsim` command on the golden VBR inputs."""
+def _cli_output(tmp_path, command, filename, video=_vbr, links=TRACES, **fields) -> str:
+    """sha256 of one output file of an `abrsim` command, by default on the golden
+    VBR inputs; each trace file is named by its key in `links`."""
     manifest = tmp_path / "gold-vbr.json"
-    manifest.write_text(_manifest_json(_vbr()))
+    manifest.write_text(_manifest_json(video()))
     traces = []
     for key in fields.pop("trace_keys"):
         path = tmp_path / f"{key}.csv"
-        path.write_text(TRACES[key]().to_csv())
+        path.write_text(links[key]().to_csv())
         traces.append(str(path))
     out = tmp_path / "out"
     config = tmp_path / "cfg.json"
@@ -326,3 +374,28 @@ def test_cli_sweep_with_scheme_params_is_unchanged(tmp_path):
         grid={"kp_values": [0.006, 0.0088, 0.012], "ki_values": [2e-05, 3.6e-05, 6e-05]},
     )
     assert digest == GOLDEN_CLI_SWEEP
+
+
+def test_cli_run_metrics_are_unchanged(tmp_path):
+    digest = _cli_output(
+        tmp_path, "run", "metrics.json",
+        trace_keys=("square7",), scheme="pia", target_quality=75.0,
+        weights={"mu": 2.0, "lam": 3.5},
+    )
+    assert digest == GOLDEN_CLI_METRICS
+
+
+def test_cli_oracle_is_unchanged(tmp_path):
+    digest = _cli_output(
+        tmp_path, "oracle", "oracle.json",
+        video=_oracle_manifest, links={"oracle": _oracle_trace}, trace_keys=("oracle",),
+        target_quality=80, gamma=2000,
+        sim={"startup_value": 3, "max_buffer_s": 30, "rtt_s": 0.05},
+    )
+    assert digest == GOLDEN_CLI_ORACLE
+
+
+def test_config_json_is_unchanged():
+    text = RunConfig.from_json(json.dumps(FULL_CONFIG)).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CONFIG_JSON
+    assert RunConfig.from_json(text).to_json() == text
