@@ -209,6 +209,18 @@ def test_run_infinite_trace_sample_exits_2(workdir, capsys):
         (dict(scheme="rb", weights={"mu": float("nan"), "lam": 1.0}), "mu"),
         (dict(scheme="rb", target_quality=float("nan")), "target_quality"),
         (dict(scheme="rb", gamma=float("inf")), "gamma"),
+        (dict(scheme="rb", jobs=2.7), "jobs"),
+        (dict(scheme="cava", reference_level=1.5), "reference_level"),
+        (dict(scheme="rb", sim={"estimator_window": 2.5}), "estimator_window"),
+        (dict(scheme="rb", include_oracle="no"), "include_oracle"),
+        (dict(scheme="rb", traces="t.csv"), "traces"),
+        (dict(scheme="rb", out_dir=5), "out_dir"),
+        (dict(scheme="rb", manifest=7), "manifest"),
+        (dict(scheme="pia", scheme_params={"horizon": 2.5}), "horizon"),
+        (dict(scheme="mpc", scheme_params={"horizon": 2.5}), "horizon"),
+        (dict(scheme="mpc", scheme_params={"horizon": True}), "horizon"),
+        (dict(scheme="robustmpc", scheme_params={"error_window": 2.5}), "error_window"),
+        (dict(scheme="cava", scheme_params={"inner_window": 5.5}), "inner_window"),
     ],
     ids=[
         "kp-nan",
@@ -217,16 +229,25 @@ def test_run_infinite_trace_sample_exits_2(workdir, capsys):
         "weights-mu-nan",
         "target-quality-nan",
         "gamma-inf",
+        "jobs-frac",
+        "reference-level-frac",
+        "estimator-window-frac",
+        "include-oracle-text",
+        "traces-text",
+        "out-dir-number",
+        "manifest-number",
+        "pia-horizon-frac",
+        "mpc-horizon-frac",
+        "mpc-horizon-bool",
+        "robustmpc-error-window-frac",
+        "cava-inner-window-frac",
     ],
 )
 def test_run_bad_scheme_or_weight_values_exit_2(workdir, capsys, fields, message):
     tmp, manifest, trace = workdir
     config = write_config(
         tmp / "cfg.json",
-        manifest=str(manifest),
-        traces=[str(trace)],
-        out_dir=str(tmp / "out"),
-        **fields,
+        **{"manifest": str(manifest), "traces": [str(trace)], "out_dir": str(tmp / "out"), **fields},
     )
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
@@ -413,8 +434,9 @@ def test_sweep_all_invalid_grid_is_diagnosed(workdir, capsys):
     [
         {"kp_values": [float("nan"), 0.0088], "ki_values": [3.6e-5]},
         {"kp_values": [0.0088], "ki_values": [3.6e-5, float("inf")]},
+        {"kp_values": [True, 0.0088], "ki_values": [3.6e-5]},
     ],
-    ids=["kp-nan", "ki-inf"],
+    ids=["kp-nan", "ki-inf", "kp-bool"],
 )
 def test_sweep_non_finite_grid_value_exits_2(workdir, capsys, grid):
     tmp, manifest, trace = workdir

@@ -362,6 +362,20 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "build",
         [
+            lambda: EstimatorSpec("harmonic_seconds", 2.5),
+            lambda: EstimatorSpec("harmonic_seconds", True),
+            lambda: SimConfig(first_chunk_level=1.5),
+            lambda: SimConfig(first_chunk_level=True),
+        ],
+        ids=["window-frac", "window-bool", "first-level-frac", "first-level-bool"],
+    )
+    def test_int_fields_take_whole_numbers(self, build):
+        with pytest.raises(ConfigError, match="whole number"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
             lambda: SimConfig(max_buffer_s=float("nan")),
             lambda: SimConfig(max_buffer_s=float("inf")),
             lambda: SimConfig(rtt_s=float("nan")),

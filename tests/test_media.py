@@ -213,6 +213,11 @@ class TestParseManifest:
             ("top", "chunk_duration_s", float("inf")),
             ("chunk", "size_bytes", 150000.7),
             ("track", "level", 2.5),
+            ("chunk", "size_bytes", True),
+            ("track", "level", True),
+            ("chunk", "vmaf", True),
+            ("top", "is_vbr", "no"),
+            ("top", "name", 5),
         ],
     )
     def test_non_numeric_field_is_named(self, where, field, value):

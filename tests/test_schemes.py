@@ -922,6 +922,42 @@ class TestNonFiniteParams:
             build()
 
 
+class TestWholeNumberParams:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PiaParams(horizon=2.5),
+            lambda: PiaParams(horizon=True),
+            lambda: CavaParams(horizon=2.5),
+            lambda: CavaParams(inner_window=5.5),
+            lambda: CavaParams(outer_window=2.5),
+            lambda: CavaParams(low_level_cutoff=1.5),
+            lambda: QuadParams(fair_level=2.5),
+            lambda: Mpc(horizon=2.5),
+            lambda: Mpc(horizon=True),
+            lambda: Mpc(error_window=2.5),
+            lambda: RobustMpc(error_window="3"),
+        ],
+        ids=[
+            "pia-horizon-frac", "pia-horizon-bool", "cava-horizon-frac", "cava-inner-frac",
+            "cava-outer-frac", "cava-cutoff-frac", "quad-fair-frac", "mpc-horizon-frac",
+            "mpc-horizon-bool", "mpc-error-window-frac", "robustmpc-error-window-text",
+        ],
+    )
+    def test_rejected(self, build):
+        with pytest.raises(ConfigError, match="whole number"):
+            build()
+
+    def test_integral_floats_become_ints(self):
+        mpc = Mpc(horizon=3.0, error_window=4.0)
+        assert (mpc.horizon, mpc.error_window) == (3, 4) and type(mpc.horizon) is int
+        assert type(CavaParams(inner_window=8.0).inner_window) is int
+
+    def test_flags_take_only_bools(self):
+        with pytest.raises(ConfigError, match="q4_low_buffer_relief"):
+            CavaParams(q4_low_buffer_relief="no")
+
+
 class TestBuildScheme:
     def test_pid_keys_apply_over_the_schemes_own_default(self):
         pia = build_scheme("pia", {"kp": 0.006, "horizon": 3}, LADDER5)
