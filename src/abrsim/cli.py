@@ -12,10 +12,11 @@ import json
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .control import ControlError, require_finite
+from .control import ControlError, read_value, require_finite
 from .engine import (
     EstimatorSpec,
     SessionLog,
@@ -138,44 +139,66 @@ def noisy_bandwidth(
 
 # ------------------------------------------------------------------ job config
 
-_TOP_KEYS = {
-    "manifest",
-    "traces",
-    "trace_dir",
-    "scheme",
-    "scheme_params",
-    "schemes",
-    "filter",
-    "target_quality",
-    "weights",
-    "sim",
-    "gamma",
-    "reference_level",
-    "include_oracle",
-    "grid",
-    "out_dir",
-    "jobs",
-    "deterministic",
+# Every job-config key: the RunConfig attribute path it sets and its JSON type
+# (as `read_value` takes it). A dotted key sits inside an object, so "sim.rtt_s"
+# is {"sim": {"rtt_s": ...}}. An absent or null key keeps the attribute's default.
+_KEYS = {
+    "manifest": ("manifest_path", str),
+    "traces": ("trace_paths", [str]),
+    "trace_dir": ("trace_dir", str),
+    "scheme": ("scheme", str),
+    "scheme_params": ("scheme_params", dict),
+    "schemes": ("schemes", [str]),
+    "filter": ("filter_kind", str),
+    "target_quality": ("target_quality", float),
+    "weights.mu": ("weights.mu", float),
+    "weights.lam": ("weights.lam", float),
+    "sim.startup_kind": ("sim.startup.kind", str),
+    "sim.startup_value": ("sim.startup.value", float),
+    "sim.max_buffer_s": ("sim.max_buffer_s", float),
+    "sim.resume_margin_s": ("sim.resume_margin_s", float),
+    "sim.rtt_s": ("sim.rtt_s", float),
+    "sim.estimator_kind": ("sim.estimator.kind", str),
+    "sim.estimator_window": ("sim.estimator.window", int),
+    "sim.first_chunk_level": ("sim.first_chunk_level", int),
+    "gamma": ("gamma", float),
+    "reference_level": ("reference_level", int),
+    "include_oracle": ("include_oracle", bool),
+    "grid.kp_values": ("grid.kp_values", [float]),
+    "grid.ki_values": ("grid.ki_values", [float]),
+    "out_dir": ("out_dir", str),
+    "jobs": ("jobs", int),
+    "deterministic": ("deterministic", bool),
 }
-_SIM_KEYS = {
-    "startup_kind",
-    "startup_value",
-    "max_buffer_s",
-    "resume_margin_s",
-    "rtt_s",
-    "estimator_kind",
-    "estimator_window",
-    "first_chunk_level",
+# the keys that hold an object; each is also the name of the RunConfig attribute
+_GROUPS = {key.partition(".")[0] for key in _KEYS if "." in key}
+# attribute paths that hold an object, built from the values under them
+_OBJECTS = {
+    "weights": QoeWeights,
+    "sim": SimConfig,
+    "sim.startup": StartupRule,
+    "sim.estimator": EstimatorSpec,
+    "grid": GainGrid,
 }
 
 
-def _reject_unknown(raw: dict, known: set, where: str) -> None:
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown {where} keys: {', '.join(unknown)} "
-            f"(expected any of: {', '.join(sorted(known))})"
-        )
+def _arguments(values: dict, prefix: str = "") -> dict:
+    """Keyword arguments at `prefix` from {attribute path: value}; each object in
+    `_OBJECTS` that any value falls under is built from its own arguments, and
+    one with no default (weights, grid) needs every one of them."""
+    def here(path):
+        return path.startswith(prefix) and "." not in path[len(prefix):]
+
+    args = {path[len(prefix):]: value for path, value in values.items() if here(path)}
+    for path, cls in _OBJECTS.items():
+        if here(path) and any(p.startswith(path + ".") for p in values):
+            inner = _arguments(values, path + ".")
+            missing = [f.name for f in fields(cls) if f.name not in inner
+                       and f.default is MISSING and f.default_factory is MISSING]
+            if missing:
+                raise ConfigError(f"{path} needs {' and '.join(missing)}")
+            args[path[len(prefix):]] = cls(**inner)
+    return args
 
 
 @dataclass(frozen=True)
@@ -218,114 +241,36 @@ class RunConfig:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        _reject_unknown(raw, _TOP_KEYS, "config")
-        try:
-            return cls(
-                manifest_path=raw.get("manifest"),
-                trace_paths=tuple(raw.get("traces") or ()),
-                trace_dir=raw.get("trace_dir"),
-                scheme=raw.get("scheme", "pia"),
-                scheme_params=dict(raw.get("scheme_params") or {}),
-                schemes=tuple(raw.get("schemes") or ()),
-                filter_kind=raw.get("filter", "none"),
-                target_quality=_opt_float(raw.get("target_quality")),
-                weights=_parse_weights(raw.get("weights")),
-                sim=_parse_sim(raw.get("sim")),
-                gamma=float(raw.get("gamma", 10000.0)),
-                reference_level=_opt_int(raw.get("reference_level")),
-                include_oracle=bool(raw.get("include_oracle", False)),
-                grid=_parse_grid(raw.get("grid")),
-                out_dir=raw.get("out_dir", "out"),
-                jobs=int(raw.get("jobs", 1)),
-                deterministic=raw.get("deterministic", True),
+        given = {}
+        for key, value in read_value(ConfigError, "config", raw, dict).items():
+            if key in _GROUPS and value is not None:
+                inner = read_value(ConfigError, key, value, dict)
+                given.update((f"{key}.{k}", v) for k, v in inner.items())
+            else:
+                given[key] = value
+        unknown = sorted(set(given) - set(_KEYS) - set(_GROUPS))
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys: {', '.join(unknown)} (expected any of: {', '.join(_KEYS)})"
             )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ConfigError(f"bad config value: {exc}") from None
+        values = {
+            path: read_value(ConfigError, key, given[key], kind)
+            for key, (path, kind) in _KEYS.items()
+            if given.get(key) is not None
+        }
+        return cls(**_arguments(values))
 
     def to_json(self) -> str:
-        sim = {
-            "startup_kind": self.sim.startup.kind,
-            "startup_value": self.sim.startup.value,
-            "max_buffer_s": self.sim.max_buffer_s,
-            "resume_margin_s": self.sim.resume_margin_s,
-            "rtt_s": self.sim.rtt_s,
-            "estimator_kind": self.sim.estimator.kind,
-            "estimator_window": self.sim.estimator.window,
-            "first_chunk_level": self.sim.first_chunk_level,
-        }
-        data = {
-            "manifest": self.manifest_path,
-            "traces": list(self.trace_paths),
-            "trace_dir": self.trace_dir,
-            "scheme": self.scheme,
-            "scheme_params": self.scheme_params,
-            "schemes": list(self.schemes),
-            "filter": self.filter_kind,
-            "target_quality": self.target_quality,
-            "weights": None
-            if self.weights is None
-            else {"mu": self.weights.mu, "lam": self.weights.lam},
-            "sim": sim,
-            "gamma": self.gamma,
-            "reference_level": self.reference_level,
-            "include_oracle": self.include_oracle,
-            "grid": None
-            if self.grid is None
-            else {"kp_values": list(self.grid.kp_values), "ki_values": list(self.grid.ki_values)},
-            "out_dir": self.out_dir,
-            "jobs": self.jobs,
-            "deterministic": True,
-        }
+        data: dict = {}
+        for key, (path, _) in _KEYS.items():
+            group, _, name = key.rpartition(".")
+            if not group:
+                data[key] = attrgetter(path)(self)
+            elif getattr(self, group) is None:
+                data[group] = None
+            else:
+                data.setdefault(group, {})[name] = attrgetter(path)(self)
         return json.dumps(data, sort_keys=True, indent=2)
-
-
-def _opt_float(value) -> float | None:
-    return None if value is None else float(value)
-
-
-def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
-
-
-def _parse_weights(raw) -> QoeWeights | None:
-    if raw is None:
-        return None
-    _reject_unknown(raw, {"mu", "lam"}, "weights")
-    if "mu" not in raw or "lam" not in raw:
-        raise ConfigError("weights need both mu and lam")
-    return QoeWeights(mu=float(raw["mu"]), lam=float(raw["lam"]))
-
-
-def _parse_sim(raw) -> SimConfig:
-    raw = raw or {}
-    _reject_unknown(raw, _SIM_KEYS, "sim")
-    return SimConfig(
-        startup=StartupRule(
-            kind=raw.get("startup_kind", "latency"),
-            value=float(raw.get("startup_value", 5.0)),
-        ),
-        max_buffer_s=float(raw.get("max_buffer_s", 120.0)),
-        resume_margin_s=_opt_float(raw.get("resume_margin_s")),
-        rtt_s=float(raw.get("rtt_s", 0.07)),
-        estimator=EstimatorSpec(
-            kind=raw.get("estimator_kind", "harmonic_seconds"),
-            window=int(raw.get("estimator_window", 20)),
-        ),
-        first_chunk_level=_opt_int(raw.get("first_chunk_level")),
-    )
-
-
-def _parse_grid(raw) -> GainGrid | None:
-    if raw is None:
-        return None
-    _reject_unknown(raw, {"kp_values", "ki_values"}, "grid")
-    if "kp_values" not in raw or "ki_values" not in raw:
-        raise ConfigError("grid needs kp_values and ki_values")
-    return GainGrid(tuple(raw["kp_values"]), tuple(raw["ki_values"]))
 
 
 # ------------------------------------------------------------- scheme assembly

@@ -17,16 +17,39 @@ class ControlError(ValueError):
     """Invalid controller parameters or arguments."""
 
 
-def require_finite(error: type[ValueError], **values) -> None:
-    """Raise `error` naming the first value that is not a finite real number;
-    range checks written as comparisons let NaN through."""
-    for name, value in values.items():
-        try:
-            finite = math.isfinite(value)
-        except TypeError:
-            finite = False
-        if not finite:
+_KIND_NAMES = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
+
+
+def read_value(error: type[ValueError], name: str, value, kind):
+    """`value`, as parsed from JSON, read as `kind`: float, int, bool, str, list,
+    dict, or `[kind]` for a list of that kind. A bool is never a number, an int
+    must be a whole number (an integral float reads as its int) and a float must
+    be finite (an int reads as its float). Anything else raises `error` naming `name`."""
+    if isinstance(kind, list):
+        items = read_value(error, name, value, list)
+        return [read_value(error, f"{name}[{i}]", item, kind[0]) for i, item in enumerate(items)]
+    if kind is int or kind is float:
+        number = None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:
+                pass
+        if kind is float and (number is None or not math.isfinite(number)):
             raise error(f"{name} must be a finite number, got {value!r}")
+        if kind is int and (number is None or not number.is_integer()):
+            raise error(f"{name} must be a whole number, got {value!r}")
+        return number if kind is float else int(value)
+    if not isinstance(value, kind):
+        raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def require_finite(error: type[ValueError], **values) -> None:
+    """Raise `error` naming the first value that is not a finite number (by
+    `read_value`'s rule); range checks written as comparisons let NaN through."""
+    for name, value in values.items():
+        read_value(error, name, value, float)
 
 
 @dataclass(frozen=True)
@@ -58,11 +81,6 @@ class PidState:
 
     integral: float = 0.0
     freeze: bool = False
-
-    def accumulate(self, target: float, x: float, dt: float) -> None:
-        """Left-endpoint rule: integral += (target - x) * dt unless frozen."""
-        if not self.freeze:
-            self.integral += (target - x) * dt
 
 
 def pid_output(

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .control import require_finite
+from .control import read_value, require_finite
 from .media import BandwidthTrace, VideoManifest
 from .schemes import AbrScheme, ConfigError, DecisionContext
 
@@ -28,6 +28,7 @@ class EstimatorSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("harmonic_seconds", "harmonic_chunks"):
             raise ConfigError(f"unknown estimator kind {self.kind!r}")
+        object.__setattr__(self, "window", read_value(ConfigError, "window", self.window, int))
         if self.window < 1:
             raise ConfigError("estimator window must be >= 1")
 
@@ -64,6 +65,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require_finite(ConfigError, max_buffer_s=self.max_buffer_s, rtt_s=self.rtt_s)
+        if self.first_chunk_level is not None:
+            level = read_value(ConfigError, "first_chunk_level", self.first_chunk_level, int)
+            object.__setattr__(self, "first_chunk_level", level)
         if self.max_buffer_s <= 0:
             raise ConfigError("max buffer must be positive")
         if self.resume_margin_s is not None and not 0 < self.resume_margin_s < self.max_buffer_s:

@@ -6,6 +6,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .control import read_value
+
 TRACE_HEADER = "t_s,bandwidth_kbps"
 
 
@@ -31,12 +33,6 @@ class BandwidthTrace:
     @property
     def duration_s(self) -> int:
         return len(self.samples)
-
-    def bandwidth_at(self, t_s: float) -> float:
-        """Sample holding at time t_s; the trace repeats past its end."""
-        if t_s < 0:
-            raise MediaError("time before trace start")
-        return self.samples[int(t_s) % len(self.samples)]
 
     def to_csv(self) -> str:
         rows = [TRACE_HEADER]
@@ -118,16 +114,6 @@ def track_avg_bitrate(track: Track) -> float:
     total_kilobits = sum(c.size_bytes * 8.0 / 1000.0 for c in track.chunks)
     total_seconds = sum(c.duration_s for c in track.chunks)
     return total_kilobits / total_seconds
-
-
-def windowed_avg_bitrate(track: Track, start: int, window: int) -> float:
-    """Mean per-chunk bitrate over chunks [start, start+window), truncated at video end."""
-    if not 0 <= start < len(track.chunks):
-        raise MediaError("window start outside track")
-    if window < 1:
-        raise MediaError("window must be >= 1")
-    span = track.chunks[start : start + window]
-    return sum(c.bitrate_kbps for c in span) / len(span)
 
 
 @dataclass(frozen=True)
@@ -215,8 +201,8 @@ class VideoManifest:
         return self.avg_kbps[self._index(level)]
 
     def windowed_bitrate_kbps(self, level: int, start: int, window: int) -> float:
-        """Mean chunk bitrate of one level over [start, start+window), as
-        `windowed_avg_bitrate`: the same slice, summed in the same order."""
+        """Mean chunk bitrate of one level over [start, start+window), truncated
+        at video end."""
         row = self.rate_rows[self._index(level)]
         if not 0 <= start < len(row):
             raise MediaError("window start outside track")
@@ -250,20 +236,17 @@ def classify_chunks(manifest: VideoManifest, reference_level: int) -> ChunkClass
     return ChunkClass(tuple(classes), reference_level)
 
 
-def _number(raw: dict, key: str, kind: type):
-    """raw[key] as `kind` (int or float); MediaError naming the key unless finite,
-    and for int unless integral (`int()` would truncate 100000.7)."""
-    value = raw[key]
-    try:
-        number = kind(value)
-        finite = math.isfinite(number)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise MediaError(f"manifest field {key!r} must be a finite number, got {value!r}")
-    if isinstance(value, float) and number != value:
-        raise MediaError(f"manifest field {key!r} must be a whole number, got {value!r}")
-    return number
+_REQUIRED = object()
+
+
+def _field(raw: dict, key: str, kind, default=_REQUIRED):
+    """raw[key] read as `kind` by `control.read_value`; an absent or null key
+    gives `default` and is a MediaError without one."""
+    if raw.get(key) is None:
+        if default is _REQUIRED:
+            raise MediaError(f"manifest missing field {key!r}")
+        return default
+    return read_value(MediaError, f"manifest field {key!r}", raw[key], kind)
 
 
 def parse_manifest(text: str) -> VideoManifest:
@@ -272,30 +255,22 @@ def parse_manifest(text: str) -> VideoManifest:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MediaError(f"manifest is not valid JSON: {exc}") from None
-    try:
-        duration = _number(raw, "chunk_duration_s", float)
-        tracks = tuple(
-            Track(
-                level=_number(t, "level", int),
-                declared_bitrate_kbps=_number(t, "declared_bitrate_kbps", float),
-                chunks=tuple(
-                    ChunkMeta(
-                        size_bytes=_number(c, "size_bytes", int),
-                        duration_s=duration,
-                        vmaf=None if c.get("vmaf") is None else _number(c, "vmaf", float),
-                    )
-                    for c in t["chunks"]
-                ),
-            )
-            for t in raw["tracks"]
+    raw = read_value(MediaError, "manifest", raw, dict)
+    duration = _field(raw, "chunk_duration_s", float)
+    tracks = tuple(
+        Track(
+            level=_field(t, "level", int),
+            declared_bitrate_kbps=_field(t, "declared_bitrate_kbps", float),
+            chunks=tuple(
+                ChunkMeta(_field(c, "size_bytes", int), duration, _field(c, "vmaf", float, None))
+                for c in _field(t, "chunks", [dict])
+            ),
         )
-        return VideoManifest(
-            name=str(raw.get("name", "video")),
-            chunk_duration_s=duration,
-            is_vbr=bool(raw["is_vbr"]),
-            tracks=tracks,
-        )
-    except KeyError as exc:
-        raise MediaError(f"manifest missing field {exc}") from None
-    except (TypeError, AttributeError) as exc:
-        raise MediaError(f"malformed manifest: {exc}") from None
+        for t in _field(raw, "tracks", [dict])
+    )
+    return VideoManifest(
+        name=_field(raw, "name", str, "video"),
+        chunk_duration_s=duration,
+        is_vbr=_field(raw, "is_vbr", bool),
+        tracks=tracks,
+    )

@@ -15,6 +15,7 @@ from .control import (
     pid_output,
     ramp_kp,
     ramp_xr,
+    read_value,
     require_finite,
 )
 from .media import ChunkClass, VideoManifest
@@ -169,6 +170,8 @@ class Mpc(AbrScheme):
         error_window: int = 5,
     ) -> None:
         require_finite(ConfigError, mu=mu, lam=0.0 if lam is None else lam)
+        horizon = read_value(ConfigError, "horizon", horizon, int)
+        error_window = read_value(ConfigError, "error_window", error_window, int)
         if horizon < 1:
             raise ConfigError("mpc horizon must be >= 1")
         if mu < 0:
@@ -264,6 +267,7 @@ class PiaParams:
 
     def __post_init__(self) -> None:
         require_finite(ConfigError, eta=self.eta)
+        self.horizon = read_value(ConfigError, "horizon", self.horizon, int)
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.eta < 0:
@@ -301,7 +305,7 @@ class _PidScheme(AbrScheme):
         return self.params.pid.target_buffer
 
     def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
-        # PidState.accumulate's rule, inlined: this runs on every engine interval
+        # left-endpoint rule: integral += (target - x) * dt unless frozen
         state = self.pid_state
         if not state.freeze:
             state.integral += (self._target(clock_s) - buffer_s) * dt_s
@@ -434,6 +438,9 @@ class CavaParams:
         require_finite(ConfigError, alpha_q4=self.alpha_q4, alpha_q123=self.alpha_q123,
                        safe_buffer_s=self.safe_buffer_s,
                        base_target_buffer_s=self.base_target_buffer_s)
+        for name in ("horizon", "inner_window", "outer_window", "low_level_cutoff"):
+            setattr(self, name, read_value(ConfigError, name, getattr(self, name), int))
+        read_value(ConfigError, "q4_low_buffer_relief", self.q4_low_buffer_relief, bool)
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.inner_window < self.horizon:
@@ -511,6 +518,7 @@ class QuadParams:
     def __post_init__(self) -> None:
         require_finite(ConfigError, target_quality=self.target_quality, alpha=self.alpha,
                        eta=self.eta, low_buffer_chunks=self.low_buffer_chunks)
+        self.fair_level = read_value(ConfigError, "fair_level", self.fair_level, int)
         if not 0.0 < self.target_quality <= 100.0:
             raise ConfigError("target quality must lie in (0, 100]")
         if self.alpha < 0 or self.eta < 0:
@@ -656,5 +664,5 @@ def build_scheme(
     cls = scheme_class(name)
     try:
         return cls.from_params(raw, manifest, target_quality)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None

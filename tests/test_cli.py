@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrsim.cli import (
     RunConfig,
@@ -98,6 +100,52 @@ def test_generator_validation():
 
 
 # -- config --------------------------------------------------------------------
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_NUMBERS = st.integers(1, 200) | st.floats(0.01, 200.0)
+_SIM_KEYS = (
+    "startup_kind", "startup_value", "max_buffer_s", "resume_margin_s", "rtt_s",
+    "estimator_kind", "estimator_window", "first_chunk_level", "warp",
+)
+_TOP_VALUES = {
+    "sim": st.dictionaries(
+        st.sampled_from(_SIM_KEYS),
+        _NUMBERS | st.sampled_from(["latency", "chunks_buffered", "harmonic_chunks"]),
+        max_size=4,
+    ),
+    "weights": st.dictionaries(st.sampled_from(["mu", "lam"]), _NUMBERS, max_size=2),
+    "grid": st.fixed_dictionaries(
+        {"kp_values": st.lists(st.floats(1e-4, 0.05), max_size=3),
+         "ki_values": st.lists(st.floats(1e-6, 1e-3), max_size=3)}
+    ),
+    "traces": st.lists(st.text(max_size=4), max_size=2),
+    "schemes": st.lists(st.sampled_from(["rb", "pia"]), max_size=2),
+    "scheme_params": st.dictionaries(st.text(max_size=4), _NUMBERS, max_size=2),
+}
+_TOP_KEYS = (
+    "manifest", "trace_dir", "scheme", "filter", "target_quality", "gamma", "reference_level",
+    "include_oracle", "out_dir", "jobs", "deterministic", "bogus", *_TOP_VALUES,
+)
+CONFIG_SHAPED = _JSON_VALUES | st.dictionaries(
+    st.sampled_from(_TOP_KEYS),
+    _JSON_VALUES | _NUMBERS | st.one_of(*_TOP_VALUES.values()),
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=CONFIG_SHAPED)
+def test_fuzzed_config_is_valid_or_a_config_error(raw):
+    try:
+        config = RunConfig.from_json(json.dumps(raw))
+    except ConfigError:
+        return
+    assert RunConfig.from_json(config.to_json()) == config
 
 
 def test_config_round_trip_is_idempotent():

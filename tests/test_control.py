@@ -23,6 +23,7 @@ from abrsim.control import (
     ramp_xr,
     velocity_constant,
 )
+from abrsim.schemes import Pia, PiaParams
 
 LADDER = ((1, 350.0), (2, 600.0), (3, 1000.0), (4, 2000.0), (5, 3000.0), (6, 5000.0))
 
@@ -244,17 +245,20 @@ class TestPidParamsValidation:
 
 
 class TestPidState:
+    """The integral as the PID schemes' `observe_interval` feeds it."""
+
     def test_accumulates_left_endpoint(self):
-        state = PidState()
-        state.accumulate(target=60.0, x=10.0, dt=2.0)
-        assert state.integral == 100.0
-        state.accumulate(target=60.0, x=70.0, dt=1.0)
-        assert state.integral == 90.0
+        scheme = Pia(PiaParams(pid=PidParams(target_buffer=60.0)))
+        scheme.observe_interval(clock_s=0.0, dt_s=2.0, buffer_s=10.0)
+        assert scheme.pid_state.integral == 100.0
+        scheme.observe_interval(clock_s=2.0, dt_s=1.0, buffer_s=70.0)
+        assert scheme.pid_state.integral == 90.0
 
     def test_freeze_suspends(self):
-        state = PidState(integral=5.0, freeze=True)
-        state.accumulate(60.0, 0.0, 10.0)
-        assert state.integral == 5.0
+        scheme = Pia()
+        scheme.pid_state = PidState(integral=5.0, freeze=True)
+        scheme.observe_interval(0.0, 10.0, 0.0)
+        assert scheme.pid_state.integral == 5.0
 
 
 def _closed_loop_rk4(kp, ki, beta, x_r, t_end, dt):

@@ -1,7 +1,7 @@
 """Equivalence of the fast paths with the references they replaced.
 
-The tables must reproduce `track_avg_bitrate` and `windowed_avg_bitrate` to the
-bit, `Mpc.decide` must pick the same level and count the same evaluations
+The tables must reproduce `track_avg_bitrate` and the windowed mean
+`windowed_avg_bitrate` below to the bit, `Mpc.decide` must pick the same level and count the same evaluations
 as scoring every sequence from `itertools.product` one at a time, and
 `offline_optimal` must return the same sequence and objective as the DP that
 runs one full transition per (previous level, state, level).
@@ -17,7 +17,7 @@ import pytest
 
 from _builders import cbr_manifest, vbr_manifest
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, advance_download
-from abrsim.media import BandwidthTrace, track_avg_bitrate, windowed_avg_bitrate
+from abrsim.media import BandwidthTrace, MediaError, track_avg_bitrate
 from abrsim.metrics import (
     OfflineObjective,
     _bin,
@@ -234,6 +234,16 @@ def _reference_transition(trace, manifest, config, chunk_index, level, x_key, t_
     stall += s
     x = min(x + delta, cap)
     return _bin(x), _bin(end), stall
+
+
+def windowed_avg_bitrate(track, start: int, window: int) -> float:
+    """Mean per-chunk bitrate over chunks [start, start+window), truncated at video end."""
+    if not 0 <= start < len(track.chunks):
+        raise MediaError("window start outside track")
+    if window < 1:
+        raise MediaError("window must be >= 1")
+    span = track.chunks[start : start + window]
+    return sum(c.bitrate_kbps for c in span) / len(span)
 
 
 def _reference_step_cost(quality, objective, chunk_index, level, prev_level, stall_s):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abrsim.media import (
@@ -18,7 +18,6 @@ from abrsim.media import (
     parse_manifest,
     parse_trace,
     track_avg_bitrate,
-    windowed_avg_bitrate,
 )
 
 from _builders import cbr_manifest, vbr_manifest
@@ -116,16 +115,42 @@ class TestBandwidthTrace:
         with pytest.raises(MediaError, match="t=1"):
             BandwidthTrace("x", (5.0, float("inf")))
 
-    def test_zero_order_hold_and_wrap(self):
-        trace = BandwidthTrace("x", (10.0, 20.0))
-        assert trace.bandwidth_at(0.0) == 10.0
-        assert trace.bandwidth_at(0.99) == 10.0
-        assert trace.bandwidth_at(1.5) == 20.0
-        assert trace.bandwidth_at(2.0) == 10.0
-        assert trace.bandwidth_at(3.7) == 20.0
+
+# any JSON value: scalars (NaN, inf and big integers included) and small nests of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+_MANIFEST_FIELDS = (
+    *(("top", key) for key in ("name", "chunk_duration_s", "is_vbr", "tracks")),
+    *(("track", key) for key in ("level", "declared_bitrate_kbps", "chunks")),
+    *(("chunk", key) for key in ("size_bytes", "vmaf")),
+)
+# edits to a valid manifest: (where, field) set to a value of any JSON type
+MANIFEST_EDITS = st.lists(
+    st.tuples(st.sampled_from(_MANIFEST_FIELDS), JSON_VALUES | st.integers(1, 10**6)),
+    max_size=2,
+)
 
 
 class TestParseManifest:
+    @settings(max_examples=150, deadline=None)
+    @given(edits=MANIFEST_EDITS, whole=JSON_VALUES)
+    def test_fuzzed_manifest_is_valid_or_a_media_error(self, edits, whole):
+        raw = json.loads(manifest_json([350, 600], vmaf=80.0))
+        target = {"top": raw, "track": raw["tracks"][1], "chunk": raw["tracks"][1]["chunks"][2]}
+        for (where, field), value in edits:
+            target[where][field] = value
+        for text in (json.dumps(raw), json.dumps(whole)):
+            try:
+                manifest = parse_manifest(text)
+            except MediaError:
+                continue
+            assert isinstance(manifest, VideoManifest)
+
     def test_cbr_sizes(self):
         m = parse_manifest(manifest_json([350, 600]))
         assert [t.chunks[0].size_bytes for t in m.tracks] == [87500, 150000]
@@ -304,23 +329,23 @@ class TestTrackStats:
             assert track_avg_bitrate(t) == pytest.approx(t.declared_bitrate_kbps, abs=1e-6)
 
     def test_windowed_avg(self):
-        track = Track(1, 2000.0, (ChunkMeta(250000, 2.0), ChunkMeta(750000, 2.0)))
-        assert windowed_avg_bitrate(track, 0, 2) == 2000.0
-        assert windowed_avg_bitrate(track, 0, 1) == 1000.0
-        assert windowed_avg_bitrate(track, 1, 5) == 3000.0
+        m = vbr_manifest([[250000, 750000], [500000, 1500000]])
+        assert m.windowed_bitrate_kbps(1, 0, 2) == 2000.0
+        assert m.windowed_bitrate_kbps(1, 0, 1) == 1000.0
+        assert m.windowed_bitrate_kbps(1, 1, 5) == 3000.0
 
     def test_windowed_rejects_bad_args(self):
-        track = Track(1, 2000.0, (ChunkMeta(250000, 2.0),))
+        m = vbr_manifest([[250000], [500000]])
         with pytest.raises(MediaError):
-            windowed_avg_bitrate(track, 1, 1)
+            m.windowed_bitrate_kbps(1, 1, 1)
         with pytest.raises(MediaError):
-            windowed_avg_bitrate(track, 0, 0)
+            m.windowed_bitrate_kbps(1, 0, 0)
 
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=20))
     def test_window_of_one_is_chunk_bitrate(self, sizes):
-        track = Track(1, 1.0, tuple(ChunkMeta(s, 2.0) for s in sizes))
-        for i, chunk in enumerate(track.chunks):
-            assert windowed_avg_bitrate(track, i, 1) == chunk.bitrate_kbps
+        m = vbr_manifest([sizes, [2 * s for s in sizes]])
+        for i, chunk in enumerate(m.track(1).chunks):
+            assert m.windowed_bitrate_kbps(1, i, 1) == chunk.bitrate_kbps
 
 
 class TestChunkMeta:
