@@ -20,26 +20,27 @@ class ControlError(ValueError):
 _KIND_NAMES = {bool: "true or false", str: "a string", list: "a list", dict: "an object"}
 
 
-def read_value(error: type[ValueError], name: str, value, kind):
+def read_value(error, name: str, value, kind):
     """`value`, as parsed from JSON, read as `kind`: float, int, bool, str, list,
     dict, or `[kind]` for a list of that kind. A bool is never a number, an int
     must be a whole number (an integral float reads as its int) and a float must
-    be finite (an int reads as its float). Anything else raises `error` naming `name`."""
-    if isinstance(kind, list):
-        items = read_value(error, name, value, list)
-        return [read_value(error, f"{name}[{i}]", item, kind[0]) for i, item in enumerate(items)]
-    if kind is int or kind is float:
-        number = None
+    be finite (an int reads as its float). Anything else raises `error` (an
+    exception class, or a function from message to exception) naming `name`."""
+    if kind is float or kind is int:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
                 number = float(value)
-            except OverflowError:
-                pass
-        if kind is float and (number is None or not math.isfinite(number)):
-            raise error(f"{name} must be a finite number, got {value!r}")
-        if kind is int and (number is None or not number.is_integer()):
-            raise error(f"{name} must be a whole number, got {value!r}")
-        return number if kind is float else int(value)
+            except OverflowError:  # an int beyond float range
+                number = math.inf
+            if kind is float and math.isfinite(number):
+                return number
+            if kind is int and number.is_integer():
+                return int(value)
+        wanted = "a finite" if kind is float else "a whole"
+        raise error(f"{name} must be {wanted} number, got {value!r}")
+    if isinstance(kind, list):
+        item = f"each item of {name}"
+        return [read_value(error, item, v, kind[0]) for v in read_value(error, name, value, list)]
     if not isinstance(value, kind):
         raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
     return value

@@ -239,14 +239,19 @@ def classify_chunks(manifest: VideoManifest, reference_level: int) -> ChunkClass
 _REQUIRED = object()
 
 
+def _manifest_error(message: str) -> MediaError:
+    return MediaError(f"manifest field {message}")
+
+
 def _field(raw: dict, key: str, kind, default=_REQUIRED):
     """raw[key] read as `kind` by `control.read_value`; an absent or null key
     gives `default` and is a MediaError without one."""
-    if raw.get(key) is None:
+    value = raw.get(key)
+    if value is None:
         if default is _REQUIRED:
             raise MediaError(f"manifest missing field {key!r}")
         return default
-    return read_value(MediaError, f"manifest field {key!r}", raw[key], kind)
+    return read_value(_manifest_error, key, value, kind)
 
 
 def parse_manifest(text: str) -> VideoManifest:

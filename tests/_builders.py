@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from abrsim.media import BandwidthTrace, ChunkMeta, Track, VideoManifest
+
+# any JSON value: scalars (NaN, inf and big integers included) and small nests of them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def constant_trace(kbps: float, seconds: int, name: str = "const") -> BandwidthTrace:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _builders import JSON_VALUES
 from abrsim.cli import (
     RunConfig,
     constant_bandwidth,
@@ -102,11 +103,6 @@ def test_generator_validation():
 # -- config --------------------------------------------------------------------
 
 
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 _NUMBERS = st.integers(1, 200) | st.floats(0.01, 200.0)
 _SIM_KEYS = (
     "startup_kind", "startup_value", "max_buffer_s", "resume_margin_s", "rtt_s",
@@ -131,9 +127,9 @@ _TOP_KEYS = (
     "manifest", "trace_dir", "scheme", "filter", "target_quality", "gamma", "reference_level",
     "include_oracle", "out_dir", "jobs", "deterministic", "bogus", *_TOP_VALUES,
 )
-CONFIG_SHAPED = _JSON_VALUES | st.dictionaries(
+CONFIG_SHAPED = JSON_VALUES | st.dictionaries(
     st.sampled_from(_TOP_KEYS),
-    _JSON_VALUES | _NUMBERS | st.one_of(*_TOP_VALUES.values()),
+    JSON_VALUES | _NUMBERS | st.one_of(*_TOP_VALUES.values()),
     max_size=6,
 )
 

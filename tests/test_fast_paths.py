@@ -1,8 +1,8 @@
 """Equivalence of the fast paths with the references they replaced.
 
-The tables must reproduce `track_avg_bitrate` and the windowed mean
-`windowed_avg_bitrate` below to the bit, `Mpc.decide` must pick the same level and count the same evaluations
-as scoring every sequence from `itertools.product` one at a time, and
+The tables must reproduce `track_avg_bitrate` and the reference
+`windowed_avg_bitrate` below to the bit, `Mpc.decide` must pick the same level
+and count the same evaluations as scoring every sequence from `itertools.product` one at a time, and
 `offline_optimal` must return the same sequence and objective as the DP that
 runs one full transition per (previous level, state, level).
 """

@@ -20,7 +20,7 @@ from abrsim.media import (
     track_avg_bitrate,
 )
 
-from _builders import cbr_manifest, vbr_manifest
+from _builders import JSON_VALUES, cbr_manifest, vbr_manifest
 
 
 def manifest_json(bitrates, duration=2.0, n_chunks=3, is_vbr=False, sizes=None, vmaf=None):
@@ -116,12 +116,6 @@ class TestBandwidthTrace:
             BandwidthTrace("x", (5.0, float("inf")))
 
 
-# any JSON value: scalars (NaN, inf and big integers included) and small nests of them
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
 
 
 _MANIFEST_FIELDS = (
