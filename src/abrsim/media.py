@@ -240,6 +240,7 @@ _REQUIRED = object()
 
 
 def _manifest_error(message: str) -> MediaError:
+    # read_value's error hook: the prefix costs nothing on the ~10^4 reads that pass
     return MediaError(f"manifest field {message}")
 
 
