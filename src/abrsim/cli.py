@@ -403,11 +403,12 @@ def _compare_cell(task):
     return index, name, trace.name, header, values
 
 
-# The exact solver's state frontier grows steeply with chunk count: one solve
-# on a 6-level VBR ladder over a square-wave link takes about 0.3 / 1.6 / 5.5 /
-# 11 / 25 s at 8 / 12 / 16 / 20 / 24 chunks (2-core Xeon VM, Python 3.11).
-# Longer manifests head for minutes, so refuse instead of hanging silently.
-ORACLE_MAX_CHUNKS = 24
+# The exact solver's frontier still grows steeply with chunk count once its
+# bounds stop pruning. On a 6-level 300-4300 kbps VBR ladder over a seeded
+# 1000/4000 kbps square wave, the slowest of gamma 0 / 100 / 1e4 takes about
+# 0.03 / 0.36 / 0.5 s at 16 / 24 / 32 chunks, then 2.6 s at 40 and 16 s at 48
+# (2-core Xeon VM, Python 3.11). Refuse longer manifests instead of hanging.
+ORACLE_MAX_CHUNKS = 32
 
 
 def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):

@@ -386,7 +386,11 @@ class _Session:
 
     def run_chunk(self, i: int) -> None:
         if self.st.buffer >= self.cap:
-            self._wait_for_gate()
+            # The gate drains by playing, so like the oracle's request model
+            # it holds requests only once playback has started.
+            self._fire_startup_if_due()
+            if self.st.playing:
+                self._wait_for_gate()
         est = self._estimate()
         allowed = self.allowed[i]
         ctx = DecisionContext(

@@ -2,18 +2,25 @@
 
 The offline solver shares one idealized request model between the dynamic
 program, the brute-force cross-check, and sequence re-scoring: per chunk the
-session drains to the resume level if the buffer cap was hit, idles one RTT,
-downloads over the zero-order-hold trace, and credits one chunk duration on
-completion. Playback consumes buffer once the startup rule enables it, mid-leg
+session drains to the resume level if it hit the buffer cap after playback
+started, idles one RTT, downloads over the zero-order-hold trace, and credits
+one chunk duration on completion. Playback consumes buffer once the startup rule enables it, mid-leg
 for latency rules, and any deficit is stalled time charged to the pending
 chunk. Buffer and clock snap to 0.1 s bins after every chunk so prefixes that
 reach the same state merge exactly.
+
+`offline_optimal` is that DP pruned by two exact bounds: below, the least pair
+cost of the remaining chunks with stalls left out; above, the re-scored value
+of a sequence found by a narrow beam pass of the same DP. Among tied optima it
+returns the lexicographically smallest sequence, as `brute_force_optimal` does.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .engine import SessionLog, SimConfig, advance_download
@@ -23,6 +30,7 @@ from .schemes import ConfigError, require_quality
 
 LOW_QUALITY_VMAF = 60.0
 _BINS_PER_S = 10.0
+_BEAM_WIDTH = 8  # states per chunk the upper-bound pass keeps
 
 
 # -- QoE ----------------------------------------------------------------------
@@ -276,25 +284,42 @@ def score_sequence(
     return total
 
 
-def offline_optimal(
+def _lower_bounds(
+    manifest: VideoManifest, objective: OfflineObjective
+) -> list[dict[int | None, float]]:
+    """`LB[i][prev]`: least pair cost of chunks i.. after `prev`, stalls left out.
+
+    Valid below every completion because gamma >= 0 and stall >= 0.
+    """
+    quality = require_quality(manifest)
+    levels = manifest.levels
+    lower: list[dict[int | None, float]] = [dict.fromkeys(levels, 0.0)]
+    for i in reversed(range(manifest.n_chunks)):
+        after = lower[-1]
+        lower.append({
+            prev: min(_pair_cost(quality, objective, i, lvl, prev) + after[lvl] for lvl in levels)
+            for prev in ((None,) if i == 0 else levels)
+        })
+    lower.reverse()
+    return lower
+
+
+def _search(
     trace: BandwidthTrace,
     manifest: VideoManifest,
     objective: OfflineObjective,
     config: SimConfig,
+    lower: list[dict[int | None, float]],
+    bound: float,
+    width: int | None,
 ) -> tuple[tuple[int, ...], float]:
-    """Minimize the objective over all level sequences by dynamic programming.
-
-    States are (last level, binned buffer, binned clock), so two prefixes
-    reaching the same state merge; the kept cost is the exact running sum.
-    A move does not depend on the last level, so each chunk computes the moves
-    of a (buffer, clock) pair once, and each download once per start clock and
-    size; relaxation still runs in frontier order, then level order, keeping
-    the first of equal costs, so ties resolve as if every move ran in full.
-    """
+    """One forward pass of the DP: relaxations whose `LB` completion exceeds
+    `bound` are skipped, and `width`, if set, keeps that many states per chunk."""
     quality = require_quality(manifest)
     levels = manifest.levels
     gamma = objective.gamma
     downloads: dict[tuple[float, int], float] = {}
+    # Iteration order is the lexicographic order of the kept prefixes.
     frontier: dict[tuple[int | None, int, int], float] = {(None, 0, 0): 0.0}
     parents: list[dict] = []
     for i in range(manifest.n_chunks):
@@ -303,6 +328,7 @@ def offline_optimal(
             prev: [_pair_cost(quality, objective, i, level, prev) for level in levels]
             for prev in ((None,) if i == 0 else levels)
         }
+        below = lower[i + 1]
         # (x_key, t_key) -> [((level, x_key', t_key'), gamma * stall_s)] per level
         moves: dict[tuple[int, int], list[tuple[tuple[int, int, int], float]]] = {}
         nxt: dict[tuple[int | None, int, int], float] = {}
@@ -322,21 +348,64 @@ def offline_optimal(
                 moves[(x_key, t_key)] = out
             for (key, penalty), pair in zip(out, pair_costs[prev]):
                 total = cost + (pair + penalty)
+                if total + below[key[0]] > bound:
+                    continue
                 old = nxt.get(key)
                 if old is None or total < old:
+                    if old is not None:
+                        # Candidates arrive in prefix order: re-inserting the
+                        # winner keeps `nxt` in the order of its kept prefixes.
+                        del nxt[key]
                     nxt[key] = total
                     back[key] = state
+        if width is not None and len(nxt) > width:
+            kept = set(heapq.nsmallest(width, nxt, key=lambda key: nxt[key] + below[key[0]]))
+            nxt = {key: cost for key, cost in nxt.items() if key in kept}
         frontier = nxt
         parents.append(back)
-    best = min(frontier, key=lambda key: (frontier[key], key))
-    value = frontier[best]
+    key = min(frontier, key=frontier.__getitem__)
+    value = frontier[key]
     sequence = []
-    key = best
     for back in reversed(parents):
         sequence.append(key[0])
         key = back[key]
     sequence.reverse()
     return tuple(sequence), value
+
+
+def offline_optimal(
+    trace: BandwidthTrace,
+    manifest: VideoManifest,
+    objective: OfflineObjective,
+    config: SimConfig,
+) -> tuple[tuple[int, ...], float]:
+    """Minimize the objective over all level sequences by exact branch and bound.
+
+    The DP's states are (last level, binned buffer, binned clock), so two
+    prefixes reaching the same state merge; the kept cost is the exact running
+    sum. A move does not depend on the last level, so each chunk computes the
+    moves of a (buffer, clock) pair once, and each download once per start
+    clock and size. Two exact bounds prune it:
+
+    - `LB[i][prev]`, a backward DP over levels summing only `_pair_cost`, is
+      at most the cost of any completion from chunk i after `prev`;
+    - `UB` is the `score_sequence` value of the sequence a beam pass of the
+      same DP finds when it keeps the best `_BEAM_WIDTH` states per chunk,
+      ranked by cost plus `LB`.
+
+    A relaxation whose cost plus `LB` of the rest exceeds `UB` (with a
+    relative slack of 1e-9 for summation order) cannot lead to an optimum and
+    is skipped. Ties are canonical: each frontier is walked in the
+    lexicographic order of its kept prefixes, a state keeps the first of equal
+    costs, and the first of equal final values wins. The result is the
+    lexicographically smallest optimal sequence, the one `brute_force_optimal`
+    returns, wherever equal prefixes sum to bit-equal costs.
+    """
+    lower = _lower_bounds(manifest, objective)
+    guess, _ = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
+    upper = score_sequence(trace, manifest, objective, config, guess)
+    bound = upper + 1e-9 * abs(upper)
+    return _search(trace, manifest, objective, config, lower, bound, None)
 
 
 def brute_force_optimal(

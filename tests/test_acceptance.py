@@ -207,6 +207,7 @@ def test_c05_oracle_equivalence():
 
         dp_levels, dp_value = offline_optimal(trace, manifest, objective, config)
         bf_levels, bf_value = brute_force_optimal(trace, manifest, objective, config)
+        assert dp_levels == bf_levels
         assert dp_value == bf_value
         assert score_sequence(trace, manifest, objective, config, dp_levels) == dp_value
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _builders import JSON_VALUES
 from abrsim.cli import (
+    ORACLE_MAX_CHUNKS,
     RunConfig,
     constant_bandwidth,
     main,
@@ -535,9 +536,26 @@ def test_oracle_requires_target_quality(workdir):
     assert main(["oracle", "--config", str(config)]) == 2
 
 
+def test_oracle_solves_manifests_at_the_cap(workdir):
+    tmp, _, trace = workdir
+    longest = write_manifest(tmp / "longest.json", n=ORACLE_MAX_CHUNKS)
+    out = tmp / "out"
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(longest),
+        traces=[str(trace)],
+        target_quality=80.0,
+        out_dir=str(out),
+    )
+    assert main(["oracle", "--config", str(config)]) == 0
+    payload = json.loads((out / "oracle.json").read_text())
+    assert len(payload["sequence"]) == ORACLE_MAX_CHUNKS == 32
+
+
 def test_oracle_refuses_long_manifests(workdir, capsys):
     tmp, _, trace = workdir
-    long = write_manifest(tmp / "long.json", bitrates=(400, 800), n=30, vmafs=(60.0, 85.0))
+    n = ORACLE_MAX_CHUNKS + 1
+    long = write_manifest(tmp / "long.json", bitrates=(400, 800), n=n, vmafs=(60.0, 85.0))
     config = write_config(
         tmp / "cfg.json",
         manifest=str(long),
@@ -546,12 +564,14 @@ def test_oracle_refuses_long_manifests(workdir, capsys):
         out_dir=str(tmp / "out"),
     )
     assert main(["oracle", "--config", str(config)]) == 2
-    assert "up to 24 chunks" in capsys.readouterr().err
+    message = f"up to {ORACLE_MAX_CHUNKS} chunks; this one has {n}"
+    assert message in capsys.readouterr().err
 
 
 def test_compare_oracle_rows_refuse_long_manifests(workdir, capsys):
     tmp, manifest, trace = workdir
-    long = write_manifest(tmp / "long.json", bitrates=(400, 800), n=30, vmafs=(60.0, 85.0))
+    n = ORACLE_MAX_CHUNKS + 1
+    long = write_manifest(tmp / "long.json", bitrates=(400, 800), n=n, vmafs=(60.0, 85.0))
     config = write_config(
         tmp / "cfg.json",
         manifest=str(long),
@@ -562,7 +582,8 @@ def test_compare_oracle_rows_refuse_long_manifests(workdir, capsys):
         out_dir=str(tmp / "out"),
     )
     assert main(["compare", "--config", str(config)]) == 2
-    assert "up to 24 chunks" in capsys.readouterr().err
+    message = f"up to {ORACLE_MAX_CHUNKS} chunks; this one has {n}"
+    assert message in capsys.readouterr().err
 
 
 # -- gen-trace ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from abrsim.engine import (
     simulate_session,
 )
 from abrsim.media import BandwidthTrace
-from abrsim.schemes import AbrScheme
+from abrsim.schemes import AbrScheme, RateBased
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
 
@@ -212,6 +212,36 @@ class TestBufferCap:
         log = simulate_session(FixedScheme(2), constant_trace(8000, 60), manifest, config)
         for d in log.decisions:
             assert d.buffer_s < 6.0
+
+    # Before playback nothing drains the buffer, so the gate would wait for
+    # ever; like the oracle's request model, it holds requests only once
+    # playback has started. `simulate_session` checks stall, content and byte
+    # conservation before it returns a log.
+    @staticmethod
+    def cap_fill_session(**config):
+        manifest = cbr_manifest([400, 800], duration_s=2.0, n_chunks=8)
+        return simulate_session(RateBased(), constant_trace(3000.0, 60), manifest, SimConfig(**config))
+
+    def test_latency_startup_after_the_cap_fills(self):
+        log = self.cap_fill_session(startup=StartupRule("latency", 30.0), max_buffer_s=10.0)
+        assert log.final_buffer_s == 16.0
+        assert log.play_time_s == 0.0 and log.stall_total_s == 0.0
+        # The last chunk arrives at 4.56 s, before the 30 s startup, and a
+        # session that never starts playing reports its end clock, exactly as
+        # one whose cap is never reached does.
+        assert log.startup_latency_s == log.end_clock_s == pytest.approx(4.56)
+        uncapped = self.cap_fill_session(startup=StartupRule("latency", 30.0))
+        assert log.decisions == uncapped.decisions
+
+    def test_chunk_count_startup_past_the_cap(self):
+        log = self.cap_fill_session(startup=StartupRule("chunks_buffered", 6.0), max_buffer_s=10.0)
+        buffers = [d.buffer_s for d in log.decisions]
+        # 12 s are buffered when the sixth chunk starts playback; the gate then
+        # drains to the resume level (cap minus one chunk) before chunk 6.
+        assert buffers[:6] == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
+        assert buffers[6] == pytest.approx(8.0)
+        assert log.play_time_s + log.final_buffer_s == pytest.approx(16.0)
+        assert log.stall_total_s == 0.0
 
 
 class TestSchemeInterface:

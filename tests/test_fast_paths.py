@@ -4,27 +4,37 @@ The tables must reproduce `track_avg_bitrate` and the reference
 `windowed_avg_bitrate` below to the bit, `Mpc.decide` must pick the same level
 and count the same evaluations as scoring every sequence from `itertools.product` one at a time, and
 `offline_optimal` must return the same sequence and objective as the DP that
-runs one full transition per (previous level, state, level).
+runs one full transition per (previous level, state, level). Where optimal
+sequences tie, it must return the lexicographically smallest one, which is the
+one `brute_force_optimal` returns.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _builders import cbr_manifest, vbr_manifest
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, advance_download
 from abrsim.media import BandwidthTrace, MediaError, track_avg_bitrate
 from abrsim.metrics import (
+    _BEAM_WIDTH,
     OfflineObjective,
     _bin,
     _drain,
+    _lower_bounds,
     _playback_window,
+    _search,
     _started,
+    brute_force_optimal,
     offline_optimal,
+    score_sequence,
 )
 from abrsim.schemes import DecisionContext, Mpc, RobustMpc
 
@@ -339,7 +349,9 @@ def test_dp_matches_reference_dp(seed, config):
 @pytest.mark.parametrize("same_sizes", [True, False], ids=["same-sizes", "own-sizes"])
 def test_dp_matches_reference_dp_on_tied_levels(config, same_sizes):
     # Levels 1 and 2 carry identical quality rows; with identical sizes every
-    # move through one has an equal-cost twin through the other.
+    # move through one has an equal-cost twin through the other. The reference
+    # here is brute force, whose strict `<` over `itertools.product` keeps the
+    # lexicographically smallest of the tied optima.
     rng = random.Random(11)
     n = 6
     low = [rng.randrange(60_000, 120_000) for _ in range(n)]
@@ -349,7 +361,10 @@ def test_dp_matches_reference_dp_on_tied_levels(config, same_sizes):
     manifest = vbr_manifest([low, mid, high], vmafs_by_level=[row, list(row), [95.0] * n])
     trace = BandwidthTrace("steps", (900.0, 2500.0, 400.0, 1800.0, 3200.0))
     for gamma in (0.0, 100.0):
-        _assert_dp_matches_reference(trace, manifest, OfflineObjective(80.0, gamma), config)
+        objective = OfflineObjective(80.0, gamma)
+        assert offline_optimal(trace, manifest, objective, config) == brute_force_optimal(
+            trace, manifest, objective, config
+        )
 
 
 def test_dp_matches_reference_dp_on_a_longer_instance():
@@ -357,3 +372,36 @@ def test_dp_matches_reference_dp_on_a_longer_instance():
     manifest = _rated_vbr(rng, 5, n_levels=4, n_chunks=9)
     trace = BandwidthTrace("walk", tuple(float(rng.randrange(200, 5000)) for _ in range(40)))
     _assert_dp_matches_reference(trace, manifest, OfflineObjective(85.0), SimConfig())
+
+
+@st.composite
+def _tied_instances(draw):
+    """Small instances whose quality values, sizes and link rates come from
+    few values, so tied moves and tied optima are common."""
+    n = draw(st.integers(1, 5))
+    n_levels = draw(st.integers(2, 3))
+    quality = st.sampled_from((70.0, 80.0, 90.0))
+    rows = [draw(st.lists(quality, min_size=n, max_size=n)) for _ in range(n_levels)]
+    if draw(st.booleans()):
+        rows[1] = list(rows[0])
+    sizes = [draw(st.lists(st.sampled_from((60_000, 90_000, 120_000)), min_size=n, max_size=n))]
+    for _ in range(n_levels - 1):
+        step = draw(st.sampled_from((0, 30_000, 250_000)))
+        sizes.append([size + step for size in sizes[-1]])
+    rates = st.sampled_from((400.0, 900.0, 1800.0, 3200.0))
+    trace = BandwidthTrace("tied", tuple(draw(st.lists(rates, min_size=1, max_size=6))))
+    objective = OfflineObjective(80.0, draw(st.sampled_from((0.0, 100.0, 10000.0))))
+    return trace, vbr_manifest(sizes, vmafs_by_level=rows), objective
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@settings(max_examples=15, deadline=None)
+@given(instance=_tied_instances())
+def test_dp_is_brute_force_within_its_bounds(config, instance):
+    trace, manifest, objective = instance
+    levels, value = offline_optimal(trace, manifest, objective, config)
+    assert (levels, value) == brute_force_optimal(trace, manifest, objective, config)
+    lower = _lower_bounds(manifest, objective)
+    guess, _ = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
+    upper = score_sequence(trace, manifest, objective, config, guess)
+    assert lower[0][None] <= value <= upper

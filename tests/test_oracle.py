@@ -145,10 +145,26 @@ def test_dp_matches_brute_force_on_random_instances():
         trace, manifest, objective, config = _random_instance(rng)
         dp_seq, dp_value = offline_optimal(trace, manifest, objective, config)
         bf_seq, bf_value = brute_force_optimal(trace, manifest, objective, config, limit=10**7)
+        assert dp_seq == bf_seq
         assert dp_value == bf_value
         assert score_sequence(trace, manifest, objective, config, dp_seq) == dp_value
         assert len(dp_seq) == manifest.n_chunks
         assert all(level in manifest.levels for level in dp_seq)
+
+
+def test_tied_optima_resolve_to_the_lexicographically_smallest():
+    # Equal sizes make every level's move the same, so (1, 2, x) and (2, 1, x)
+    # tie at the optimum. After chunk 1 the state reached by (2, 1) replaces
+    # the costlier (1, 1), which the bounds cannot prune because the stall
+    # penalty dwarfs every pair cost; it must then rank behind (1, 2).
+    manifest = vbr_manifest(
+        [[400_000] * 3, [400_000] * 3], vmafs_by_level=[[70.0, 90.0, 80.0], [90.0, 70.0, 80.0]]
+    )
+    trace = constant_trace(1000.0, 60)
+    objective = OfflineObjective(80.0, gamma=10000.0)
+    dp = offline_optimal(trace, manifest, objective, SimConfig())
+    assert dp == brute_force_optimal(trace, manifest, objective, SimConfig())
+    assert dp[0] == (1, 2, 1)
 
 
 def test_dp_matches_brute_force_with_tight_buffer_cap():
@@ -159,6 +175,7 @@ def test_dp_matches_brute_force_with_tight_buffer_cap():
     objective = OfflineObjective(80.0, gamma=100.0)
     dp_seq, dp_value = offline_optimal(FAST, manifest, objective, config)
     bf_seq, bf_value = brute_force_optimal(FAST, manifest, objective, config, limit=10**6)
+    assert dp_seq == bf_seq
     assert dp_value == bf_value
     assert score_sequence(FAST, manifest, objective, config, dp_seq) == dp_value
 
