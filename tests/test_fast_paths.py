@@ -6,7 +6,9 @@ and count the same evaluations as scoring every sequence from `itertools.product
 `offline_optimal` must return the same sequence and objective as the DP that
 runs one full transition per (previous level, state, level). Where optimal
 sequences tie, it must return the lexicographically smallest one, which is the
-one `brute_force_optimal` returns.
+one `brute_force_optimal` returns. The PID schemes' rollout argmin must pick the
+level, and count the evaluations, of the argmin that recomputes every
+invariant on every horizon step.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import itertools
 import math
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +39,18 @@ from abrsim.metrics import (
     offline_optimal,
     score_sequence,
 )
-from abrsim.schemes import DecisionContext, Mpc, RobustMpc
+from abrsim.control import PidParams
+from abrsim.schemes import (
+    Cava,
+    CavaParams,
+    DecisionContext,
+    Mpc,
+    Pia,
+    PiaParams,
+    PiaStartup,
+    QuadParams,
+    RobustMpc,
+)
 
 
 def _seeded_vbr(seed: int, n_levels: int = 5, n_chunks: int = 40):
@@ -405,3 +419,112 @@ def test_dp_is_brute_force_within_its_bounds(config, instance):
     guess, _ = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
     upper = score_sequence(trace, manifest, objective, config, guess)
     assert lower[0][None] <= value <= upper
+
+
+# -- PID rollout argmin -----------------------------------------------------------
+
+
+def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
+    """The rollout argmin as first written: every invariant recomputed per step."""
+    self = scheme
+    pid, horizon = self.params.pid, self.params.horizon
+    manifest = ctx.manifest
+    delta = manifest.chunk_duration_s
+    est = max(ctx.est_kbps, 1e-9)
+    target = alpha * est
+    prev_rate = None
+    if ctx.last_level is not None:
+        prev_rate = manifest.avg_bitrate_kbps(ctx.last_level)
+    best = best_lvl = None
+    for lvl in sorted(ctx.allowed_levels):
+        rate = self._rollout_rate(ctx, lvl)
+        d = rate * delta / est
+        cost = 0.0
+        x, integral, uk = ctx.buffer_s, self.pid_state.integral, u
+        ind = float(ctx.playing_indicator)
+        for _ in range(horizon):
+            cost += (uk * rate - target) ** 2
+            nx = max(x + delta - (d if ind else 0.0), 0.0)
+            integral += (xr - x) * d
+            ind = 1.0 if nx >= delta else 0.0
+            uk = max(kp * (pid.beta * xr - nx) + pid.ki * integral + ind, pid.epsilon)
+            x = nx
+        self.eval_count += horizon
+        if prev_rate is not None:
+            cost += eta * (manifest.avg_bitrate_kbps(lvl) - prev_rate) ** 2
+        if best is None or cost < best:
+            best, best_lvl = cost, lvl
+    return best_lvl
+
+
+# The `pid` defaults of pia, piae, cava and quad, and two off-default gain sets.
+_PID_PARAMS = (
+    PiaParams().pid,
+    PiaStartup._default_params().pid,
+    CavaParams().pid,
+    QuadParams().pid,
+    PidParams(kp=0.05, ki=1e-3, beta=0.5, epsilon=0.25, target_buffer=8.0),
+    PidParams(kp=1e-4, ki=1e-6, beta=1.0, epsilon=1e-10, target_buffer=120.0),
+)
+_ARGMIN_MANIFESTS = (
+    MANIFESTS[1],
+    _seeded_vbr(3, n_levels=4, n_chunks=12),
+    cbr_manifest((500, 500, 3000), n_chunks=6),  # levels 1 and 2 tie on track average
+)
+
+
+def _pid_scheme(kind, pid, horizon):
+    if kind == "pia":
+        return Pia(PiaParams(pid=pid, horizon=horizon))
+    if kind == "piae":
+        return PiaStartup(PiaParams(pid=replace(pid, beta=1.0), horizon=horizon))
+    return Cava(CavaParams(pid=pid, horizon=horizon, inner_window=max(10, horizon)))
+
+
+@st.composite
+def _argmin_cases(draw):
+    manifest = draw(st.sampled_from(_ARGMIN_MANIFESTS))
+    delta = manifest.chunk_duration_s
+    scheme = _pid_scheme(
+        draw(st.sampled_from(("pia", "piae", "cava"))),
+        draw(st.sampled_from(_PID_PARAMS)),
+        draw(st.integers(1, 6)),
+    )
+    scheme.pid_state.integral = draw(st.sampled_from((0.0, -250.0, 1234.5)))
+    scheme.pid_state.freeze = draw(st.booleans())
+    chunk_index = draw(st.integers(0, manifest.n_chunks - 1))
+    allowed = draw(st.lists(st.sampled_from(manifest.levels), min_size=1, unique=True))
+    ctx = DecisionContext(
+        chunk_index=chunk_index,
+        buffer_s=draw(st.sampled_from((0.0, delta - 1e-13, delta, delta + 1e-13, 7.3, 95.0))),
+        clock_s=0.0,
+        est_kbps=draw(st.sampled_from((0.0, 450.0, 1000.0, 5200.0))),
+        last_level=draw(st.none() | st.sampled_from(manifest.levels)),
+        allowed_levels=tuple(allowed),
+        manifest=manifest,
+        chunk_class=None,
+        playing_indicator=draw(st.sampled_from((0, 1))),
+    )
+    pid = scheme.params.pid
+    u = draw(st.sampled_from((pid.epsilon, 0.3, 1.0, 2.5)))
+    kp = draw(st.sampled_from((pid.kp, 4.0 * pid.kp)))
+    xr = draw(st.sampled_from((pid.target_buffer, 2.0 * delta, 30.0)))
+    alpha = draw(st.sampled_from((1.0, 0.8, 1.1)))
+    eta = draw(st.sampled_from((0.0, 1.0, 2.5)))
+    return scheme, ctx, (u, kp, xr, alpha, eta)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_argmin_cases())
+def test_pid_argmin_matches_reference(case):
+    scheme, ctx, args = case
+    state = (scheme.pid_state.integral, scheme.pid_state.freeze)
+    before = scheme.eval_count
+    want = _reference_argmin(scheme, ctx, *args)
+    want_evals = scheme.eval_count - before
+    before = scheme.eval_count
+    assert scheme._argmin(ctx, *args) == want
+    assert scheme.eval_count - before == want_evals == scheme.params.horizon * len(
+        ctx.allowed_levels
+    )
+    assert (scheme.pid_state.integral, scheme.pid_state.freeze) == state
