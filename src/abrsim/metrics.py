@@ -224,8 +224,7 @@ def _arrive(
     """Drain over the download [t, end), credit the chunk and bin: (x_key', t_key', stall_s)."""
     x, s = _drain(x, _playback_window(config, t, end - t, chunk_index))
     stall += s
-    x = min(x + manifest.chunk_duration_s, config.max_buffer_s)
-    return _bin(x), _bin(end), stall
+    return _bin(x + manifest.chunk_duration_s), _bin(end), stall
 
 
 def _transition(

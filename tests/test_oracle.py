@@ -13,6 +13,7 @@ from abrsim.engine import SimConfig, StartupRule, simulate_session
 from abrsim.media import BandwidthTrace
 from abrsim.metrics import (
     OfflineObjective,
+    _transition,
     brute_force_optimal,
     offline_optimal,
     score_sequence,
@@ -204,3 +205,29 @@ def test_dp_value_dominates_online_schemes():
         levels = tuple(d.level for d in log.decisions)
         online = score_sequence(trace, manifest, objective, config, levels)
         assert dp_value <= online
+
+
+
+class _Lowest(RateBased):
+    def decide(self, ctx):
+        return 1
+
+
+def test_model_keeps_content_past_the_cap_as_the_engine_does():
+    # A chunk that lands with the buffer near the cap lifts it past the cap;
+    # the engine keeps every downloaded second and gates the next request, so
+    # the model must not discard the overshoot. Bins allow 0.05 s per chunk.
+    n = 20
+    trace = constant_trace(3000.0, 60)
+    manifest = cbr_manifest([400, 800], n_chunks=n, vmafs=[70.0, 90.0])
+    config = SimConfig(startup=StartupRule("latency", 0.0), max_buffer_s=9.0)
+    x_key = t_key = 0
+    stall = 0.0
+    for i in range(n):
+        x_key, t_key, s = _transition(trace, manifest, config, i, 1, x_key, t_key)
+        stall += s
+    log = simulate_session(_Lowest(), trace, manifest, config)
+    assert max(d.buffer_s for d in log.decisions) > config.max_buffer_s - 2.0
+    assert t_key / 10.0 == pytest.approx(log.end_clock_s, abs=0.05 * n)
+    assert x_key / 10.0 == pytest.approx(log.final_buffer_s, abs=0.05 * n)
+    assert stall == pytest.approx(log.stall_total_s, abs=0.05 * n)
