@@ -90,11 +90,15 @@ def pid_output(
     integral: float,
     target: float,
     playing_indicator: int,
+    kp: float | None = None,
 ) -> float:
-    """u = kp*(beta*target - x) + ki*integral + playing_indicator."""
+    """u = kp*(beta*target - x) + ki*integral + playing_indicator; `kp`, if
+    given, stands in for params.kp (a ramped gain) without building new params."""
     if x < 0:
         raise ControlError("buffer must be >= 0")
-    return params.kp * (params.beta * target - x) + params.ki * integral + playing_indicator
+    if kp is None:
+        kp = params.kp
+    return kp * (params.beta * target - x) + params.ki * integral + playing_indicator
 
 
 def bitrate_from_u(

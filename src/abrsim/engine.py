@@ -78,37 +78,72 @@ class SimConfig:
 
 @dataclass
 class DownloadHistory:
-    """Observed throughput: per-second trace samples plus per-chunk means."""
+    """Observed throughput: per-second trace samples plus per-chunk means.
+
+    Beside each sample list it keeps the samples' reciprocals (`inf` for a
+    zero), so the harmonic estimator sums a slice instead of dividing anew."""
 
     second_samples: list[float] = field(default_factory=list)
     chunk_samples: list[float] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
     _last_second: int = field(default=-1, repr=False)
+    _second_recips: list[float] = field(init=False, repr=False, compare=False)
+    _chunk_recips: list[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._second_recips = [_recip(v) for v in self.second_samples]
+        self._chunk_recips = [_recip(v) for v in self.chunk_samples]
 
     def add_second_sample(self, second: int, kbps: float) -> None:
         if second > self._last_second:
             self.second_samples.append(kbps)
+            self._second_recips.append(_recip(kbps))
             self._last_second = second
 
     def add_chunk_sample(self, kbps: float) -> None:
         self.chunk_samples.append(kbps)
+        self._chunk_recips.append(_recip(kbps))
 
     def add_estimate(self, kbps: float) -> None:
         self.estimates.append(kbps)
 
 
+def _recip(kbps: float) -> float:
+    return 1.0 / kbps if kbps else math.inf
+
+
 def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec) -> float:
     """Harmonic mean of the most recent `window` samples; any non-positive sample -> 0."""
     if spec.kind == "harmonic_seconds":
-        samples = history.second_samples
+        samples, recips = history.second_samples, history._second_recips
     else:
-        samples = history.chunk_samples
+        samples, recips = history.chunk_samples, history._chunk_recips
     if not samples:
         raise SimulationError("no throughput history yet; caller must bootstrap")
     window = samples[-spec.window :]
     if min(window) <= 0.0:
         return 0.0
-    return len(window) / sum(1.0 / v for v in window)
+    # the reciprocals of `window`, summed in the same order
+    return len(window) / sum(recips[-spec.window :])
+
+
+# Passes over its repeating trace that one download may need. The heaviest
+# download in the tests, the golden lock and the bench needs about 69 (a
+# fuzzed 10,400 kbit chunk over a one-second 150 kbps trace); real sessions
+# need a fraction of one.
+_MAX_DOWNLOAD_PERIODS = 1000
+
+
+def _check_download_span(trace: BandwidthTrace, kilobits: float) -> None:
+    """Refuse a download that needs more than _MAX_DOWNLOAD_PERIODS passes over
+    the trace, so a vanishing link fails at once instead of being walked second
+    by second; an all-zero trace is left to the dry-spell guards."""
+    per_period = trace.kilobits_per_period
+    if 0.0 < per_period and per_period * _MAX_DOWNLOAD_PERIODS < kilobits:
+        raise SimulationError(
+            f"link too slow: a {kilobits:g} kbit download needs over {_MAX_DOWNLOAD_PERIODS} "
+            f"passes over trace {trace.name!r}, which carries {per_period:g} kbit per pass"
+        )
 
 
 def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int) -> float:
@@ -117,6 +152,7 @@ def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int)
     if size_bytes <= 0:
         raise SimulationError("download size must be positive")
     remaining = size_bytes * 8.0 / 1000.0
+    _check_download_span(trace, remaining)
     t = float(start_clock)
     dry = 0.0
     n = trace.duration_s
@@ -331,6 +367,7 @@ class _Session:
 
     def _download(self, rate_kbps: float, kilobits: float) -> None:
         """Advance until the chunk's bytes have arrived, filling the buffer fluidly."""
+        _check_download_span(self.trace, kilobits)
         remaining = kilobits
         dry = 0.0
         while remaining > 0.0:
@@ -417,14 +454,16 @@ class _Session:
                 )
             u = self.scheme.last_u
         buffer_at_decision = self.st.buffer
-        chunk = self.manifest.chunk(level, i)
+        # `level` is one of `allowed`, which `_normalize_allowed` range-checked
+        chunk = self.manifest.tracks[level - 1].chunks[i]
+        bitrate = self.manifest.rate_rows[level - 1][i]
         self.chunk_stall = 0.0
         dl_start = self.st.clock
         if self.config.rtt_s > 0:
             self._advance_idle(self.config.rtt_s)
         data_start = self.st.clock
         kilobits = chunk.size_bytes * 8.0 / 1000.0
-        self._download(chunk.bitrate_kbps, kilobits)
+        self._download(bitrate, kilobits)
         dl_end = self.st.clock
         throughput = kilobits / (dl_end - data_start)
         self.history.add_chunk_sample(throughput)
@@ -439,7 +478,7 @@ class _Session:
             Decision(
                 chunk=i,
                 level=level,
-                bitrate_kbps=chunk.bitrate_kbps,
+                bitrate_kbps=bitrate,
                 vmaf=chunk.vmaf,
                 dl_start_s=dl_start,
                 dl_end_s=dl_end,

@@ -17,10 +17,14 @@ class MediaError(ValueError):
 
 @dataclass(frozen=True)
 class BandwidthTrace:
-    """1 Hz bandwidth samples in kbps; zero-order hold between integer seconds."""
+    """1 Hz bandwidth samples in kbps; zero-order hold between integer seconds.
+
+    `kilobits_per_period`, the kilobits one pass over the samples carries, is
+    computed once and takes no part in equality or repr."""
 
     name: str
     samples: tuple[float, ...]
+    kilobits_per_period: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
@@ -29,6 +33,7 @@ class BandwidthTrace:
         for t, value in enumerate(self.samples):
             if not (value >= 0.0 and math.isfinite(value)):
                 raise MediaError(f"bandwidth at t={t} must be finite and >= 0")
+        object.__setattr__(self, "kilobits_per_period", sum(self.samples))
 
     @property
     def duration_s(self) -> int:
@@ -182,7 +187,7 @@ class VideoManifest:
         return tuple(range(1, self.n_levels + 1))
 
     def _index(self, level: int) -> int:
-        if not 1 <= level <= self.n_levels:
+        if not 1 <= level <= len(self.tracks):
             raise MediaError(f"level {level} outside 1..{self.n_levels}")
         return level - 1
 

@@ -313,8 +313,7 @@ class _PidScheme(AbrScheme):
     def _control(self, ctx: DecisionContext, kp: float, xr: float) -> tuple[float, bool]:
         """PI output after anti-windup and whether it forces the top level; sets freeze, last_u."""
         pid = self.params.pid
-        gains = pid if kp == pid.kp else replace(pid, kp=kp)
-        u_raw = pid_output(gains, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator)
+        u_raw = pid_output(pid, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator, kp)
         u, freeze, force_max = anti_windup(u_raw, pid)
         self.pid_state.freeze = freeze
         self.last_u = u
@@ -326,34 +325,47 @@ class _PidScheme(AbrScheme):
     def _argmin(self, ctx: DecisionContext, u, kp, xr, alpha, eta) -> int:
         """Allowed level with the least cost: the sum of (u_k * rate - alpha * est)^2
         stepping the closed loop one chunk at a time over the horizon, plus eta
-        times the squared change in track average from the last level."""
+        times the squared change in track average from the last level.
+
+        Every level runs all |L|*H steps in ascending level order, and a later
+        level must cost strictly less to win. The step invariants are read once
+        per call; `b if b > a else a` is what `max(a, b)` returns, signed zeros
+        and NaN included, so the costs are the floats of the plain rollout."""
         pid, horizon = self.params.pid, self.params.horizon
+        ki, epsilon = pid.ki, pid.epsilon
+        bxr = pid.beta * xr
         manifest = ctx.manifest
         delta = manifest.chunk_duration_s
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
         target = alpha * est
+        x0, integral0 = ctx.buffer_s, self.pid_state.integral
+        ind0 = float(ctx.playing_indicator)
+        avg = manifest.avg_kbps
         prev_rate = None
         if ctx.last_level is not None:
             prev_rate = manifest.avg_bitrate_kbps(ctx.last_level)
+        levels = sorted(ctx.allowed_levels)
         best = best_lvl = None
-        for lvl in sorted(ctx.allowed_levels):
+        for lvl in levels:
             rate = self._rollout_rate(ctx, lvl)
             d = rate * delta / est
             cost = 0.0
-            x, integral, uk = ctx.buffer_s, self.pid_state.integral, u
-            ind = float(ctx.playing_indicator)
+            x, integral, uk, ind = x0, integral0, u, ind0
             for _ in range(horizon):
                 cost += (uk * rate - target) ** 2
-                nx = max(x + delta - (d if ind else 0.0), 0.0)
+                nx = x + delta - (d if ind else 0.0)
+                nx = 0.0 if 0.0 > nx else nx
                 integral += (xr - x) * d
                 ind = 1.0 if nx >= delta else 0.0
-                uk = max(kp * (pid.beta * xr - nx) + pid.ki * integral + ind, pid.epsilon)
+                uk = kp * (bxr - nx) + ki * integral + ind
+                uk = epsilon if epsilon > uk else uk
                 x = nx
-            self.eval_count += horizon
             if prev_rate is not None:
-                cost += eta * (manifest.avg_bitrate_kbps(lvl) - prev_rate) ** 2
+                # `_rollout_rate` has range-checked lvl
+                cost += eta * (avg[lvl - 1] - prev_rate) ** 2
             if best is None or cost < best:
                 best, best_lvl = cost, lvl
+        self.eval_count += horizon * len(levels)
         return best_lvl
 
 

@@ -245,6 +245,24 @@ def test_run_infinite_trace_sample_exits_2(workdir, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_vanishing_link_exits_1(workdir, capsys, command):
+    tmp, _, _ = workdir
+    small = write_manifest(tmp / "small.json", bitrates=(400, 800), n=4, vmafs=(60.0, 85.0))
+    trace = tmp / "tiny.csv"
+    trace.write_text("t_s,bandwidth_kbps\n" + "".join(f"{t},1e-300\n" for t in range(10)))
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(small),
+        traces=[str(trace)],
+        scheme="rb",
+        target_quality=80.0,
+        out_dir=str(tmp / "out"),
+    )
+    assert main([command, "--config", str(config)]) == 1
+    assert "link too slow" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [

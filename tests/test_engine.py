@@ -10,6 +10,7 @@ from abrsim.engine import (
     CSV_HEADER,
     ConfigError,
     DownloadHistory,
+    _MAX_DOWNLOAD_PERIODS,
     EstimatorSpec,
     SimConfig,
     SimulationError,
@@ -82,6 +83,19 @@ class TestAdvanceDownload:
         trace = BandwidthTrace("dead", (0.0, 0.0))
         with pytest.raises(SimulationError, match="zero bandwidth"):
             advance_download(trace, 0.0, 1000)
+
+    def test_vanishing_link_raises_at_once(self):
+        trace = BandwidthTrace("tiny", (1e-300,) * 10)
+        with pytest.raises(SimulationError, match="link too slow"):
+            advance_download(trace, 0.0, 100_000)
+
+    def test_download_span_guard_sits_at_the_period_limit(self):
+        # one pass carries 1000 kbit; a download may need _MAX_DOWNLOAD_PERIODS passes
+        trace = constant_trace(100.0, 10)
+        limit = 1000.0 * _MAX_DOWNLOAD_PERIODS
+        assert advance_download(trace, 0.0, round(limit * 125)) == 10.0 * _MAX_DOWNLOAD_PERIODS
+        with pytest.raises(SimulationError, match="link too slow"):
+            advance_download(trace, 0.0, round(limit * 125) + 1)
 
     def test_zero_gap_then_resume(self):
         trace = BandwidthTrace("gap", (1000.0, 0.0, 1000.0))
@@ -441,6 +455,12 @@ class TestConfigValidation:
             simulate_session(FixedScheme(1), trace, manifest, fast_config(first_chunk_level=9))
         with pytest.raises(ConfigError, match="allowed"):
             simulate_session(FixedScheme(1), trace, manifest, fast_config(), allowed_levels=((1,),))
+
+    def test_vanishing_link_guard(self):
+        manifest = cbr_manifest([500, 1000], n_chunks=4)
+        trace = BandwidthTrace("tiny", (1e-300,) * 10)
+        with pytest.raises(SimulationError, match="link too slow"):
+            simulate_session(RateBased(), trace, manifest, fast_config())
 
     def test_zero_progress_guard(self):
         manifest = cbr_manifest([500, 1000], n_chunks=3)
