@@ -279,38 +279,6 @@ class _Session:
             return None
         return self.config.startup.value
 
-    def _regime(self, fill: float) -> tuple[float, float, float]:
-        """(buffer slope, play rate, stall rate) for the current state and fill rate."""
-        x = self.st.buffer
-        if not self.st.playing:
-            return fill, 0.0, 0.0
-        if x > self.delta + _TINY:
-            return fill - 1.0, 1.0, 0.0
-        if x >= self.delta - _TINY:
-            # At the one-chunk boundary (within float dust of it).
-            if fill >= 1.0:
-                return fill - 1.0, 1.0, 0.0
-            # Sliding regime: drain matches fill, the deficit is stalled time.
-            return 0.0, fill, 1.0 - fill
-        return fill, 0.0, 1.0
-
-    def _apply(self, h: float, slope: float, play: float, stall: float, snap: float | None) -> None:
-        if h < 0:
-            raise SimulationError("negative interval")
-        start = self.st.clock
-        self.scheme.observe_interval(start, h, self.st.buffer)
-        self.st.clock = start + h
-        self.st.buffer = self.st.buffer + slope * h if snap is None else snap
-        self.play_accum += play * h
-        if stall > 0.0 and h > 0.0:
-            self.st.stall_accum += stall * h
-            self.chunk_stall += stall * h
-            if self._stall_start is None:
-                self._stall_start = start
-            self._stall_acc += stall * h
-        elif h > 0.0 and self._stall_start is not None:
-            self._close_stall()
-
     def _close_stall(self) -> None:
         if self._stall_start is not None:
             if self._stall_acc >= 1e-9:
@@ -318,93 +286,128 @@ class _Session:
             self._stall_start = None
             self._stall_acc = 0.0
 
-    def _current_second(self) -> int:
-        return int(math.floor(self.st.clock + _TINY))
-
-    def _next_boundary_h(self) -> float:
-        return self._current_second() + 1.0 - self.st.clock
-
     def _fire_startup_if_due(self) -> None:
         due = self._startup_pending_at()
         if due is not None and self.st.clock >= due - _TINY:
             self.st.clock = max(self.st.clock, due)
             self._enable_playback(due)
 
-    # -- advancing phases -----------------------------------------------------
+    # -- the event walk -----------------------------------------------------------
 
-    def _advance_idle(self, duration: float) -> None:
-        """Time passes with no bytes flowing (request latency)."""
-        end = self.st.clock + duration
+    def _walk(self, leg: str, amount: float, rate_kbps: float = 0.0) -> None:
+        """Advance the session through one leg, one interval at a time.
+
+        A leg is "idle" (`amount` seconds pass with no bytes flowing: the
+        request's RTT), "gate" (the buffer drains to `amount`, the resume level)
+        or "download" (`amount` kilobits of a `rate_kbps` chunk arrive over the
+        trace and fill the buffer fluidly). Each interval runs to the nearest
+        event: the next trace second, the leg's end, the startup time or the
+        buffer reaching one chunk. Over it the buffer slope, play rate and
+        stall rate are constant; `observe_interval` sees its left endpoint.
+        Clock, buffer and played time live in locals until the leg ends.
+        """
+        st, delta = self.st, self.delta
+        upper, lower = delta + _TINY, delta - _TINY
+        samples, period = self.trace.samples, self.trace.duration_s
+        observe = self.scheme.observe_interval
+        add_sample = self.history.add_second_sample
+        download = leg == "download"
+        clock, x, playing, played = st.clock, st.buffer, st.playing, self.play_accum
+        due = self._startup_pending_at()
+        end = clock + amount
+        remaining, dry = amount, 0.0
         while True:
-            self._fire_startup_if_due()
-            left = end - self.st.clock
-            if left <= _TINY:
-                self.st.clock = end
+            if download:
+                if not remaining > 0.0:
+                    break
+            elif leg == "gate" and not x > amount + _TINY:
                 break
-            slope, play, stall = self._regime(0.0)
-            h, snap = min(left, self._next_boundary_h()), None
-            due = self._startup_pending_at()
-            if due is not None and due - self.st.clock < h:
-                h = due - self.st.clock
-            if slope < 0.0 and self.st.buffer > self.delta:
-                hd = (self.st.buffer - self.delta) / -slope
-                if hd < h:
-                    h, snap = hd, self.delta
-            self._apply(h, slope, play, stall, snap)
-
-    def _wait_for_gate(self) -> None:
-        """Drain until the buffer falls to the resume level before a new request."""
-        while self.st.buffer > self.resume_level + _TINY:
-            self._fire_startup_if_due()
-            slope, play, stall = self._regime(0.0)
-            if slope >= 0.0:
-                raise SimulationError("buffer cap deadlock: buffer is not draining")
-            h, snap = self._next_boundary_h(), None
-            hr = (self.st.buffer - self.resume_level) / -slope
-            if hr <= h:
-                h, snap = hr, self.resume_level
-            self._apply(h, slope, play, stall, snap)
-
-    def _download(self, rate_kbps: float, kilobits: float) -> None:
-        """Advance until the chunk's bytes have arrived, filling the buffer fluidly."""
-        _check_download_span(self.trace, kilobits)
-        remaining = kilobits
-        dry = 0.0
-        while remaining > 0.0:
-            self._fire_startup_if_due()
-            sec = self._current_second()
-            c = self.trace.samples[sec % self.trace.duration_s]
-            fill = c / rate_kbps if c > 0.0 else 0.0
-            slope, play, stall = self._regime(fill)
-            h, event, snap = self._next_boundary_h(), "boundary", None
-            if c > 0.0:
-                hc = remaining / c
-                if hc <= h:
-                    h, event, snap = hc, "complete", None
-            due = self._startup_pending_at()
-            if due is not None and due - self.st.clock < h:
-                h, event, snap = due - self.st.clock, "startup", None
-            if slope < 0.0 and self.st.buffer > self.delta:
-                hd = (self.st.buffer - self.delta) / -slope
-                if hd < h:
-                    h, event, snap = hd, "delta", self.delta
-            elif slope > 0.0 and self.st.playing and self.st.buffer < self.delta:
-                hd = (self.delta - self.st.buffer) / slope
-                if hd < h:
-                    h, event, snap = hd, "delta", self.delta
-            if h > 0.0:
+            if due is not None:
+                st.clock = clock
+                self._fire_startup_if_due()
+                clock, playing = st.clock, st.playing
+                if playing:
+                    due = None
+            if leg == "idle":
+                left = end - clock
+                if left <= _TINY:
+                    clock = end
+                    break
+            sec = int(math.floor(clock + _TINY))
+            c = fill = 0.0
+            if download:
+                c = samples[sec % period]
                 if c > 0.0:
-                    self.history.add_second_sample(sec, c)
+                    fill = c / rate_kbps
+            # regime: (buffer slope, play rate, stall rate)
+            if not playing:
+                slope, play, stall = fill, 0.0, 0.0
+            elif x > upper:
+                slope, play, stall = fill - 1.0, 1.0, 0.0
+            elif x >= lower and fill >= 1.0:
+                # at the one-chunk boundary (within float dust of it)
+                slope, play, stall = fill - 1.0, 1.0, 0.0
+            elif x >= lower:
+                # sliding at one chunk: drain matches fill, the deficit is stalled time
+                slope, play, stall = 0.0, fill, 1.0 - fill
+            else:
+                slope, play, stall = fill, 0.0, 1.0
+            # the nearest event; the leg's own end wins a tie with the trace second
+            h, snap, done = sec + 1.0 - clock, None, False
+            if download:
+                if c > 0.0:
+                    hc = remaining / c
+                    if hc <= h:
+                        h, done = hc, True
+            elif leg == "idle":
+                if left <= h:
+                    h = left
+            else:
+                if slope >= 0.0:
+                    raise SimulationError("buffer cap deadlock: buffer is not draining")
+                hr = (x - amount) / -slope
+                if hr <= h:
+                    h, snap = hr, amount
+            if due is not None and due - clock < h:
+                h, snap, done = due - clock, None, False
+            if slope < 0.0 and x > delta:
+                hd = (x - delta) / -slope
+                if hd < h:
+                    h, snap, done = hd, delta, False
+            elif slope > 0.0 and playing and x < delta:
+                hd = (delta - x) / slope
+                if hd < h:
+                    h, snap, done = hd, delta, False
+            if download and h > 0.0:
+                if c > 0.0:
+                    add_sample(sec, c)
                     dry = 0.0
                 else:
                     dry += h
-                    if dry > self.trace.duration_s + 1.0:
+                    if dry > period + 1.0:
                         raise SimulationError("zero bandwidth over a full trace period")
-            self._apply(h, slope, play, stall, snap)
-            if event == "complete":
+            # advance over [clock, clock + h)
+            if h < 0:
+                raise SimulationError("negative interval")
+            observe(clock, h, x)
+            start = clock
+            clock = start + h
+            x = x + slope * h if snap is None else snap
+            played += play * h
+            if stall > 0.0 and h > 0.0:
+                lost = stall * h
+                st.stall_accum += lost
+                self.chunk_stall += lost
+                if self._stall_start is None:
+                    self._stall_start = start
+                self._stall_acc += lost
+            elif h > 0.0 and self._stall_start is not None:
+                self._close_stall()
+            if done:
                 remaining = 0.0
             elif c > 0.0:
                 remaining -= c * h
+        st.clock, st.buffer, st.playing, self.play_accum = clock, x, playing, played
 
     # -- chunk lifecycle --------------------------------------------------
 
@@ -427,7 +430,7 @@ class _Session:
             # it holds requests only once playback has started.
             self._fire_startup_if_due()
             if self.st.playing:
-                self._wait_for_gate()
+                self._walk("gate", self.resume_level)
         est = self._estimate()
         allowed = self.allowed[i]
         ctx = DecisionContext(
@@ -460,10 +463,11 @@ class _Session:
         self.chunk_stall = 0.0
         dl_start = self.st.clock
         if self.config.rtt_s > 0:
-            self._advance_idle(self.config.rtt_s)
+            self._walk("idle", self.config.rtt_s)
         data_start = self.st.clock
         kilobits = chunk.size_bytes * 8.0 / 1000.0
-        self._download(bitrate, kilobits)
+        _check_download_span(self.trace, kilobits)
+        self._walk("download", kilobits, bitrate)
         dl_end = self.st.clock
         throughput = kilobits / (dl_end - data_start)
         self.history.add_chunk_sample(throughput)
