@@ -128,9 +128,9 @@ def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec) -> float:
 
 
 # Passes over its repeating trace that one download may need. The heaviest
-# download in the tests, the golden lock and the bench needs about 69 (a
-# fuzzed 10,400 kbit chunk over a one-second 150 kbps trace); real sessions
-# need a fraction of one.
+# download the tests can draw needs about 43 (a 6,400 kbit chunk over a
+# one-second 150 kbps trace); the golden, acceptance and bench sessions need
+# under 3.
 _MAX_DOWNLOAD_PERIODS = 1000
 
 

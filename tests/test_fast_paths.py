@@ -18,6 +18,7 @@ import math
 import pickle
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -514,17 +515,46 @@ def _argmin_cases(draw):
     return scheme, ctx, (u, kp, xr, alpha, eta)
 
 
+class _Eta(float):
+    """An eta that records, bit for bit, each rollout cost its switching term is
+    added to: `cost += eta * change ** 2` hands the cost to `_Term.__radd__`."""
+
+    def __new__(cls, value, seen):
+        eta = super().__new__(cls, value)
+        eta.seen = seen
+        return eta
+
+    def __mul__(self, other):
+        return _Term(float(self) * other, self.seen)
+
+
+class _Term(float):
+    def __new__(cls, value, seen):
+        term = super().__new__(cls, value)
+        term.seen = seen
+        return term
+
+    def __radd__(self, cost):
+        self.seen.append(cost)
+        return cost + float(self)
+
+
+def _argmin_run(argmin, scheme, ctx, u, kp, xr, alpha, eta):
+    """(level, evaluations, rollout costs) of one argmin call."""
+    seen = []
+    before = scheme.eval_count
+    level = argmin(ctx, u, kp, xr, alpha, _Eta(eta, seen))
+    return level, scheme.eval_count - before, seen
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=_argmin_cases())
 def test_pid_argmin_matches_reference(case):
     scheme, ctx, args = case
     state = (scheme.pid_state.integral, scheme.pid_state.freeze)
-    before = scheme.eval_count
-    want = _reference_argmin(scheme, ctx, *args)
-    want_evals = scheme.eval_count - before
-    before = scheme.eval_count
-    assert scheme._argmin(ctx, *args) == want
-    assert scheme.eval_count - before == want_evals == scheme.params.horizon * len(
-        ctx.allowed_levels
-    )
+    want = _argmin_run(partial(_reference_argmin, scheme), scheme, ctx, *args)
+    got = _argmin_run(scheme._argmin, scheme, ctx, *args)
+    assert got == want
+    assert got[1] == scheme.params.horizon * len(ctx.allowed_levels)
+    assert len(got[2]) == (0 if ctx.last_level is None else len(ctx.allowed_levels))
     assert (scheme.pid_state.integral, scheme.pid_state.freeze) == state
