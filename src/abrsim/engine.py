@@ -75,6 +75,11 @@ class SimConfig:
         if self.rtt_s < 0:
             raise ConfigError("rtt must be >= 0")
 
+    def resume_level(self, delta: float) -> float:
+        """Level the request gate drains to: the cap less the margin, at least one chunk."""
+        margin = self.resume_margin_s if self.resume_margin_s is not None else delta
+        return max(self.max_buffer_s - margin, delta)
+
 
 @dataclass
 class DownloadHistory:
@@ -127,10 +132,10 @@ def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec) -> float:
     return len(window) / sum(recips[-spec.window :])
 
 
-# Passes over its repeating trace that one download may need. The heaviest
-# download the tests can draw needs about 43 (a 6,400 kbit chunk over a
-# one-second 150 kbps trace); the golden, acceptance and bench sessions need
-# under 3.
+# Passes over its repeating trace that one download, or one request's RTT, may
+# span. The heaviest download the tests can draw needs about 43 (a 6,400 kbit
+# chunk over a one-second 150 kbps trace); the golden, acceptance and bench
+# sessions need under 3.
 _MAX_DOWNLOAD_PERIODS = 1000
 
 
@@ -171,18 +176,6 @@ def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int)
             if dry > n:
                 raise SimulationError("zero bandwidth over a full trace period")
         t = float(sec + 1)
-
-
-@dataclass
-class SessionState:
-    """Mutable per-session state."""
-
-    clock: float = 0.0
-    buffer: float = 0.0
-    playing: bool = False
-    last_level: int | None = None
-    stall_accum: float = 0.0
-    bytes_downloaded: int = 0
 
 
 @dataclass(frozen=True)
@@ -241,7 +234,8 @@ class SessionLog:
 
 
 class _Session:
-    """Event walker for one session; all floats advance via explicit events."""
+    """Event walker for one session and the one home of its state; all floats
+    advance via explicit events. Playback has started iff `startup_latency` is set."""
 
     def __init__(self, scheme, trace, manifest, config, allowed, chunk_class):
         self.scheme = scheme
@@ -249,13 +243,15 @@ class _Session:
         self.manifest = manifest
         self.config = config
         self.allowed = allowed
+        self.chunk_class = chunk_class
         self.delta = manifest.chunk_duration_s
-        self.cap = config.max_buffer_s
-        margin = config.resume_margin_s if config.resume_margin_s is not None else self.delta
-        # Drain stops at one chunk, so the resume level can never sit below it.
-        self.resume_level = max(self.cap - margin, self.delta)
-        self.st = SessionState()
+        self.resume_level = config.resume_level(self.delta)
         self.history = DownloadHistory()
+        self.clock = 0.0
+        self.buffer = 0.0
+        self.last_level: int | None = None
+        self.stall_total = 0.0
+        self.bytes_downloaded = 0
         self.play_accum = 0.0
         self.chunk_stall = 0.0
         self.stalls: list[tuple[float, float]] = []
@@ -263,34 +259,26 @@ class _Session:
         self._stall_acc = 0.0
         self.startup_latency: float | None = None
         self.decisions: list[Decision] = []
-        self.chunk_class = chunk_class
-        if config.startup.kind == "latency" and config.startup.value == 0.0:
-            self._enable_playback(0.0)
 
     # -- playback/stall regime ------------------------------------------------
 
-    def _enable_playback(self, clock: float) -> None:
-        if not self.st.playing:
-            self.st.playing = True
-            self.startup_latency = clock
-
-    def _startup_pending_at(self) -> float | None:
-        if self.st.playing or self.config.startup.kind != "latency":
-            return None
-        return self.config.startup.value
+    def _start_if_due(self, clock: float) -> tuple[float, float | None]:
+        """Apply the latency startup rule at `clock`, within float dust of its due
+        time. Returns the clock, raised to the due time if playback started
+        there, and the due time while playback still waits for it."""
+        rule = self.config.startup
+        if self.startup_latency is not None or rule.kind != "latency":
+            return clock, None
+        if clock < rule.value - _TINY:
+            return clock, rule.value
+        self.startup_latency = rule.value
+        return max(clock, rule.value), None
 
     def _close_stall(self) -> None:
         if self._stall_start is not None:
             if self._stall_acc >= 1e-9:
                 self.stalls.append((self._stall_start, self._stall_acc))
-            self._stall_start = None
-            self._stall_acc = 0.0
-
-    def _fire_startup_if_due(self) -> None:
-        due = self._startup_pending_at()
-        if due is not None and self.st.clock >= due - _TINY:
-            self.st.clock = max(self.st.clock, due)
-            self._enable_playback(due)
+            self._stall_start, self._stall_acc = None, 0.0
 
     # -- the event walk -----------------------------------------------------------
 
@@ -306,15 +294,16 @@ class _Session:
         stall rate are constant; `observe_interval` sees its left endpoint.
         Clock, buffer and played time live in locals until the leg ends.
         """
-        st, delta = self.st, self.delta
+        delta = self.delta
         upper, lower = delta + _TINY, delta - _TINY
         samples, period = self.trace.samples, self.trace.duration_s
         observe = self.scheme.observe_interval
         add_sample = self.history.add_second_sample
         download = leg == "download"
-        clock, x, playing, played = st.clock, st.buffer, st.playing, self.play_accum
-        due = self._startup_pending_at()
-        end = clock + amount
+        end = self.clock + amount
+        clock, due = self._start_if_due(self.clock)
+        x, played = self.buffer, self.play_accum
+        playing = self.startup_latency is not None
         remaining, dry = amount, 0.0
         while True:
             if download:
@@ -323,11 +312,8 @@ class _Session:
             elif leg == "gate" and not x > amount + _TINY:
                 break
             if due is not None:
-                st.clock = clock
-                self._fire_startup_if_due()
-                clock, playing = st.clock, st.playing
-                if playing:
-                    due = None
+                clock, due = self._start_if_due(clock)
+                playing = due is None
             if leg == "idle":
                 left = end - clock
                 if left <= _TINY:
@@ -342,10 +328,8 @@ class _Session:
             # regime: (buffer slope, play rate, stall rate)
             if not playing:
                 slope, play, stall = fill, 0.0, 0.0
-            elif x > upper:
-                slope, play, stall = fill - 1.0, 1.0, 0.0
-            elif x >= lower and fill >= 1.0:
-                # at the one-chunk boundary (within float dust of it)
+            elif x > upper or (x >= lower and fill >= 1.0):
+                # above one chunk, or at it (within float dust) and filling as fast as it plays
                 slope, play, stall = fill - 1.0, 1.0, 0.0
             elif x >= lower:
                 # sliding at one chunk: drain matches fill, the deficit is stalled time
@@ -396,7 +380,7 @@ class _Session:
             played += play * h
             if stall > 0.0 and h > 0.0:
                 lost = stall * h
-                st.stall_accum += lost
+                self.stall_total += lost
                 self.chunk_stall += lost
                 if self._stall_start is None:
                     self._stall_start = start
@@ -407,47 +391,42 @@ class _Session:
                 remaining = 0.0
             elif c > 0.0:
                 remaining -= c * h
-        st.clock, st.buffer, st.playing, self.play_accum = clock, x, playing, played
+        self.clock, self.buffer, self.play_accum = clock, x, played
 
     # -- chunk lifecycle --------------------------------------------------
 
     def _estimate(self) -> float:
-        if self.config.estimator.kind == "harmonic_seconds":
-            have = bool(self.history.second_samples)
-        else:
-            have = bool(self.history.chunk_samples)
-        if not have:
-            return self.manifest.avg_kbps[0]
-        return estimate_bandwidth(self.history, self.config.estimator)
-
-    def _clamp_to_allowed(self, level: int, allowed: tuple[int, ...]) -> int:
-        below = [lvl for lvl in allowed if lvl <= level]
-        return max(below) if below else min(allowed)
+        """The configured estimate; before any sample, the lowest track's average."""
+        spec, history = self.config.estimator, self.history
+        if (history.second_samples if spec.kind == "harmonic_seconds" else history.chunk_samples):
+            return estimate_bandwidth(history, spec)
+        return self.manifest.avg_kbps[0]
 
     def run_chunk(self, i: int) -> None:
-        if self.st.buffer >= self.cap:
+        if self.buffer >= self.config.max_buffer_s:
             # The gate drains by playing, so like the oracle's request model
             # it holds requests only once playback has started.
-            self._fire_startup_if_due()
-            if self.st.playing:
+            self.clock = self._start_if_due(self.clock)[0]
+            if self.startup_latency is not None:
                 self._walk("gate", self.resume_level)
         est = self._estimate()
         allowed = self.allowed[i]
         ctx = DecisionContext(
             chunk_index=i,
-            buffer_s=self.st.buffer,
-            clock_s=self.st.clock,
+            buffer_s=self.buffer,
+            clock_s=self.clock,
             est_kbps=est,
-            last_level=self.st.last_level,
+            last_level=self.last_level,
             allowed_levels=allowed,
             manifest=self.manifest,
             chunk_class=self.chunk_class,
-            playing_indicator=int(self.st.playing and self.st.buffer >= self.delta),
+            playing_indicator=int(self.startup_latency is not None and self.buffer >= self.delta),
             history=self.history,
         )
-        if i == 0 and self.config.first_chunk_level is not None:
-            level = self._clamp_to_allowed(self.config.first_chunk_level, allowed)
-            u = None
+        first = self.config.first_chunk_level
+        if i == 0 and first is not None:
+            # the highest allowed level at or below `first`, else the lowest allowed
+            level, u = max((lvl for lvl in allowed if lvl <= first), default=min(allowed)), None
         else:
             level = self.scheme.decide(ctx)
             if level not in allowed:
@@ -456,28 +435,27 @@ class _Session:
                     f"allowed levels are {allowed}"
                 )
             u = self.scheme.last_u
-        buffer_at_decision = self.st.buffer
         # `level` is one of `allowed`, which `_normalize_allowed` range-checked
         chunk = self.manifest.tracks[level - 1].chunks[i]
         bitrate = self.manifest.rate_rows[level - 1][i]
         self.chunk_stall = 0.0
-        dl_start = self.st.clock
+        dl_start = self.clock
         if self.config.rtt_s > 0:
             self._walk("idle", self.config.rtt_s)
-        data_start = self.st.clock
+        data_start = self.clock
         kilobits = chunk.size_bytes * 8.0 / 1000.0
         _check_download_span(self.trace, kilobits)
         self._walk("download", kilobits, bitrate)
-        dl_end = self.st.clock
+        dl_end = self.clock
         throughput = kilobits / (dl_end - data_start)
         self.history.add_chunk_sample(throughput)
         self.history.add_estimate(est)
         self.scheme.observe_chunk(i, level, throughput)
-        self.st.bytes_downloaded += chunk.size_bytes
-        self.st.last_level = level
+        self.bytes_downloaded += chunk.size_bytes
+        self.last_level = level
         rule = self.config.startup
-        if rule.kind == "chunks_buffered" and not self.st.playing and i + 1 >= int(rule.value):
-            self._enable_playback(self.st.clock)
+        if rule.kind == "chunks_buffered" and i + 1 == int(rule.value):
+            self.startup_latency = dl_end
         self.decisions.append(
             Decision(
                 chunk=i,
@@ -486,7 +464,7 @@ class _Session:
                 vmaf=chunk.vmaf,
                 dl_start_s=dl_start,
                 dl_end_s=dl_end,
-                buffer_s=buffer_at_decision,
+                buffer_s=ctx.buffer_s,
                 est_kbps=est,
                 u=u,
                 stall_s=self.chunk_stall,
@@ -535,31 +513,33 @@ def simulate_session(
         raise ConfigError("chunks_buffered exceeds the video's chunk count")
     if config.first_chunk_level is not None and not 1 <= config.first_chunk_level <= manifest.n_levels:
         raise ConfigError("first_chunk_level outside manifest levels")
+    if config.rtt_s > _MAX_DOWNLOAD_PERIODS * trace.duration_s:
+        raise SimulationError(
+            f"rtt too long: {config.rtt_s:g} s spans over {_MAX_DOWNLOAD_PERIODS} passes "
+            f"over trace {trace.name!r}, and idle time is walked second by second"
+        )
     allowed = _normalize_allowed(manifest, allowed_levels)
-    scheme.reset()
+    scheme.reset(manifest)
     session = _Session(scheme, trace, manifest, config, allowed, chunk_class)
     for i in range(manifest.n_chunks):
         session.run_chunk(i)
     session._close_stall()
-    st = session.st
-    end = st.clock
+    end = session.clock
     startup = session.startup_latency if session.startup_latency is not None else end
     wall_stall = max(0.0, end - startup - session.play_accum)
-    if abs(st.stall_accum - wall_stall) > 1e-9:
+    if abs(session.stall_total - wall_stall) > 1e-9:
         raise SimulationError(
-            f"stall accounting mismatch: accumulated {st.stall_accum!r} vs wall {wall_stall!r}"
+            f"stall accounting mismatch: accumulated {session.stall_total!r} vs wall {wall_stall!r}"
         )
     delivered = manifest.n_chunks * delta
     tol = max(1e-9, delivered * 1e-12)
-    if abs(session.play_accum + st.buffer - delivered) > tol:
+    if abs(session.play_accum + session.buffer - delivered) > tol:
         raise SimulationError(
             f"content conservation mismatch: played {session.play_accum!r} + buffered "
-            f"{st.buffer!r} != delivered {delivered!r}"
+            f"{session.buffer!r} != delivered {delivered!r}"
         )
-    expected_bytes = sum(
-        manifest.chunk(d.level, d.chunk).size_bytes for d in session.decisions
-    )
-    if st.bytes_downloaded != expected_bytes:
+    expected_bytes = sum(manifest.chunk(d.level, d.chunk).size_bytes for d in session.decisions)
+    if session.bytes_downloaded != expected_bytes:
         raise SimulationError("byte conservation mismatch")
     return SessionLog(
         scheme_name=getattr(scheme, "name", type(scheme).__name__),
@@ -571,7 +551,7 @@ def simulate_session(
         startup_latency_s=startup,
         end_clock_s=end,
         play_time_s=session.play_accum,
-        final_buffer_s=st.buffer,
-        stall_total_s=st.stall_accum,
-        bytes_downloaded=st.bytes_downloaded,
+        final_buffer_s=session.buffer,
+        stall_total_s=session.stall_total,
+        bytes_downloaded=session.bytes_downloaded,
     )

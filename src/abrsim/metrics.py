@@ -195,14 +195,12 @@ def _request_start(
 ) -> tuple[float, float, float]:
     """Gate drain and RTT from a binned state: (buffer, clock, stall_s) when data starts."""
     delta = manifest.chunk_duration_s
-    cap = config.max_buffer_s
-    margin = config.resume_margin_s if config.resume_margin_s is not None else delta
     x = x_key / _BINS_PER_S
     t = t_key / _BINS_PER_S
     stall = 0.0
-    if x >= cap and _started(config, t, chunk_index):
+    if x >= config.max_buffer_s and _started(config, t, chunk_index):
         # Request gate: drain at play rate down to the resume level.
-        resume = max(cap - margin, delta)
+        resume = config.resume_level(delta)
         t += x - resume
         x = resume
     if config.rtt_s > 0.0:

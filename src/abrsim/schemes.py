@@ -81,8 +81,9 @@ class AbrScheme:
         """Build from a job's raw `scheme_params`, its manifest and its quality target."""
         return cls(**raw)
 
-    def reset(self) -> None:
-        """Drop per-session state; the engine calls this before chunk 0."""
+    def reset(self, manifest: VideoManifest | None = None) -> None:
+        """Drop per-session state; the engine calls this with the session's
+        manifest before chunk 0."""
 
     def decide(self, ctx: DecisionContext) -> int:
         raise NotImplementedError
@@ -297,7 +298,7 @@ class _PidScheme(AbrScheme):
         default = cls._default_params()
         return replace(default, pid=replace(default.pid, **pid_keys), **rest)
 
-    def reset(self) -> None:
+    def reset(self, manifest: VideoManifest | None = None) -> None:
         self.pid_state = PidState()
         self.last_u = None
 
@@ -388,7 +389,7 @@ class Pia(_PidScheme):
 
 class PiaStartup(Pia):
     """Pia with ramped gain and buffer target for a faster startup phase; without a given
-    schedule, the first decision builds the default ramp for the manifest's chunk duration."""
+    schedule, `reset` builds the default ramp for the session manifest's chunk duration."""
 
     name = "piae"
     _default_params = partial(PiaParams, pid=PidParams())
@@ -411,9 +412,11 @@ class PiaStartup(Pia):
         pid = params.pid
         return RampSchedule(base_kp=pid.kp, base_xr=pid.target_buffer, delta=delta, **shape)
 
-    def reset(self) -> None:
-        super().reset()
+    def reset(self, manifest: VideoManifest | None = None) -> None:
+        super().reset(manifest)
         self.schedule = self._given_schedule
+        if self.schedule is None and manifest is not None:
+            self.schedule = self._ramp(self.params, manifest.chunk_duration_s)
 
     def _target(self, clock_s: float) -> float:
         if self.schedule is None:
@@ -424,11 +427,6 @@ class PiaStartup(Pia):
         if self.schedule is None:
             return self.params.pid.kp
         return ramp_kp(self.schedule, clock_s)
-
-    def decide(self, ctx: DecisionContext) -> int:
-        if self.schedule is None:
-            self.schedule = self._ramp(self.params, ctx.manifest.chunk_duration_s)
-        return super().decide(ctx)
 
 
 @dataclass
@@ -474,8 +472,8 @@ class Cava(_PidScheme):
     needs_chunk_class = True
     _default_params = CavaParams
 
-    def reset(self) -> None:
-        super().reset()
+    def reset(self, manifest: VideoManifest | None = None) -> None:
+        super().reset(manifest)
         self._target_buffer = self.params.base_target_buffer_s
 
     def _target(self, clock_s: float) -> float:

@@ -263,6 +263,20 @@ def test_vanishing_link_exits_1(workdir, capsys, command):
     assert "link too slow" in capsys.readouterr().err
 
 
+def test_huge_rtt_exits_1(workdir, capsys):
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(manifest),
+        traces=[str(trace)],
+        scheme="rb",
+        sim={"rtt_s": 1e9},
+        out_dir=str(tmp / "out"),
+    )
+    assert main(["run", "--config", str(config)]) == 1
+    assert "rtt too long" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [

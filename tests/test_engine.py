@@ -462,6 +462,16 @@ class TestConfigValidation:
         with pytest.raises(SimulationError, match="link too slow"):
             simulate_session(RateBased(), trace, manifest, fast_config())
 
+    def test_rtt_guard_sits_at_the_period_limit(self):
+        # one pass over a 1 s trace; an RTT may span _MAX_DOWNLOAD_PERIODS passes
+        manifest = cbr_manifest([500, 1000], duration_s=1.0, n_chunks=2)
+        trace = constant_trace(2000, 1)
+        limit = float(_MAX_DOWNLOAD_PERIODS)
+        log = simulate_session(FixedScheme(1), trace, manifest, fast_config(rtt_s=limit))
+        assert log.decisions[0].dl_end_s == limit + 0.25
+        with pytest.raises(SimulationError, match="rtt too long"):
+            simulate_session(FixedScheme(1), trace, manifest, fast_config(rtt_s=limit + 0.5))
+
     def test_zero_progress_guard(self):
         manifest = cbr_manifest([500, 1000], n_chunks=3)
         with pytest.raises(SimulationError, match="zero bandwidth"):

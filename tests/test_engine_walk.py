@@ -24,11 +24,11 @@ from abrsim.engine import (
     Decision,
     EstimatorSpec,
     SessionLog,
-    SessionState,
     SimConfig,
     SimulationError,
     StartupRule,
     _normalize_allowed,
+    _Session,
     simulate_session,
 )
 from abrsim.media import BandwidthTrace, classify_chunks
@@ -67,6 +67,18 @@ def _reference_estimate(history: _ReferenceHistory, spec: EstimatorSpec) -> floa
     return len(window) / sum(1.0 / v for v in window)
 
 
+@dataclass
+class _ReferenceState:
+    """The engine's mutable per-session state as first written, apart from the walker."""
+
+    clock: float = 0.0
+    buffer: float = 0.0
+    playing: bool = False
+    last_level: int | None = None
+    stall_accum: float = 0.0
+    bytes_downloaded: int = 0
+
+
 class _ReferenceSession:
     """`engine._Session` as first written: a method call per regime, interval and event."""
 
@@ -81,7 +93,7 @@ class _ReferenceSession:
         margin = config.resume_margin_s if config.resume_margin_s is not None else self.delta
         # Drain stops at one chunk, so the resume level can never sit below it.
         self.resume_level = max(self.cap - margin, self.delta)
-        self.st = SessionState()
+        self.st = _ReferenceState()
         self.history = _ReferenceHistory()
         self.play_accum = 0.0
         self.chunk_stall = 0.0
@@ -466,9 +478,40 @@ _STARTUP_MID_DOWNLOAD = (
 )
 
 
+# Chunk 1's download ends exactly at the 2 s latency startup with the buffer
+# past the 1.5 s cap: the leg's own end wins the tie, so the request gate's
+# pre-check starts playback, and chunk 2 waits 1 s for the drain.
+_STARTUP_AT_THE_GATE = (
+    "rb",
+    BandwidthTrace("one", (1000.0,)),
+    cbr_manifest((500, 1000), duration_s=1.0, n_chunks=4),
+    SimConfig(
+        startup=StartupRule("latency", 2.0), max_buffer_s=1.5, rtt_s=0.0, first_chunk_level=2
+    ),
+    None,
+    None,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @example(session=_STARTUP_MID_DOWNLOAD)
+@example(session=_STARTUP_AT_THE_GATE)
 @given(session=_sessions())
 def test_walk_matches_reference_walk(session):
     got = _outcome(simulate_session, *session)
     assert got == _outcome(_reference_simulate, *session)
+
+
+def test_startup_at_the_gate_example_starts_playback_in_the_precheck():
+    name, trace, manifest, config, allowed, chunk_class = _STARTUP_AT_THE_GATE
+    scheme = build_scheme(name, {}, manifest)
+    session = _Session(
+        scheme, trace, manifest, config, _normalize_allowed(manifest, allowed), chunk_class
+    )
+    session.run_chunk(0)
+    session.run_chunk(1)
+    assert (session.clock, session.startup_latency) == (2.0, None)
+    assert session.buffer >= config.max_buffer_s
+    session.run_chunk(2)
+    assert session.startup_latency == 2.0
+    assert session.decisions[2].dl_start_s == 3.0

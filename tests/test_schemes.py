@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
+from abrsim.cli import noisy_bandwidth
 from abrsim.control import DEFAULT_KI, DEFAULT_KP, ControlError, PidParams, RampSchedule
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, simulate_session
 from abrsim.media import classify_chunks, track_avg_bitrate
@@ -423,7 +424,7 @@ class TestPiaStartup:
         scheme = PiaStartup()
         assert scheme.params.pid.beta == 1.0
         assert scheme.schedule is None
-        scheme.decide(ctx_for(PIA_LADDER, buffer_s=4.0))
+        scheme.reset(PIA_LADDER)
         assert scheme.schedule is not None
         assert scheme.schedule.delta == 2.0
         assert scheme.schedule.alpha == 4.0
@@ -432,6 +433,7 @@ class TestPiaStartup:
     def test_start_targets_two_chunks(self):
         # t=0: x_r = 2*delta = 4, kp = 4*base; x = 4 -> u = 1 exactly
         scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0))
+        scheme.reset(PIA_LADDER)
         ctx = ctx_for(PIA_LADDER, clock_s=0.0, buffer_s=4.0, est_kbps=1000.0)
         assert scheme.decide(ctx) == 2
         assert scheme.last_u == 1.0
@@ -441,7 +443,7 @@ class TestPiaStartup:
 
     def test_midpoint_ramp_values(self):
         scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0))
-        scheme.decide(ctx_for(PIA_LADDER, clock_s=0.0, buffer_s=4.0))  # build schedule
+        scheme.reset(PIA_LADDER)  # build schedule
         ctx = ctx_for(PIA_LADDER, clock_s=150.0, buffer_s=30.0, est_kbps=1000.0)
         scheme.decide(ctx)
         # x_r(150) = 30, kp(150)*(30-30) = 0 -> u = ki*I + 1 with I = 0
@@ -456,8 +458,7 @@ class TestPiaStartup:
 
     def test_integral_tracks_ramp_target(self):
         scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0))
-        scheme.decide(ctx_for(PIA_LADDER, clock_s=0.0, buffer_s=4.0))
-        scheme.pid_state.integral = 0.0
+        scheme.reset(PIA_LADDER)
         scheme.observe_interval(0.0, 1.0, 0.0)
         assert scheme.pid_state.integral == 4.0  # target 2*delta at t=0
         scheme.observe_interval(150.0, 1.0, 0.0)
@@ -466,6 +467,7 @@ class TestPiaStartup:
     def test_matches_pia_after_ramp(self):
         for clock in (300.0 + 1e-9, 301.0, 1e4):
             piae = PiaStartup(PiaParams(pid=PidParams(), horizon=3, eta=1.0))
+            piae.reset(PIA_LADDER)
             pia = Pia(PiaParams(pid=PidParams(), horizon=3, eta=1.0))
             piae.pid_state.integral = 1234.5
             pia.pid_state.integral = 1234.5
@@ -1040,8 +1042,8 @@ class TestEngineIntegration:
         )
         assert all(d.u is not None for d in log.decisions)
 
-    # a fixed first level skips decide at chunk 0, so piae's lazily built ramp
-    # must be dropped too or the second session integrates toward it early
+    # reset rebuilds the controller state and piae's ramp, also when a fixed
+    # first level skips decide at chunk 0
     @pytest.mark.parametrize("first_level", [None, 1])
     @pytest.mark.parametrize("name", ["pia", "piae", "cava", "quad"])
     def test_reused_instance_starts_each_session_fresh(self, name, first_level):
@@ -1054,6 +1056,16 @@ class TestEngineIntegration:
         second = simulate_session(scheme, trace, SMOKE_M, config, chunk_class=chunk_class)
         assert second.to_csv() == first.to_csv()
         assert scheme.eval_count == 2 * evals  # a cumulative counter, not session state
+
+    def test_piae_ramps_from_t0_however_it_is_built(self):
+        # A fixed first level skips decide at chunk 0; chunk 0's intervals must
+        # still integrate toward the ramp's floor, not the base target.
+        m = cbr_manifest((300, 750, 1200, 1850, 2850, 4300), n_chunks=100)
+        trace = noisy_bandwidth(2000.0, 1500.0, 300, seed=3)
+        config = SimConfig(first_chunk_level=1)
+        built = simulate_session(build_scheme("piae", {}, m), trace, m, config)
+        assert simulate_session(make_scheme("piae"), trace, m, config) == built
+        assert simulate_session(PiaStartup(), trace, m, config) == built
 
     def test_cbf_filter_restricts_session_levels(self):
         trace = constant_trace(5000.0, 60)
