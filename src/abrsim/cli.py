@@ -29,7 +29,6 @@ from .media import (
     BandwidthTrace,
     MediaError,
     VideoManifest,
-    classify_chunks,
     parse_manifest,
     parse_trace,
 )
@@ -58,6 +57,7 @@ _MIN_NOISY_KBPS = 50.0
 
 def constant_bandwidth(kbps: float, seconds: int, name: str | None = None) -> BandwidthTrace:
     """Flat link at `kbps` for `seconds` seconds."""
+    require_finite(ConfigError, kbps=kbps, seconds=seconds)
     if kbps <= 0:
         raise ConfigError("bandwidth must be positive")
     if seconds < 1:
@@ -69,6 +69,8 @@ def step_bandwidth(
     low_kbps: float, high_kbps: float, switch_at_s: float, seconds: int, name: str | None = None
 ) -> BandwidthTrace:
     """Single step from `low_kbps` to `high_kbps` at `switch_at_s`."""
+    require_finite(ConfigError, low_kbps=low_kbps, high_kbps=high_kbps, switch_at_s=switch_at_s,
+                   seconds=seconds)
     if low_kbps <= 0 or high_kbps <= 0:
         raise ConfigError("bandwidth must be positive")
     if seconds < 1:
@@ -90,6 +92,8 @@ def square_wave(
     name: str | None = None,
 ) -> BandwidthTrace:
     """Alternating high/low link; a seed adds phase offset and per-cycle jitter."""
+    require_finite(ConfigError, low_kbps=low_kbps, high_kbps=high_kbps, period_s=period_s,
+                   seconds=seconds)
     if not 0 < low_kbps <= high_kbps:
         raise ConfigError("need 0 < low <= high")
     if period_s < 2:
@@ -121,6 +125,7 @@ def noisy_bandwidth(
     mean_kbps: float, spread_kbps: float, seconds: int, seed: int, name: str | None = None
 ) -> BandwidthTrace:
     """Uniform noise in [mean - spread, mean + spread], floored away from zero."""
+    require_finite(ConfigError, mean_kbps=mean_kbps, spread_kbps=spread_kbps, seconds=seconds)
     if mean_kbps <= 0:
         raise ConfigError("mean bandwidth must be positive")
     if spread_kbps < 0:
@@ -276,15 +281,6 @@ class RunConfig:
 # ------------------------------------------------------------- scheme assembly
 
 
-def _uses_classes(config: RunConfig, scheme_name: str) -> bool:
-    return scheme_class(scheme_name).needs_chunk_class or config.reference_level is not None
-
-
-def _classes_for(config: RunConfig, manifest: VideoManifest):
-    reference = config.reference_level or (manifest.n_levels + 1) // 2
-    return classify_chunks(manifest, reference)
-
-
 class _FixedSequence(AbrScheme):
     """Clairvoyant playback of a precomputed level sequence."""
 
@@ -331,15 +327,15 @@ def _out_dir(config: RunConfig) -> Path:
 def _config_for(args: argparse.Namespace) -> RunConfig:
     config = RunConfig.from_json(_read_text(args.config)) if args.config else RunConfig()
     overrides = {}
-    if getattr(args, "scheme", None):
+    if getattr(args, "scheme", None) is not None:
         overrides["scheme"] = args.scheme
-    if getattr(args, "filter", None):
+    if getattr(args, "filter", None) is not None:
         overrides["filter_kind"] = args.filter
     if getattr(args, "target_quality", None) is not None:
         overrides["target_quality"] = args.target_quality
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         overrides["out_dir"] = args.out
-    if getattr(args, "jobs", None):
+    if getattr(args, "jobs", None) is not None:  # so `--jobs 0` is refused, not dropped
         overrides["jobs"] = args.jobs
     return replace(config, **overrides) if overrides else config
 
@@ -361,16 +357,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     trace = traces[0]
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
-    scheme = build_scheme(config.scheme, config.scheme_params, manifest, config.target_quality)
-    chunk_class = _classes_for(config, manifest) if _uses_classes(config, config.scheme) else None
-    log = simulate_session(
-        scheme,
-        trace,
-        manifest,
-        config.sim,
-        allowed_levels=allowed,
-        chunk_class=chunk_class,
-    )
+    scheme = build_scheme(config.scheme, config.scheme_params, target_quality=config.target_quality,
+                          reference_level=config.reference_level)
+    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights
     )
@@ -386,16 +375,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _compare_cell(task):
-    index, name, trace, manifest, config, allowed, chunk_class = task
-    scheme = build_scheme(name, {}, manifest, config.target_quality)
-    log = simulate_session(
-        scheme,
-        trace,
-        manifest,
-        config.sim,
-        allowed_levels=allowed,
-        chunk_class=chunk_class,
-    )
+    index, name, trace, manifest, config, allowed = task
+    scheme = build_scheme(name, target_quality=config.target_quality,
+                          reference_level=config.reference_level)
+    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights
     )
@@ -439,15 +422,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     manifest = _load_manifest(config)
     traces = _load_traces(config)
     names = config.schemes or (config.scheme,)
-    uses_classes = [_uses_classes(config, name) for name in names]  # rejects unknown names
+    for name in names:
+        scheme_class(name)  # rejects an unknown name before any session runs
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
-    classes = _classes_for(config, manifest) if any(uses_classes) else None
-    tasks = []
-    for si, (name, uses) in enumerate(zip(names, uses_classes)):
-        chunk_class = classes if uses else None
-        for ti, trace in enumerate(traces):
-            tasks.append(((si, ti), name, trace, manifest, config, allowed, chunk_class))
+    tasks = [
+        ((si, ti), name, trace, manifest, config, allowed)
+        for si, name in enumerate(names)
+        for ti, trace in enumerate(traces)
+    ]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             cells = list(pool.map(_compare_cell, tasks))
@@ -472,7 +455,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if config.grid is None:
         raise ConfigError("sweep needs a gain grid in the config")
     # the sweep tunes pia's gains; scheme_params fix the rest of its params
-    template = build_scheme("pia", config.scheme_params, manifest, config.target_quality).params
+    template = build_scheme("pia", config.scheme_params).params
     weights = config.weights if config.weights is not None else default_weights(manifest)
     heatmap = sweep_gains(
         config.grid, traces, manifest, template, weights, config.sim, jobs=config.jobs

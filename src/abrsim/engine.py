@@ -237,13 +237,12 @@ class _Session:
     """Event walker for one session and the one home of its state; all floats
     advance via explicit events. Playback has started iff `startup_latency` is set."""
 
-    def __init__(self, scheme, trace, manifest, config, allowed, chunk_class):
+    def __init__(self, scheme, trace, manifest, config, allowed):
         self.scheme = scheme
         self.trace = trace
         self.manifest = manifest
         self.config = config
         self.allowed = allowed
-        self.chunk_class = chunk_class
         self.delta = manifest.chunk_duration_s
         self.resume_level = config.resume_level(self.delta)
         self.history = DownloadHistory()
@@ -419,7 +418,6 @@ class _Session:
             last_level=self.last_level,
             allowed_levels=allowed,
             manifest=self.manifest,
-            chunk_class=self.chunk_class,
             playing_indicator=int(self.startup_latency is not None and self.buffer >= self.delta),
             history=self.history,
         )
@@ -499,12 +497,12 @@ def simulate_session(
     manifest: VideoManifest,
     config: SimConfig,
     allowed_levels=None,
-    chunk_class=None,
 ) -> SessionLog:
     """Run one deterministic session; raises SimulationError on invariant breaks.
 
-    The scheme is reset first, so a reused instance starts without the
-    previous session's controller state.
+    The scheme is reset with the manifest first, so a reused instance starts
+    without the previous session's controller state and with this manifest's
+    per-session data.
     """
     delta = manifest.chunk_duration_s
     if config.max_buffer_s <= delta:
@@ -520,7 +518,7 @@ def simulate_session(
         )
     allowed = _normalize_allowed(manifest, allowed_levels)
     scheme.reset(manifest)
-    session = _Session(scheme, trace, manifest, config, allowed, chunk_class)
+    session = _Session(scheme, trace, manifest, config, allowed)
     for i in range(manifest.n_chunks):
         session.run_chunk(i)
     session._close_stall()

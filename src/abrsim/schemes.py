@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import TYPE_CHECKING
 
 from .control import (
@@ -18,7 +17,7 @@ from .control import (
     read_value,
     require_finite,
 )
-from .media import ChunkClass, VideoManifest
+from .media import VideoManifest, classify_chunks
 
 if TYPE_CHECKING:
     from .engine import DownloadHistory
@@ -55,7 +54,6 @@ class DecisionContext:
     last_level: int | None
     allowed_levels: tuple[int, ...]
     manifest: VideoManifest
-    chunk_class: ChunkClass | None
     playing_indicator: int
     history: "DownloadHistory | None" = None
 
@@ -73,17 +71,17 @@ class AbrScheme:
     """Per-session strategy consulted once per chunk; hooks observe elapsed time."""
 
     name = "base"
-    needs_chunk_class = False
     last_u: float | None = None
+    _default_params = None  # the params dataclass of a scheme built from one
 
     @classmethod
-    def from_params(cls, raw: dict, manifest: VideoManifest, target_quality: float | None):
-        """Build from a job's raw `scheme_params`, its manifest and its quality target."""
+    def from_params(cls, raw: dict):
+        """Build from a job's raw `scheme_params`."""
         return cls(**raw)
 
     def reset(self, manifest: VideoManifest | None = None) -> None:
-        """Drop per-session state; the engine calls this with the session's
-        manifest before chunk 0."""
+        """Drop per-session state and derive what the scheme needs from the
+        session's manifest; the engine calls this before chunk 0."""
 
     def decide(self, ctx: DecisionContext) -> int:
         raise NotImplementedError
@@ -287,16 +285,12 @@ class _PidScheme(AbrScheme):
         self.reset()
 
     @classmethod
-    def from_params(cls, raw, manifest, target_quality):
-        return cls(cls._params_from(raw))
-
-    @classmethod
-    def _params_from(cls, raw: dict):
-        """The scheme's default params with `raw` applied; PidParams keys go to `pid`."""
+    def from_params(cls, raw):
+        """The scheme with its default params and `raw` applied; PidParams keys go to `pid`."""
         rest = dict(raw)
         pid_keys = {key: rest.pop(key) for key in _PID_KEYS if key in rest}
         default = cls._default_params()
-        return replace(default, pid=replace(default.pid, **pid_keys), **rest)
+        return cls(replace(default, pid=replace(default.pid, **pid_keys), **rest))
 
     def reset(self, manifest: VideoManifest | None = None) -> None:
         self.pid_state = PidState()
@@ -387,36 +381,36 @@ class Pia(_PidScheme):
         return self._argmin(ctx, u, kp, xr, 1.0, self.params.eta)
 
 
+@dataclass
+class PiaStartupParams(PiaParams):
+    """PiaParams plus the shape of the startup ramp; the ramp needs beta = 1."""
+
+    pid: PidParams = field(default_factory=PidParams)
+    alpha: float = RampSchedule.alpha
+    tau: float = RampSchedule.tau
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.pid.beta != 1.0:
+            raise ConfigError("piae requires beta = 1")
+        RampSchedule(self.alpha, self.tau)  # the ramp's own checks on alpha and tau
+
+
 class PiaStartup(Pia):
-    """Pia with ramped gain and buffer target for a faster startup phase; without a given
-    schedule, `reset` builds the default ramp for the session manifest's chunk duration."""
+    """Pia with ramped gain and buffer target for a faster startup phase; `reset`
+    builds the ramp for the session manifest's chunk duration."""
 
     name = "piae"
-    _default_params = partial(PiaParams, pid=PidParams())
-
-    def __init__(self, params: PiaParams | None = None, schedule: RampSchedule | None = None):
-        self._given_schedule = schedule
-        super().__init__(params)
-        if self.params.pid.beta != 1.0:
-            raise ConfigError("piae requires beta = 1")
-
-    @classmethod
-    def from_params(cls, raw, manifest, target_quality):
-        rest = dict(raw)
-        shape = {key: rest.pop(key) for key in ("alpha", "tau") if key in rest}
-        params = cls._params_from(rest)
-        return cls(params, cls._ramp(params, manifest.chunk_duration_s, **shape))
-
-    @staticmethod
-    def _ramp(params: PiaParams, delta: float, **shape) -> RampSchedule:
-        pid = params.pid
-        return RampSchedule(base_kp=pid.kp, base_xr=pid.target_buffer, delta=delta, **shape)
+    _default_params = PiaStartupParams
 
     def reset(self, manifest: VideoManifest | None = None) -> None:
         super().reset(manifest)
-        self.schedule = self._given_schedule
-        if self.schedule is None and manifest is not None:
-            self.schedule = self._ramp(self.params, manifest.chunk_duration_s)
+        self.schedule = None
+        if manifest is not None:
+            p = self.params
+            self.schedule = RampSchedule(
+                p.alpha, p.tau, p.pid.kp, p.pid.target_buffer, manifest.chunk_duration_s
+            )
 
     def _target(self, clock_s: float) -> float:
         if self.schedule is None:
@@ -443,6 +437,8 @@ class CavaParams:
     safe_buffer_s: float = 10.0
     base_target_buffer_s: float = 30.0
     q4_low_buffer_relief: bool = False
+    # track whose chunk sizes rank the positions; None is the middle level
+    reference_level: int | None = None
 
     def __post_init__(self) -> None:
         require_finite(ConfigError, alpha_q4=self.alpha_q4, alpha_q123=self.alpha_q123,
@@ -451,6 +447,11 @@ class CavaParams:
         for name in ("horizon", "inner_window", "outer_window", "low_level_cutoff"):
             setattr(self, name, read_value(ConfigError, name, getattr(self, name), int))
         read_value(ConfigError, "q4_low_buffer_relief", self.q4_low_buffer_relief, bool)
+        ref = self.reference_level
+        if ref is not None:
+            self.reference_level = ref = read_value(ConfigError, "reference_level", ref, int)
+            if ref < 1:
+                raise ConfigError("reference_level must be >= 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.inner_window < self.horizon:
@@ -466,15 +467,22 @@ class CavaParams:
 
 
 class Cava(_PidScheme):
-    """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets."""
+    """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets; `reset`
+    ranks the session manifest's positions into size quartiles."""
 
     name = "cava"
-    needs_chunk_class = True
     _default_params = CavaParams
 
     def reset(self, manifest: VideoManifest | None = None) -> None:
         super().reset(manifest)
         self._target_buffer = self.params.base_target_buffer_s
+        if manifest is not None:
+            n = manifest.n_levels
+            ref = self.params.reference_level or (n + 1) // 2  # the params refuse 0
+            if ref > n:
+                raise ConfigError(f"reference_level {ref} is above the manifest's top level {n}")
+            # per position: is its reference-track chunk in the top size quartile
+            self._q4 = tuple(c == 4 for c in classify_chunks(manifest, ref).classes)
 
     def _target(self, clock_s: float) -> float:
         return self._target_buffer
@@ -483,8 +491,6 @@ class Cava(_PidScheme):
         return ctx.manifest.windowed_bitrate_kbps(level, ctx.chunk_index, self.params.inner_window)
 
     def decide(self, ctx: DecisionContext) -> int:
-        if ctx.chunk_class is None:
-            raise ConfigError("cava needs a chunk classification")
         p = self.params
         kp = p.pid.kp
         xr = self._target_buffer = self._outer_target(ctx)
@@ -492,12 +498,12 @@ class Cava(_PidScheme):
         if force_max:
             return max(ctx.allowed_levels)
         i = ctx.chunk_index
-        is_q4 = ctx.chunk_class.quartile(i) == 4
+        is_q4 = self._q4[i]
         alpha = p.alpha_q4 if is_q4 else p.alpha_q123
         if is_q4 and p.q4_low_buffer_relief and ctx.buffer_s <= p.safe_buffer_s:
             alpha = 1.0
         eta = 1.0
-        if i > 0 and (ctx.chunk_class.quartile(i - 1) == 4) != is_q4:
+        if i > 0 and self._q4[i - 1] != is_q4:
             eta = 0.0  # class switch: do not penalize the level change
         level = self._argmin(ctx, u, kp, xr, alpha, eta)
         if not is_q4 and level <= p.low_level_cutoff and ctx.buffer_s > p.safe_buffer_s:
@@ -545,12 +551,6 @@ class Quad(_PidScheme):
 
     name = "quad"
     _default_params = QuadParams
-
-    @classmethod
-    def from_params(cls, raw, manifest, target_quality):
-        if target_quality is not None:
-            raw = {"target_quality": target_quality, **raw}
-        return super().from_params(raw, manifest, target_quality)
 
     def decide(self, ctx: DecisionContext) -> int:
         p = self.params
@@ -662,17 +662,15 @@ def scheme_class(name: str) -> type[AbrScheme]:
         raise ConfigError(f"unknown scheme {name!r}; choose from {choices}") from None
 
 
-def make_scheme(name: str, **kwargs) -> AbrScheme:
-    """Instantiate a registered scheme by name."""
-    return scheme_class(name)(**kwargs)
-
-
-def build_scheme(
-    name: str, raw: dict, manifest: VideoManifest, target_quality: float | None = None
-) -> AbrScheme:
-    """A registered scheme built from a job's raw `scheme_params`."""
+def build_scheme(name: str, raw: dict | None = None, *, target_quality: float | None = None,
+                 reference_level: int | None = None) -> AbrScheme:
+    """A registered scheme built from a job's raw `scheme_params`; each job-level
+    value that is set reaches the schemes whose params declare it, and `raw` wins."""
     cls = scheme_class(name)
+    declared = {f.name for f in fields(cls._default_params)} if cls._default_params else ()
+    job = {"target_quality": target_quality, "reference_level": reference_level}
+    job = {key: value for key, value in job.items() if key in declared and value is not None}
     try:
-        return cls.from_params(raw, manifest, target_quality)
+        return cls.from_params({**job, **(raw or {})})
     except (TypeError, ConfigError) as exc:
         raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .control import is_valid_gain_pair, require_finite
+from .control import is_valid_gain_pair, read_value
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
@@ -26,13 +26,13 @@ class GainGrid:
     ki_values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kp_values", tuple(float(v) for v in self.kp_values))
-        object.__setattr__(self, "ki_values", tuple(float(v) for v in self.ki_values))
-        for name, axis in (("kp", self.kp_values), ("ki", self.ki_values)):
+        for name in ("kp", "ki"):
+            key = f"{name}_values"
+            axis = tuple(read_value(ConfigError, f"each item of {key}", v, float)
+                         for v in getattr(self, key))
+            object.__setattr__(self, key, axis)
             if not axis:
                 raise ConfigError(f"{name} axis is empty")
-            for value in axis:
-                require_finite(ConfigError, **{name: value})
             if any(v <= 0.0 for v in axis):
                 raise ConfigError(f"{name} values must be positive")
             if any(b <= a for a, b in zip(axis, axis[1:])):

@@ -16,6 +16,7 @@ from abrsim import (
     BufferAwareRate,
     BufferBased,
     Cava,
+    CavaParams,
     Decision,
     DecisionContext,
     GainGrid,
@@ -30,11 +31,11 @@ from abrsim import (
     SimConfig,
     StartupRule,
     brute_force_optimal,
+    build_scheme,
     cbf_filter,
     classify_chunks,
     damping_ratio,
     is_valid_gain_pair,
-    make_scheme,
     natural_frequency,
     offline_optimal,
     qoe_score,
@@ -124,7 +125,6 @@ def test_c03_anti_windup_freeze():
             last_level=level,
             allowed_levels=allowed,
             manifest=manifest,
-            chunk_class=None,
             playing_indicator=1,
         )
         before = struct.pack("<d", scheme.pid_state.integral)
@@ -211,11 +211,11 @@ def test_c05_oracle_equivalence():
         assert dp_value == bf_value
         assert score_sequence(trace, manifest, objective, config, dp_levels) == dp_value
 
-        classes = classify_chunks(manifest, 1) if n >= 4 else None
         for name in names:
-            if name == "cava" and classes is None:
-                continue
-            log = simulate_session(make_scheme(name), trace, manifest, config, chunk_class=classes)
+            if name == "cava" and n < 4:
+                continue  # cava ranks positions into quartiles, so it needs 4 chunks
+            scheme = build_scheme(name, reference_level=1)
+            log = simulate_session(scheme, trace, manifest, config)
             online = score_sequence(
                 trace, manifest, objective, config, [d.level for d in log.decisions]
             )
@@ -317,14 +317,14 @@ def test_c08_complex_chunk_trend():
     assert len(complex_chunks) == n // 4
 
     def q4_mean_level(scheme) -> float:
-        log = simulate_session(scheme, trace, manifest, SimConfig(), chunk_class=classes)
+        log = simulate_session(scheme, trace, manifest, SimConfig())
         levels = [d.level for d in log.decisions if d.chunk in complex_chunks]
         return sum(levels) / len(levels)
 
     wins = 0
     for seed in range(10):
         trace = noisy_bandwidth(1700.0, 600.0, 140, seed=seed)
-        cava = q4_mean_level(Cava())
+        cava = q4_mean_level(Cava(CavaParams(reference_level=2)))
         wins += cava >= q4_mean_level(BufferAwareRate()) and cava >= q4_mean_level(BufferBased())
     assert wins >= 8
     _verdict(8, "complex-chunk level trend")

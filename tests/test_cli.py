@@ -380,6 +380,77 @@ def test_bad_flag_exits_2():
     assert main(["run", "--bogus"]) == 2
 
 
+def test_jobs_flag_zero_is_refused_not_dropped(workdir, capsys):
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], scheme="rb", jobs=2,
+        out_dir=str(tmp / "out"),
+    )
+    assert main(["run", "--config", str(config), "--jobs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "jobs" in err and "Traceback" not in err
+
+
+# -- cava's reference level ------------------------------------------------------
+
+
+@pytest.mark.parametrize("level", [0, 4])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cava_reference_level_outside_the_ladder_exits_2(workdir, capsys, command, level):
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], scheme="cava",
+        reference_level=level, out_dir=str(tmp / "out"),
+    )
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "reference_level" in err and "Traceback" not in err
+
+
+def test_reference_level_is_ignored_by_schemes_that_do_not_declare_it(workdir):
+    tmp, manifest, trace = workdir
+    rows = []
+    for extra in ({}, {"reference_level": 0}):
+        out = tmp / f"out{len(rows)}"
+        config = write_config(
+            tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)],
+            schemes=["rb", "pia", "quad"], target_quality=80.0, out_dir=str(out), **extra,
+        )
+        assert main(["compare", "--config", str(config)]) == 0
+        rows.append((out / "compare.csv").read_text())
+    assert rows[0] == rows[1]
+
+
+def test_cava_reference_level_reaches_compare(workdir):
+    tmp, _, trace = workdir
+    # levels 1 and 2 rank position 5 in the top quartile, level 3 position 0
+    sizes = [
+        [100000, 130000, 120000, 110000, 90000, 200000],
+        [150000, 200000, 300000, 250000, 120000, 400000],
+        [700000, 380000, 420000, 350000, 400000, 300000],
+    ]
+    tracks = [
+        {"level": lvl + 1, "declared_bitrate_kbps": 600.0 * (lvl + 1),
+         "chunks": [{"size_bytes": size} for size in row]}
+        for lvl, row in enumerate(sizes)
+    ]
+    manifest = tmp / "vbr.json"
+    manifest.write_text(json.dumps(
+        {"name": "vbr", "chunk_duration_s": 2.0, "is_vbr": True, "tracks": tracks}
+    ))
+    outputs = {}
+    for level in (None, 2, 3):
+        out = tmp / f"out{level}"
+        config = write_config(
+            tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], schemes=["cava"],
+            reference_level=level, out_dir=str(out),
+        )
+        assert main(["compare", "--config", str(config)]) == 0
+        outputs[level] = (out / "compare.csv").read_text()
+    assert outputs[None] == outputs[2]  # the middle of three levels
+    assert outputs[3] != outputs[2]
+
+
 # -- compare ---------------------------------------------------------------------
 
 
@@ -658,6 +729,34 @@ def test_gen_trace_is_reproducible(tmp_path):
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "n5.csv").read_text() == (tmp_path / "b" / "n5.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        (["--kind", "constant", "--kbps", "nan"], "kbps"),
+        (["--kind", "constant", "--kbps", "inf"], "kbps"),
+        (["--kind", "step", "--low", "nan"], "low_kbps"),
+        (["--kind", "step", "--high", "inf"], "high_kbps"),
+        (["--kind", "step", "--switch-at", "nan"], "switch_at_s"),
+        (["--kind", "square-wave", "--period", "nan"], "period_s"),
+        (["--kind", "square-wave", "--period", "inf"], "period_s"),
+        (["--kind", "square-wave", "--high", "inf"], "high_kbps"),
+        (["--kind", "noisy", "--seed", "1", "--mean", "nan"], "mean_kbps"),
+        (["--kind", "noisy", "--seed", "1", "--spread", "inf"], "spread_kbps"),
+        (["--kind", "noisy", "--seed", "1", "--spread", "nan"], "spread_kbps"),
+    ],
+    ids=[
+        "constant-kbps-nan", "constant-kbps-inf", "step-low-nan", "step-high-inf",
+        "step-switch-nan", "square-period-nan", "square-period-inf", "square-high-inf",
+        "noisy-mean-nan", "noisy-spread-inf", "noisy-spread-nan",
+    ],
+)
+def test_gen_trace_non_finite_values_exit_2(tmp_path, capsys, args, name):
+    assert main(["gen-trace", *args, "--seconds", "10", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "finite" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_trace_bad_params_exit_2(tmp_path):

@@ -31,7 +31,7 @@ from abrsim.engine import (
     _Session,
     simulate_session,
 )
-from abrsim.media import BandwidthTrace, classify_chunks
+from abrsim.media import BandwidthTrace
 from abrsim.schemes import DecisionContext, build_scheme
 
 
@@ -82,7 +82,7 @@ class _ReferenceState:
 class _ReferenceSession:
     """`engine._Session` as first written: a method call per regime, interval and event."""
 
-    def __init__(self, scheme, trace, manifest, config, allowed, chunk_class):
+    def __init__(self, scheme, trace, manifest, config, allowed):
         self.scheme = scheme
         self.trace = trace
         self.manifest = manifest
@@ -102,7 +102,6 @@ class _ReferenceSession:
         self._stall_acc = 0.0
         self.startup_latency: float | None = None
         self.decisions: list[Decision] = []
-        self.chunk_class = chunk_class
         if config.startup.kind == "latency" and config.startup.value == 0.0:
             self._enable_playback(0.0)
 
@@ -276,7 +275,6 @@ class _ReferenceSession:
             last_level=self.st.last_level,
             allowed_levels=allowed,
             manifest=self.manifest,
-            chunk_class=self.chunk_class,
             playing_indicator=int(self.st.playing and self.st.buffer >= self.delta),
             history=self.history,
         )
@@ -332,7 +330,6 @@ def _reference_simulate(
     manifest: VideoManifest,
     config: SimConfig,
     allowed_levels=None,
-    chunk_class=None,
 ) -> SessionLog:
     """`engine.simulate_session` as first written, over `_ReferenceSession`."""
     delta = manifest.chunk_duration_s
@@ -343,8 +340,8 @@ def _reference_simulate(
     if config.first_chunk_level is not None and not 1 <= config.first_chunk_level <= manifest.n_levels:
         raise ConfigError("first_chunk_level outside manifest levels")
     allowed = _normalize_allowed(manifest, allowed_levels)
-    scheme.reset()
-    session = _ReferenceSession(scheme, trace, manifest, config, allowed, chunk_class)
+    scheme.reset(manifest)
+    session = _ReferenceSession(scheme, trace, manifest, config, allowed)
     for i in range(manifest.n_chunks):
         session.run_chunk(i)
     session._close_stall()
@@ -454,14 +451,14 @@ def _sessions(draw):
             draw(st.lists(st.sampled_from(manifest.levels), min_size=1, unique=True))
             for _ in range(manifest.n_chunks)
         ]
-    chunk_class = classify_chunks(manifest, 1) if name == "cava" else None
-    return name, trace, manifest, config, allowed, chunk_class
+    return name, trace, manifest, config, allowed
 
 
-def _outcome(run, name, trace, manifest, config, allowed, chunk_class):
-    scheme = build_scheme(name, {"horizon": 3} if "mpc" in name else {}, manifest, 80.0)
+def _outcome(run, name, trace, manifest, config, allowed):
+    raw = {"horizon": 3} if "mpc" in name else {}
+    scheme = build_scheme(name, raw, target_quality=80.0, reference_level=1)
     try:
-        return run(scheme, trace, manifest, config, allowed, chunk_class)
+        return run(scheme, trace, manifest, config, allowed)
     except SimulationError as exc:
         return SimulationError, str(exc)
 
@@ -473,7 +470,6 @@ _STARTUP_MID_DOWNLOAD = (
     BandwidthTrace("one", (1000.0,)),
     cbr_manifest((800, 1600), duration_s=1.0, n_chunks=2),
     SimConfig(startup=StartupRule("latency", 0.5), rtt_s=0.0),
-    None,
     None,
 )
 
@@ -489,7 +485,6 @@ _STARTUP_AT_THE_GATE = (
         startup=StartupRule("latency", 2.0), max_buffer_s=1.5, rtt_s=0.0, first_chunk_level=2
     ),
     None,
-    None,
 )
 
 
@@ -503,10 +498,9 @@ def test_walk_matches_reference_walk(session):
 
 
 def test_startup_at_the_gate_example_starts_playback_in_the_precheck():
-    name, trace, manifest, config, allowed, chunk_class = _STARTUP_AT_THE_GATE
-    scheme = build_scheme(name, {}, manifest)
+    name, trace, manifest, config, allowed = _STARTUP_AT_THE_GATE
     session = _Session(
-        scheme, trace, manifest, config, _normalize_allowed(manifest, allowed), chunk_class
+        build_scheme(name), trace, manifest, config, _normalize_allowed(manifest, allowed)
     )
     session.run_chunk(0)
     session.run_chunk(1)

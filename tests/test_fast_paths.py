@@ -49,6 +49,7 @@ from abrsim.schemes import (
     Pia,
     PiaParams,
     PiaStartup,
+    PiaStartupParams,
     QuadParams,
     RobustMpc,
 )
@@ -171,7 +172,6 @@ def _ctx(manifest, *, chunk_index, buffer_s, est_kbps, last_level, allowed, hist
         last_level=last_level,
         allowed_levels=tuple(allowed),
         manifest=manifest,
-        chunk_class=None,
         playing_indicator=1,
         history=history,
     )
@@ -461,7 +461,7 @@ def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
 # The `pid` defaults of pia, piae, cava and quad, and two off-default gain sets.
 _PID_PARAMS = (
     PiaParams().pid,
-    PiaStartup._default_params().pid,
+    PiaStartupParams().pid,
     CavaParams().pid,
     QuadParams().pid,
     PidParams(kp=0.05, ki=1e-3, beta=0.5, epsilon=0.25, target_buffer=8.0),
@@ -478,7 +478,7 @@ def _pid_scheme(kind, pid, horizon):
     if kind == "pia":
         return Pia(PiaParams(pid=pid, horizon=horizon))
     if kind == "piae":
-        return PiaStartup(PiaParams(pid=replace(pid, beta=1.0), horizon=horizon))
+        return PiaStartup(PiaStartupParams(pid=replace(pid, beta=1.0), horizon=horizon))
     return Cava(CavaParams(pid=pid, horizon=horizon, inner_window=max(10, horizon)))
 
 
@@ -503,7 +503,6 @@ def _argmin_cases(draw):
         last_level=draw(st.none() | st.sampled_from(manifest.levels)),
         allowed_levels=tuple(allowed),
         manifest=manifest,
-        chunk_class=None,
         playing_indicator=draw(st.sampled_from((0, 1))),
     )
     pid = scheme.params.pid

@@ -23,8 +23,7 @@ from abrsim import (
     SCHEMES,
     OfflineObjective,
     SimConfig,
-    classify_chunks,
-    make_scheme,
+    build_scheme,
     offline_optimal,
     simulate_session,
 )
@@ -179,12 +178,7 @@ GOLDEN_ORACLE = {
 def session_csv(scheme_name: str, manifest_key: str, trace_key: str) -> str:
     manifest = MANIFESTS[manifest_key]()
     trace = TRACES[trace_key]()
-    chunk_class = None
-    if scheme_name == "cava":
-        chunk_class = classify_chunks(manifest, (manifest.n_levels + 1) // 2)
-    log = simulate_session(
-        make_scheme(scheme_name), trace, manifest, SimConfig(), chunk_class=chunk_class
-    )
+    log = simulate_session(build_scheme(scheme_name), trace, manifest, SimConfig())
     return log.to_csv()
 
 

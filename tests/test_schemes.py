@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from abrsim.schemes import (
     Pia,
     PiaParams,
     PiaStartup,
+    PiaStartupParams,
     Quad,
     QuadParams,
     RateBased,
@@ -31,7 +34,6 @@ from abrsim.schemes import (
     allowed_from_filter,
     build_scheme,
     cbf_filter,
-    make_scheme,
     tbf_filter,
 )
 
@@ -47,7 +49,6 @@ def ctx_for(
     est_kbps=1000.0,
     last_level=None,
     allowed=None,
-    chunk_class=None,
     playing=1,
     history=None,
 ):
@@ -59,7 +60,6 @@ def ctx_for(
         last_level=last_level,
         allowed_levels=tuple(allowed) if allowed is not None else manifest.levels,
         manifest=manifest,
-        chunk_class=chunk_class,
         playing_indicator=playing,
         history=history,
     )
@@ -418,7 +418,7 @@ def _pia_oracle(ctx, params, integral0, kp=None, xr=None):
 class TestPiaStartup:
     def test_requires_unit_beta(self):
         with pytest.raises(ConfigError):
-            PiaStartup(PiaParams(pid=PidParams(beta=0.2)))
+            PiaStartupParams(pid=PidParams(beta=0.2))
 
     def test_defaults(self):
         scheme = PiaStartup()
@@ -432,7 +432,7 @@ class TestPiaStartup:
 
     def test_start_targets_two_chunks(self):
         # t=0: x_r = 2*delta = 4, kp = 4*base; x = 4 -> u = 1 exactly
-        scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0))
+        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
         scheme.reset(PIA_LADDER)
         ctx = ctx_for(PIA_LADDER, clock_s=0.0, buffer_s=4.0, est_kbps=1000.0)
         assert scheme.decide(ctx) == 2
@@ -442,7 +442,7 @@ class TestPiaStartup:
         assert plain.decide(ctx) == 1
 
     def test_midpoint_ramp_values(self):
-        scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0))
+        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
         scheme.reset(PIA_LADDER)  # build schedule
         ctx = ctx_for(PIA_LADDER, clock_s=150.0, buffer_s=30.0, est_kbps=1000.0)
         scheme.decide(ctx)
@@ -450,14 +450,16 @@ class TestPiaStartup:
         assert scheme.last_u == 1.0
 
     def test_explicit_schedule_floor(self):
-        sched = RampSchedule(base_kp=DEFAULT_KP, base_xr=60.0, delta=5.0)
-        scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0), schedule=sched)
-        ctx = ctx_for(PIA_LADDER, clock_s=0.0, buffer_s=10.0, est_kbps=1000.0)
+        # the floor follows the session manifest's chunk duration
+        ladder = cbr_manifest([500, 1000], duration_s=5.0, n_chunks=4)
+        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
+        scheme.reset(ladder)
+        ctx = ctx_for(ladder, clock_s=0.0, buffer_s=10.0, est_kbps=1000.0)
         scheme.decide(ctx)
         assert scheme.last_u == 1.0  # x_r(0) = 2*5 = 10 matches the buffer
 
     def test_integral_tracks_ramp_target(self):
-        scheme = PiaStartup(PiaParams(pid=PidParams(), horizon=1, eta=0.0))
+        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
         scheme.reset(PIA_LADDER)
         scheme.observe_interval(0.0, 1.0, 0.0)
         assert scheme.pid_state.integral == 4.0  # target 2*delta at t=0
@@ -466,7 +468,7 @@ class TestPiaStartup:
 
     def test_matches_pia_after_ramp(self):
         for clock in (300.0 + 1e-9, 301.0, 1e4):
-            piae = PiaStartup(PiaParams(pid=PidParams(), horizon=3, eta=1.0))
+            piae = PiaStartup(PiaStartupParams(horizon=3, eta=1.0))
             piae.reset(PIA_LADDER)
             pia = Pia(PiaParams(pid=PidParams(), horizon=3, eta=1.0))
             piae.pid_state.integral = 1234.5
@@ -496,13 +498,17 @@ def cava_vbr(ref_sizes, lo_size=175000, hi_size=250000):
 CAVA_M1 = cava_vbr([150000, 200000, 300000, 350000])
 # same sizes permuted: position 1 becomes Q4, position 2 stays Q3
 CAVA_M2 = cava_vbr([150000, 350000, 300000, 200000])
-CLASS_M1 = classify_chunks(CAVA_M1, 2)
-CLASS_M2 = classify_chunks(CAVA_M2, 2)
 
 
-def cava_n1(**kw):
-    params = CavaParams(horizon=1, inner_window=1, **kw)
-    return Cava(params)
+def cava_for(manifest, **kw):
+    """A cava reset for `manifest`, ranking positions by level 2's chunk sizes."""
+    scheme = Cava(CavaParams(reference_level=2, **kw))
+    scheme.reset(manifest)
+    return scheme
+
+
+def cava_n1(manifest, **kw):
+    return cava_for(manifest, horizon=1, inner_window=1, **kw)
 
 
 def integral_for_unit_u(buffer_s, target_s=30.0):
@@ -511,27 +517,23 @@ def integral_for_unit_u(buffer_s, target_s=30.0):
 
 
 class TestCava:
-    def test_requires_classification(self):
-        with pytest.raises(ConfigError):
-            cava_n1().decide(ctx_for(CAVA_M1, buffer_s=8.0))
-
     def test_quartile_drives_bandwidth_scaling(self):
         # same state, different position: Q1 deflates (alpha 0.8 -> target 720),
         # Q4 inflates (alpha 1.1 -> target 990); per-chunk rates 700/600|1400/1000
         i0 = integral_for_unit_u(8.0)
-        q1 = cava_n1()
+        q1 = cava_n1(CAVA_M1)
         q1.pid_state.integral = i0
-        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=8.0, est_kbps=900.0, chunk_class=CLASS_M1)
+        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=8.0, est_kbps=900.0)
         assert q1.decide(ctx) == 1
-        q4 = cava_n1()
+        q4 = cava_n1(CAVA_M1)
         q4.pid_state.integral = i0
-        ctx = ctx_for(CAVA_M1, chunk_index=3, buffer_s=8.0, est_kbps=900.0, chunk_class=CLASS_M1)
+        ctx = ctx_for(CAVA_M1, chunk_index=3, buffer_s=8.0, est_kbps=900.0)
         assert q4.decide(ctx) == 3
 
     def test_low_level_exception_reinflates(self):
         # Q1 argmin under deflation is level 1, buffer 30 > 10 -> redo with alpha=1
-        scheme = cava_n1()
-        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=30.0, est_kbps=900.0, chunk_class=CLASS_M1)
+        scheme = cava_n1(CAVA_M1)
+        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=30.0, est_kbps=900.0)
         assert scheme.decide(ctx) == 3
         assert scheme.last_u == 1.0
 
@@ -539,78 +541,83 @@ class TestCava:
         # position 2 is Q3 in both manifests and tracking costs are identical;
         # only the previous position's class differs (Q2 vs Q4)
         i0 = integral_for_unit_u(8.0)
-        on = cava_n1()
+        on = cava_n1(CAVA_M1)
         on.pid_state.integral = i0
-        ctx = ctx_for(
-            CAVA_M1, chunk_index=2, buffer_s=8.0, est_kbps=900.0,
-            last_level=3, chunk_class=CLASS_M1,
-        )
+        ctx = ctx_for(CAVA_M1, chunk_index=2, buffer_s=8.0, est_kbps=900.0, last_level=3)
         assert on.decide(ctx) == 3  # change penalty active, keep the 1000 kbps track
-        off = cava_n1()
+        off = cava_n1(CAVA_M2)
         off.pid_state.integral = i0
-        ctx = ctx_for(
-            CAVA_M2, chunk_index=2, buffer_s=8.0, est_kbps=900.0,
-            last_level=3, chunk_class=CLASS_M2,
-        )
+        ctx = ctx_for(CAVA_M2, chunk_index=2, buffer_s=8.0, est_kbps=900.0, last_level=3)
         assert off.decide(ctx) == 1  # penalty off, pure tracking wins
+
+    def test_reference_level_defaults_to_the_middle_level(self):
+        # level 2 puts position 3 in Q4, levels 1, 3 and 4 put position 0 there
+        other, middle = [400000, 200000, 300000, 100000], [150000, 200000, 300000, 350000]
+        m = vbr_manifest([other, middle, other, other])
+        quartile_4 = {level: tuple(c == 4 for c in classify_chunks(m, level).classes)
+                      for level in (2, 3)}
+        assert quartile_4[2] != quartile_4[3]
+        for params, level in ((CavaParams(), 2), (CavaParams(reference_level=3), 3)):
+            scheme = Cava(params)
+            scheme.reset(m)
+            assert scheme._q4 == quartile_4[level]
+
+    @pytest.mark.parametrize("level", [0, -1, 1.5, True])
+    def test_reference_level_must_be_a_level(self, level):
+        with pytest.raises(ConfigError, match="reference_level"):
+            CavaParams(reference_level=level)
+
+    def test_reference_level_above_the_ladder_is_refused_at_reset(self):
+        scheme = Cava(CavaParams(reference_level=4))
+        with pytest.raises(ConfigError, match="reference_level 4"):
+            scheme.reset(CAVA_M1)
 
     def test_q4_low_buffer_relief_flag(self):
         m = vbr_manifest(
             [[230000] * 4, [150000, 200000, 300000, 350000], [252500] * 4]
         )
-        cls = classify_chunks(m, 2)
         i0 = integral_for_unit_u(8.0)
-        ctx = ctx_for(m, chunk_index=3, buffer_s=8.0, est_kbps=900.0, chunk_class=cls)
-        off = cava_n1()
+        ctx = ctx_for(m, chunk_index=3, buffer_s=8.0, est_kbps=900.0)
+        off = cava_n1(m)
         off.pid_state.integral = i0
         assert off.decide(ctx) == 3  # target 990 -> 1010-rate track
-        relief = cava_n1(q4_low_buffer_relief=True)
+        relief = cava_n1(m, q4_low_buffer_relief=True)
         relief.pid_state.integral = i0
         assert relief.decide(ctx) == 1  # target 900 -> 920-rate track
 
     def test_outer_target_follows_upcoming_window(self):
         # last level 2 at position 2: next-2 window 1300 vs track avg 1000
-        scheme = Cava(CavaParams(horizon=1, inner_window=1, outer_window=2))
-        ctx = ctx_for(
-            CAVA_M1, chunk_index=2, buffer_s=39.0, est_kbps=900.0,
-            last_level=2, chunk_class=CLASS_M1,
-        )
+        scheme = cava_n1(CAVA_M1, outer_window=2)
+        ctx = ctx_for(CAVA_M1, chunk_index=2, buffer_s=39.0, est_kbps=900.0, last_level=2)
         scheme.decide(ctx)
         assert scheme.last_u == pytest.approx(1.0, abs=1e-12)  # x_r = 30*1.3 = 39
 
     def test_outer_target_clamps(self):
         # ratio below 1 clamps to the base target
-        scheme = Cava(CavaParams(horizon=1, inner_window=1, outer_window=2))
-        ctx = ctx_for(
-            CAVA_M1, chunk_index=0, buffer_s=30.0, est_kbps=900.0,
-            last_level=2, chunk_class=CLASS_M1,
-        )
+        scheme = cava_n1(CAVA_M1, outer_window=2)
+        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=30.0, est_kbps=900.0, last_level=2)
         scheme.decide(ctx)
         assert scheme.last_u == pytest.approx(1.0, abs=1e-12)
         # ratio 2.8 clamps to 2x
         m = vbr_manifest(
             [[100000] * 4, [100000, 100000, 100000, 700000], [700000] * 4]
         )
-        cls = classify_chunks(m, 2)
-        scheme = Cava(CavaParams(horizon=1, inner_window=1, outer_window=1))
-        ctx = ctx_for(m, chunk_index=3, buffer_s=60.0, est_kbps=900.0,
-                      last_level=2, chunk_class=cls)
+        scheme = cava_n1(m, outer_window=1)
+        ctx = ctx_for(m, chunk_index=3, buffer_s=60.0, est_kbps=900.0, last_level=2)
         scheme.decide(ctx)
         assert scheme.last_u == pytest.approx(1.0, abs=1e-12)  # x_r = 60
 
     def test_outer_target_without_history_is_base(self):
-        scheme = cava_n1()
-        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=30.0, est_kbps=900.0,
-                      chunk_class=CLASS_M1)
+        scheme = cava_n1(CAVA_M1)
+        ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=30.0, est_kbps=900.0)
         scheme.decide(ctx)
         assert scheme.last_u == 1.0  # x_r = base 30 and x = 30
 
     def test_integral_tracks_current_target(self):
-        scheme = Cava(CavaParams(horizon=1, inner_window=1, outer_window=2))
+        scheme = cava_n1(CAVA_M1, outer_window=2)
         scheme.observe_interval(0.0, 1.0, 10.0)
         assert scheme.pid_state.integral == 20.0  # base target 30 before any decide
-        ctx = ctx_for(CAVA_M1, chunk_index=2, buffer_s=39.0, est_kbps=900.0,
-                      last_level=2, chunk_class=CLASS_M1)
+        ctx = ctx_for(CAVA_M1, chunk_index=2, buffer_s=39.0, est_kbps=900.0, last_level=2)
         scheme.decide(ctx)
         before = scheme.pid_state.integral
         scheme.observe_interval(1.0, 1.0, 10.0)
@@ -634,11 +641,10 @@ class TestCava:
     )
     @settings(max_examples=40)
     def test_decides_within_allowed(self, buf, est, idx, last):
-        scheme = Cava(CavaParams(horizon=2, inner_window=2))
+        scheme = cava_for(CAVA_M1, horizon=2, inner_window=2)
         if last is not None and idx == 0:
             idx = 1
-        ctx = ctx_for(CAVA_M1, chunk_index=idx, buffer_s=buf, est_kbps=est,
-                      last_level=last, chunk_class=CLASS_M1)
+        ctx = ctx_for(CAVA_M1, chunk_index=idx, buffer_s=buf, est_kbps=est, last_level=last)
         assert scheme.decide(ctx) in ctx.allowed_levels
 
 
@@ -867,21 +873,19 @@ class TestRegistry:
             "rb", "bba0", "rba", "mpc", "robustmpc", "pia", "piae", "cava", "quad",
         }
 
+    # the cases of the former `make_scheme`, through `build_scheme`
     def test_make_scheme_builds_each(self):
         for name in SCHEMES:
-            scheme = make_scheme(name)
+            scheme = build_scheme(name)
             assert scheme.name == name
 
     def test_make_scheme_rejects_unknown(self):
         with pytest.raises(ConfigError):
-            make_scheme("bola")
+            build_scheme("bola")
 
     def test_make_scheme_passes_params(self):
-        scheme = make_scheme("pia", params=PiaParams(horizon=3))
+        scheme = build_scheme("pia", {"horizon": 3})
         assert scheme.params.horizon == 3
-
-    def test_only_cava_needs_a_chunk_classification(self):
-        assert {name for name, cls in SCHEMES.items() if cls.needs_chunk_class} == {"cava"}
 
 
 # ------------------------------------------------------- building from params
@@ -962,36 +966,47 @@ class TestWholeNumberParams:
 
 class TestBuildScheme:
     def test_pid_keys_apply_over_the_schemes_own_default(self):
-        pia = build_scheme("pia", {"kp": 0.006, "horizon": 3}, LADDER5)
+        pia = build_scheme("pia", {"kp": 0.006, "horizon": 3})
         assert pia.params == PiaParams(pid=PidParams(kp=0.006, beta=0.2), horizon=3)
-        piae = build_scheme("piae", {"ki": 2e-05}, LADDER5)
+        piae = build_scheme("piae", {"ki": 2e-05})
         assert piae.params.pid == PidParams(ki=2e-05)
-        cava = build_scheme("cava", {"beta": 0.5, "outer_window": 4}, LADDER5)
+        cava = build_scheme("cava", {"beta": 0.5, "outer_window": 4})
         assert cava.params == CavaParams(pid=PidParams(beta=0.5), outer_window=4)
 
     def test_piae_ramp_comes_from_params_and_manifest(self):
         m = cbr_manifest([500, 1000], duration_s=4.0, n_chunks=6)
-        scheme = build_scheme("piae", {"alpha": 3.0, "tau": 120.0, "target_buffer": 40.0}, m)
+        scheme = build_scheme("piae", {"alpha": 3.0, "tau": 120.0, "target_buffer": 40.0})
+        scheme.reset(m)
         assert scheme.schedule == RampSchedule(
             alpha=3.0, tau=120.0, base_kp=DEFAULT_KP, base_xr=40.0, delta=4.0
         )
 
     def test_quad_falls_back_to_the_config_target(self):
-        assert build_scheme("quad", {}, QUAD_M, 70.0).params.target_quality == 70.0
-        own = build_scheme("quad", {"target_quality": 90.0}, QUAD_M, 70.0)
+        assert build_scheme("quad", target_quality=70.0).params.target_quality == 70.0
+        own = build_scheme("quad", {"target_quality": 90.0}, target_quality=70.0)
         assert own.params.target_quality == 90.0
-        assert build_scheme("quad", {}, QUAD_M).params == QuadParams()
+        assert build_scheme("quad").params == QuadParams()
+
+    def test_job_values_reach_only_the_schemes_that_declare_them(self):
+        assert build_scheme("cava", reference_level=3).params.reference_level == 3
+        own = build_scheme("cava", {"reference_level": 1}, reference_level=3)
+        assert own.params.reference_level == 1
+        assert build_scheme("cava").params.reference_level is None
+        # ignored where undeclared, as target_quality is for rb
+        for name in ("rb", "pia", "piae", "quad"):
+            assert build_scheme(name, reference_level=0).name == name
+        assert build_scheme("rb", target_quality=70.0).name == "rb"
 
     def test_plain_schemes_take_their_constructor_keywords(self):
-        scheme = build_scheme("bba0", {"theta_low_s": 5.0, "theta_high_s": 40.0}, LADDER5)
+        scheme = build_scheme("bba0", {"theta_low_s": 5.0, "theta_high_s": 40.0})
         assert (scheme.theta_low_s, scheme.theta_high_s) == (5.0, 40.0)
-        assert build_scheme("mpc", {"horizon": 3}, LADDER5).horizon == 3
+        assert build_scheme("mpc", {"horizon": 3}).horizon == 3
 
     def test_robust_mpc_is_its_own_scheme(self):
-        assert build_scheme("robustmpc", {}, LADDER5).robust is True
-        assert build_scheme("mpc", {}, LADDER5).robust is False
+        assert build_scheme("robustmpc", {}).robust is True
+        assert build_scheme("mpc", {}).robust is False
         with pytest.raises(ConfigError, match="robust"):
-            build_scheme("mpc", {"robust": True}, LADDER5)
+            build_scheme("mpc", {"robust": True})
 
     @pytest.mark.parametrize(
         "name,raw",
@@ -1000,19 +1015,20 @@ class TestBuildScheme:
             ("pia", {"kd": 0.1}),
             ("pia", {"horizon": "abc"}),
             ("rb", {"horizon": 3}),
+            ("cava", {"reference_level": 0}),
         ],
     )
     def test_bad_parameters_are_config_errors(self, name, raw):
         with pytest.raises(ConfigError, match=f"scheme {name!r}"):
-            build_scheme(name, raw, LADDER5)
+            build_scheme(name, raw)
 
     def test_non_numeric_ramp_is_a_typed_error(self):
         with pytest.raises(ControlError, match="alpha"):
-            build_scheme("piae", {"alpha": "abc"}, LADDER5)
+            build_scheme("piae", {"alpha": "abc"})
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigError, match="unknown scheme 'bola'"):
-            build_scheme("bola", {}, LADDER5)
+            build_scheme("bola", {})
 
 
 # ------------------------------------------------------- engine integration
@@ -1027,10 +1043,7 @@ class TestEngineIntegration:
     def test_every_scheme_completes_a_session(self, name):
         trace = constant_trace(3000.0, 60)
         config = SimConfig(startup=StartupRule("latency", 0.0))
-        log = simulate_session(
-            make_scheme(name), trace, SMOKE_M, config,
-            chunk_class=classify_chunks(SMOKE_M, 2),
-        )
+        log = simulate_session(build_scheme(name, reference_level=2), trace, SMOKE_M, config)
         assert len(log.decisions) == 5
         assert all(1 <= d.level <= 3 for d in log.decisions)
         assert log.scheme_name == name
@@ -1049,11 +1062,10 @@ class TestEngineIntegration:
     def test_reused_instance_starts_each_session_fresh(self, name, first_level):
         trace = constant_trace(900.0, 60)
         config = SimConfig(startup=StartupRule("latency", 0.0), first_chunk_level=first_level)
-        chunk_class = classify_chunks(SMOKE_M, 2)
-        scheme = make_scheme(name)
-        first = simulate_session(scheme, trace, SMOKE_M, config, chunk_class=chunk_class)
+        scheme = build_scheme(name, reference_level=2)
+        first = simulate_session(scheme, trace, SMOKE_M, config)
         evals = scheme.eval_count
-        second = simulate_session(scheme, trace, SMOKE_M, config, chunk_class=chunk_class)
+        second = simulate_session(scheme, trace, SMOKE_M, config)
         assert second.to_csv() == first.to_csv()
         assert scheme.eval_count == 2 * evals  # a cumulative counter, not session state
 
@@ -1063,9 +1075,32 @@ class TestEngineIntegration:
         m = cbr_manifest((300, 750, 1200, 1850, 2850, 4300), n_chunks=100)
         trace = noisy_bandwidth(2000.0, 1500.0, 300, seed=3)
         config = SimConfig(first_chunk_level=1)
-        built = simulate_session(build_scheme("piae", {}, m), trace, m, config)
-        assert simulate_session(make_scheme("piae"), trace, m, config) == built
+        built = simulate_session(build_scheme("piae"), trace, m, config)
         assert simulate_session(PiaStartup(), trace, m, config) == built
+
+    def test_built_piae_follows_each_sessions_chunk_duration(self):
+        # A built instance reused on the same ladder at 2 s and then 4 s chunks
+        # ramps from each session's own floor, as a fresh PiaStartup does.
+        rates = (300, 750, 1200, 1850, 2850, 4300)
+        trace = noisy_bandwidth(2000.0, 1500.0, 300, seed=3)
+        scheme = build_scheme("piae")
+        for delta in (2.0, 4.0):
+            m = cbr_manifest(rates, duration_s=delta, n_chunks=60)
+            got = simulate_session(scheme, trace, m, SimConfig())
+            assert scheme.schedule.delta == delta
+            assert got == simulate_session(PiaStartup(), trace, m, SimConfig())
+
+    def test_reused_cava_classifies_each_sessions_manifest(self):
+        # 40 and then 24 chunks: the instance ranks each manifest's own positions
+        rng = random.Random(11)
+        trace = noisy_bandwidth(1700.0, 600.0, 200, seed=4)
+        scheme = build_scheme("cava", reference_level=1)
+        for n in (40, 24):
+            factors = [rng.uniform(0.55, 1.7) for _ in range(n)]
+            sizes = [[round(rate * 250 * f) for f in factors] for rate in (400, 900, 1600, 2600)]
+            m = vbr_manifest(sizes, duration_s=2.0)
+            fresh = simulate_session(build_scheme("cava", reference_level=1), trace, m, SimConfig())
+            assert simulate_session(scheme, trace, m, SimConfig()) == fresh
 
     def test_cbf_filter_restricts_session_levels(self):
         trace = constant_trace(5000.0, 60)

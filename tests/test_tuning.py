@@ -58,6 +58,21 @@ def test_grid_values_must_be_finite(axes):
         GainGrid(**axes)
 
 
+@pytest.mark.parametrize(
+    "axes,name",
+    [
+        (dict(kp_values=("abc",), ki_values=(3.6e-5,)), "kp_values"),
+        (dict(kp_values=(0.0088,), ki_values=(3.6e-5, "x")), "ki_values"),
+        (dict(kp_values=(True,), ki_values=(3.6e-5,)), "kp_values"),
+        (dict(kp_values=(0.0088,), ki_values=(False, 3.6e-5)), "ki_values"),
+    ],
+    ids=["kp-text", "ki-text", "kp-bool", "ki-bool"],
+)
+def test_grid_values_must_be_numbers(axes, name):
+    with pytest.raises(ConfigError, match=f"each item of {name} must be a finite number"):
+        GainGrid(**axes)
+
+
 def test_grid_needs_one_valid_cell():
     # zeta = kp / (2 sqrt(ki)); these pairs sit far outside [0.6, 0.8].
     with pytest.raises(ConfigError):
