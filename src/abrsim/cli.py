@@ -40,6 +40,7 @@ from .metrics import (
     session_metrics,
 )
 from .schemes import (
+    FILTER_KINDS,
     AbrScheme,
     ConfigError,
     FilterSpec,
@@ -50,18 +51,26 @@ from .schemes import (
 from .tuning import GainGrid, extract_region, sweep_gains
 
 _MIN_NOISY_KBPS = 50.0
+_MAX_TRACE_SECONDS = 7 * 24 * 3600  # one week of 1 Hz samples
 
 
 # ------------------------------------------------------------ synthetic traces
 
 
+def _check_seconds(seconds) -> None:
+    """Refuse a generated trace's length unless it is finite and from one second
+    to one week, before any sample is made."""
+    require_finite(ConfigError, seconds=seconds)
+    if not 1 <= seconds <= _MAX_TRACE_SECONDS:
+        raise ConfigError(f"trace needs 1 s to one week ({_MAX_TRACE_SECONDS} s), got {seconds:g}")
+
+
 def constant_bandwidth(kbps: float, seconds: int, name: str | None = None) -> BandwidthTrace:
     """Flat link at `kbps` for `seconds` seconds."""
-    require_finite(ConfigError, kbps=kbps, seconds=seconds)
+    _check_seconds(seconds)
+    require_finite(ConfigError, kbps=kbps)
     if kbps <= 0:
         raise ConfigError("bandwidth must be positive")
-    if seconds < 1:
-        raise ConfigError("trace needs at least one second")
     return BandwidthTrace(name or f"const-{kbps:g}", (float(kbps),) * int(seconds))
 
 
@@ -69,12 +78,10 @@ def step_bandwidth(
     low_kbps: float, high_kbps: float, switch_at_s: float, seconds: int, name: str | None = None
 ) -> BandwidthTrace:
     """Single step from `low_kbps` to `high_kbps` at `switch_at_s`."""
-    require_finite(ConfigError, low_kbps=low_kbps, high_kbps=high_kbps, switch_at_s=switch_at_s,
-                   seconds=seconds)
+    _check_seconds(seconds)
+    require_finite(ConfigError, low_kbps=low_kbps, high_kbps=high_kbps, switch_at_s=switch_at_s)
     if low_kbps <= 0 or high_kbps <= 0:
         raise ConfigError("bandwidth must be positive")
-    if seconds < 1:
-        raise ConfigError("trace needs at least one second")
     if not 0 <= switch_at_s <= seconds:
         raise ConfigError("switch time must fall inside the trace")
     samples = tuple(
@@ -92,14 +99,12 @@ def square_wave(
     name: str | None = None,
 ) -> BandwidthTrace:
     """Alternating high/low link; a seed adds phase offset and per-cycle jitter."""
-    require_finite(ConfigError, low_kbps=low_kbps, high_kbps=high_kbps, period_s=period_s,
-                   seconds=seconds)
+    _check_seconds(seconds)
+    require_finite(ConfigError, low_kbps=low_kbps, high_kbps=high_kbps, period_s=period_s)
     if not 0 < low_kbps <= high_kbps:
         raise ConfigError("need 0 < low <= high")
     if period_s < 2:
         raise ConfigError("period must be at least 2 s")
-    if seconds < 1:
-        raise ConfigError("trace needs at least one second")
     rng = random.Random(seed)
     phase = rng.uniform(0.0, period_s) if seed is not None else 0.0
     half = period_s / 2.0
@@ -125,13 +130,12 @@ def noisy_bandwidth(
     mean_kbps: float, spread_kbps: float, seconds: int, seed: int, name: str | None = None
 ) -> BandwidthTrace:
     """Uniform noise in [mean - spread, mean + spread], floored away from zero."""
-    require_finite(ConfigError, mean_kbps=mean_kbps, spread_kbps=spread_kbps, seconds=seconds)
+    _check_seconds(seconds)
+    require_finite(ConfigError, mean_kbps=mean_kbps, spread_kbps=spread_kbps)
     if mean_kbps <= 0:
         raise ConfigError("mean bandwidth must be positive")
     if spread_kbps < 0:
         raise ConfigError("spread must be >= 0")
-    if seconds < 1:
-        raise ConfigError("trace needs at least one second")
     if seed is None:
         raise ConfigError("noisy traces need a seed")
     rng = random.Random(seed)
@@ -233,6 +237,10 @@ class RunConfig:
             raise ConfigError("runs are always deterministic; the flag cannot be disabled")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.filter_kind not in FILTER_KINDS:
+            raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
+        for name in (self.scheme, *self.schemes):
+            scheme_class(name)
         require_finite(ConfigError, gamma=self.gamma)
         if self.target_quality is not None:
             require_finite(ConfigError, target_quality=self.target_quality)
@@ -374,18 +382,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_cell(task):
-    index, name, trace, manifest, config, allowed = task
-    scheme = build_scheme(name, target_quality=config.target_quality,
-                          reference_level=config.reference_level)
-    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
-    report = session_metrics(
-        log, manifest, target_quality=config.target_quality, weights=config.weights
-    )
-    header, values = report.to_csv().strip().split("\n")
-    return index, name, trace.name, header, values
-
-
 # The exact solver's frontier still grows steeply with chunk count once its
 # bounds stop pruning. On a 6-level 300-4300 kbps VBR ladder over a seeded
 # 1000/4000 kbps square wave, the slowest of gamma 0 / 100 / 1e4 takes about
@@ -407,40 +403,39 @@ def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTr
     return offline_optimal(trace, manifest, objective, config.sim)
 
 
-def _oracle_line(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):
-    levels, _ = _solve_oracle(config, manifest, trace)
-    log = simulate_session(_FixedSequence(levels), trace, manifest, config.sim)
+def _compare_cell(task):
+    """One compare row and its metrics header; the oracle's row replays its solved sequence."""
+    name, trace, manifest, config, allowed = task
+    if name == _FixedSequence.name:
+        scheme = _FixedSequence(_solve_oracle(config, manifest, trace)[0])
+    else:
+        scheme = build_scheme(name, target_quality=config.target_quality,
+                              reference_level=config.reference_level)
+    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
     report = session_metrics(
         log, manifest, target_quality=config.target_quality, weights=config.weights
     )
-    _, values = report.to_csv().strip().split("\n")
-    return f"offline-optimal,{trace.name},{values}"
+    header, values = report.to_csv().strip().split("\n")
+    return f"{name},{trace.name},{values}", header
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _config_for(args)
     manifest = _load_manifest(config)
     traces = _load_traces(config)
-    names = config.schemes or (config.scheme,)
-    for name in names:
-        scheme_class(name)  # rejects an unknown name before any session runs
     spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
     allowed = allowed_from_filter(spec, manifest)
-    tasks = [
-        ((si, ti), name, trace, manifest, config, allowed)
-        for si, name in enumerate(names)
-        for ti, trace in enumerate(traces)
-    ]
+    tasks = [(name, trace, manifest, config, allowed)
+             for name in config.schemes or (config.scheme,) for trace in traces]
+    if config.include_oracle:  # the oracle row is unfiltered
+        tasks += [(_FixedSequence.name, trace, manifest, config, None) for trace in traces]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
             cells = list(pool.map(_compare_cell, tasks))
     else:
         cells = [_compare_cell(task) for task in tasks]
-    cells.sort(key=lambda cell: cell[0])
-    header = f"scheme,trace,{cells[0][3]}"
-    rows = [f"{name},{trace_name},{values}" for _, name, trace_name, _, values in cells]
-    if config.include_oracle:
-        rows.extend(_oracle_line(config, manifest, trace) for trace in traces)
+    header = f"scheme,trace,{cells[0][1]}"
+    rows = [row for row, _ in cells]
     out = _out_dir(config)
     path = out / "compare.csv"
     path.write_text("\n".join([header] + rows) + "\n")
@@ -529,9 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output directory (overrides config)")
     common.add_argument("--jobs", type=int, help="worker processes (overrides config)")
     common.add_argument("--scheme", help="scheme name (overrides config)")
-    common.add_argument(
-        "--filter", choices=("none", "cbf", "tbf-", "tbf+"), help="quality prefilter"
-    )
+    common.add_argument("--filter", choices=FILTER_KINDS, help="quality prefilter")
     common.add_argument("--target-quality", type=float, help="quality target in [0, 100]")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[common], help="simulate one scheme on one trace").set_defaults(

@@ -217,19 +217,8 @@ class VideoManifest:
         return sum(span) / len(span)
 
 
-@dataclass(frozen=True)
-class ChunkClass:
-    """Per-position complexity quartile (1..4) from reference-track chunk sizes."""
-
-    classes: tuple[int, ...]
-    reference_level: int
-
-    def quartile(self, index: int) -> int:
-        return self.classes[index]
-
-
-def classify_chunks(manifest: VideoManifest, reference_level: int) -> ChunkClass:
-    """Assign each position a quartile by stable rank of reference-track size."""
+def classify_chunks(manifest: VideoManifest, reference_level: int) -> tuple[int, ...]:
+    """Per-position complexity quartile (1..4) by stable rank of reference-track size."""
     ref = manifest.track(reference_level)
     n = len(ref.chunks)
     if n < 4:
@@ -238,7 +227,7 @@ def classify_chunks(manifest: VideoManifest, reference_level: int) -> ChunkClass
     classes = [0] * n
     for rank, position in enumerate(order):
         classes[position] = 4 * rank // n + 1
-    return ChunkClass(tuple(classes), reference_level)
+    return tuple(classes)
 
 
 _REQUIRED = object()

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from .control import (
+    ControlError,
     PidParams,
     PidState,
     RampSchedule,
@@ -79,7 +80,7 @@ class AbrScheme:
         """Build from a job's raw `scheme_params`."""
         return cls(**raw)
 
-    def reset(self, manifest: VideoManifest | None = None) -> None:
+    def reset(self, manifest: VideoManifest) -> None:
         """Drop per-session state and derive what the scheme needs from the
         session's manifest; the engine calls this before chunk 0."""
 
@@ -282,7 +283,7 @@ class _PidScheme(AbrScheme):
     def __init__(self, params=None) -> None:
         self.params = params if params is not None else self._default_params()
         self.eval_count = 0
-        self.reset()
+        self.pid_state = PidState()
 
     @classmethod
     def from_params(cls, raw):
@@ -292,7 +293,7 @@ class _PidScheme(AbrScheme):
         default = cls._default_params()
         return cls(replace(default, pid=replace(default.pid, **pid_keys), **rest))
 
-    def reset(self, manifest: VideoManifest | None = None) -> None:
+    def reset(self, manifest: VideoManifest) -> None:
         self.pid_state = PidState()
         self.last_u = None
 
@@ -403,23 +404,17 @@ class PiaStartup(Pia):
     name = "piae"
     _default_params = PiaStartupParams
 
-    def reset(self, manifest: VideoManifest | None = None) -> None:
+    def reset(self, manifest: VideoManifest) -> None:
         super().reset(manifest)
-        self.schedule = None
-        if manifest is not None:
-            p = self.params
-            self.schedule = RampSchedule(
-                p.alpha, p.tau, p.pid.kp, p.pid.target_buffer, manifest.chunk_duration_s
-            )
+        p = self.params
+        self.schedule = RampSchedule(
+            p.alpha, p.tau, p.pid.kp, p.pid.target_buffer, manifest.chunk_duration_s
+        )
 
     def _target(self, clock_s: float) -> float:
-        if self.schedule is None:
-            return self.params.pid.target_buffer
         return ramp_xr(self.schedule, clock_s)
 
     def _kp(self, clock_s: float) -> float:
-        if self.schedule is None:
-            return self.params.pid.kp
         return ramp_kp(self.schedule, clock_s)
 
 
@@ -473,16 +468,15 @@ class Cava(_PidScheme):
     name = "cava"
     _default_params = CavaParams
 
-    def reset(self, manifest: VideoManifest | None = None) -> None:
+    def reset(self, manifest: VideoManifest) -> None:
         super().reset(manifest)
         self._target_buffer = self.params.base_target_buffer_s
-        if manifest is not None:
-            n = manifest.n_levels
-            ref = self.params.reference_level or (n + 1) // 2  # the params refuse 0
-            if ref > n:
-                raise ConfigError(f"reference_level {ref} is above the manifest's top level {n}")
-            # per position: is its reference-track chunk in the top size quartile
-            self._q4 = tuple(c == 4 for c in classify_chunks(manifest, ref).classes)
+        n = manifest.n_levels
+        ref = self.params.reference_level or (n + 1) // 2  # the params refuse 0
+        if ref > n:
+            raise ConfigError(f"reference_level {ref} is above the manifest's top level {n}")
+        # per position: is its reference-track chunk in the top size quartile
+        self._q4 = tuple(c == 4 for c in classify_chunks(manifest, ref))
 
     def _target(self, clock_s: float) -> float:
         return self._target_buffer
@@ -581,6 +575,8 @@ class Quad(_PidScheme):
 
 # ------------------------------------------------------------------- filters
 
+FILTER_KINDS = ("none", "cbf", "tbf-", "tbf+")
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -590,7 +586,7 @@ class FilterSpec:
     target_quality: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "cbf", "tbf-", "tbf+"):
+        if self.kind not in FILTER_KINDS:
             raise ConfigError(f"unknown filter kind {self.kind!r}")
         if self.kind != "none":
             q = self.target_quality
@@ -672,5 +668,5 @@ def build_scheme(name: str, raw: dict | None = None, *, target_quality: float | 
     job = {key: value for key, value in job.items() if key in declared and value is not None}
     try:
         return cls.from_params({**job, **(raw or {})})
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ConfigError, ControlError) as exc:
         raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None

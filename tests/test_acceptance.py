@@ -313,7 +313,7 @@ def test_c08_complex_chunk_trend():
     sizes = [[round(rate * 125 * 2.0 * f) for f in factors] for rate in (400, 900, 1600, 2600)]
     manifest = vbr_manifest(sizes, duration_s=2.0)
     classes = classify_chunks(manifest, reference_level=2)
-    complex_chunks = [i for i in range(n) if classes.quartile(i) == 4]
+    complex_chunks = [i for i in range(n) if classes[i] == 4]
     assert len(complex_chunks) == n // 4
 
     def q4_mean_level(scheme) -> float:

@@ -518,10 +518,14 @@ def test_compare_jobs_flag_keeps_output_identical(workdir):
         manifest=str(manifest),
         traces=[str(trace), str(t2)],
         schemes=["rb", "pia"],
+        include_oracle=True,
+        target_quality=80.0,
         out_dir=str(out),
     )
     assert main(["compare", "--config", str(config)]) == 0
     serial = (out / "compare.csv").read_text()
+    # the oracle rows, solved in pool workers with --jobs 2, come last
+    assert [row.split(",")[0] for row in serial.split("\n")[-3:-1]] == ["offline-optimal"] * 2
     assert main(["compare", "--config", str(config), "--jobs", "2"]) == 0
     assert (out / "compare.csv").read_text() == serial
 
@@ -607,6 +611,30 @@ def test_sweep_without_grid_exits_2(workdir):
         out_dir=str(tmp / "out"),
     )
     assert main(["sweep", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("command", ["oracle", "sweep", "compare"])
+@pytest.mark.parametrize(
+    "key,value,named",
+    [("filter", "nope", "'nope'"), ("scheme", "nope2", "'nope2'"),
+     ("schemes", ["rb", "offline-optimal"], "'offline-optimal'")],
+)
+def test_bad_filter_or_scheme_values_exit_2(workdir, capsys, command, key, value, named):
+    # every command reads the same RunConfig, so each refuses them, even where unused
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(manifest),
+        traces=[str(trace)],
+        target_quality=80.0,
+        grid={"kp_values": [0.0088], "ki_values": [3.6e-5]},
+        out_dir=str(tmp / "out"),
+        **{key: value},
+    )
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp / "out").exists()
 
 
 def test_oracle_writes_sequence(workdir):
@@ -757,6 +785,16 @@ def test_gen_trace_non_finite_values_exit_2(tmp_path, capsys, args, name):
     err = capsys.readouterr().err
     assert name in err and "finite" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_gen_trace_refuses_more_than_a_week(tmp_path, capsys):
+    args = ["gen-trace", "--kind", "constant", "--seconds", "1000000000000", "--out", str(tmp_path)]
+    assert main(args) == 2
+    assert "one week (604800 s), got 1e+12" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert constant_bandwidth(1000.0, 604800).duration_s == 604800
+    with pytest.raises(ConfigError, match="one week"):
+        noisy_bandwidth(1000.0, 100.0, 604801, seed=1)
 
 
 def test_gen_trace_bad_params_exit_2(tmp_path):
