@@ -306,6 +306,33 @@ class TestSchemeInterface:
             assert start == pytest.approx(clock, abs=1e-9)
             clock = start + dt
 
+    # A tracer wraps the hooks by setting attributes on the scheme instance, so
+    # the engine must look them up through the instance during the session.
+    @pytest.mark.parametrize("first_level", [None, 1])
+    def test_hooks_set_on_the_instance_are_called(self, first_level):
+        intervals = []
+
+        class Recorder(FixedScheme):
+            def observe_interval(self, clock_s, dt_s, buffer_s):
+                intervals.append((clock_s, dt_s, buffer_s))
+
+        manifest = cbr_manifest([500, 1000], n_chunks=6)
+        trace = BandwidthTrace("steps", (1500.0, 400.0, 2600.0) * 10)
+        config = fast_config(rtt_s=0.07, first_chunk_level=first_level)
+        log = simulate_session(Recorder(2), trace, manifest, config)
+
+        scheme = FixedScheme(2)
+        decided, seen, chunks = [], [], []
+        decide = scheme.decide
+        scheme.decide = lambda ctx: decided.append(ctx.chunk_index) or decide(ctx)
+        scheme.observe_interval = lambda *args: seen.append(args)
+        scheme.observe_chunk = lambda *args: chunks.append(args)
+        assert simulate_session(scheme, trace, manifest, config) == log
+        assert decided == list(range(0 if first_level is None else 1, 6))
+        assert scheme.calls == len(decided)
+        assert seen == intervals  # once per interval, in order
+        assert [(i, level) for i, level, _ in chunks] == [(d.chunk, d.level) for d in log.decisions]
+
 
 class TestEstimatorIntegration:
     def make(self):

@@ -2,12 +2,13 @@
 
 Every registered scheme runs on three fixed traces over a CBR and a VBR
 manifest (both with quality values), and the sha256 of each
-`SessionLog.to_csv()` must match the recorded value. The offline oracle's
-sequence and objective on a small instance are pinned the same way, and so
-are the files that `abrsim run`, `compare`, `sweep` and `oracle` write (the
-PID schemes assembled from non-default `scheme_params`) and the
-`RunConfig.to_json()` text of a config that sets every key. A change that
-alters any of these on purpose must update the values here and say why.
+`SessionLog.to_csv()` must match the recorded value; two sessions also pin
+`SessionLog.to_json()`. The offline oracle's sequence and objective on a small
+instance are pinned the same way, and so are the files that `abrsim run`,
+`compare`, `sweep` and `oracle` write (the PID schemes assembled from
+non-default `scheme_params`) and the `RunConfig.to_json()` text of a config
+that sets every key. A change that alters any of these on purpose must update
+the values here and say why.
 """
 
 from __future__ import annotations
@@ -169,17 +170,29 @@ GOLDEN_LOGS = {
         "4f38a1d61cecb5bb77a7952229a19dbb2a26bdd34bf5ba2bf5898de2574b57c2",
 }
 
+GOLDEN_LOG_JSON = {
+    # (scheme, manifest, trace): sha256 of SessionLog.to_json(), which serializes
+    # every Decision field through `asdict`, stall_s and the stall list included
+    ("pia", "vbr", "square7"):
+        "31f56be25b4937cb3f9fe2192d89a41fd0ef2a6ca5613c6e094cf31fa55c8543",
+    ("quad", "vbr", "noisy3"):
+        "39b96f4b6e9b8f968618917c0fb67419d7d1288f4b249625f9948b1c975aedc6",
+}
+
 GOLDEN_ORACLE = {
     "sequence": (2, 2, 2, 3, 3, 3, 3, 3, 3, 3),
     "objective": 808.900614709426,
 }
 
 
-def session_csv(scheme_name: str, manifest_key: str, trace_key: str) -> str:
+def session_log(scheme_name: str, manifest_key: str, trace_key: str):
     manifest = MANIFESTS[manifest_key]()
     trace = TRACES[trace_key]()
-    log = simulate_session(build_scheme(scheme_name), trace, manifest, SimConfig())
-    return log.to_csv()
+    return simulate_session(build_scheme(scheme_name), trace, manifest, SimConfig())
+
+
+def session_csv(scheme_name: str, manifest_key: str, trace_key: str) -> str:
+    return session_log(scheme_name, manifest_key, trace_key).to_csv()
 
 
 def _oracle_manifest():
@@ -216,6 +229,12 @@ CASES = [
 def test_session_log_is_unchanged(scheme, manifest, trace):
     digest = hashlib.sha256(session_csv(scheme, manifest, trace).encode()).hexdigest()
     assert digest == GOLDEN_LOGS[(scheme, manifest, trace)]
+
+
+@pytest.mark.parametrize("scheme,manifest,trace", sorted(GOLDEN_LOG_JSON))
+def test_session_log_json_is_unchanged(scheme, manifest, trace):
+    text = session_log(scheme, manifest, trace).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LOG_JSON[(scheme, manifest, trace)]
 
 
 def test_offline_optimal_is_unchanged():

@@ -12,7 +12,7 @@ from _builders import cbr_manifest, constant_trace, vbr_manifest
 from abrsim.cli import noisy_bandwidth
 from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams, RampSchedule
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, simulate_session
-from abrsim.media import classify_chunks, track_avg_bitrate
+from abrsim.media import MediaError, classify_chunks, track_avg_bitrate
 from abrsim.schemes import (
     SCHEMES,
     BufferAwareRate,
@@ -67,6 +67,29 @@ def ctx_for(
 
 LADDER5 = cbr_manifest([350, 600, 1000, 2000, 3000], n_chunks=6)
 LADDER6 = cbr_manifest([350, 600, 1000, 2000, 3000, 5000], n_chunks=6)
+
+
+# ----------------------------------------------------------- decision context
+
+class TestDecisionContext:
+    def test_fields_are_read_only(self):
+        ctx = ctx_for(LADDER5)
+        with pytest.raises(AttributeError):
+            ctx.buffer_s = 1.0
+        assert ctx.buffer_s == 30.0
+
+    # Schemes read the manifest's tables directly; a level outside 1..L in a
+    # hand-built context is still refused, and 0 never reads the top level.
+    @pytest.mark.parametrize("bad", [0, -1, 6])
+    @pytest.mark.parametrize("name", ["rb", "bba0", "rba", "mpc", "pia", "piae", "cava", "quad"])
+    def test_level_outside_the_ladder_is_a_media_error(self, name, bad):
+        m = cbr_manifest([350, 600, 1000, 2000, 3000], n_chunks=6, vmafs=[40, 55, 70, 85, 95])
+        scheme = build_scheme(name)
+        scheme.reset(m)
+        # an empty buffer keeps the PID schemes off their forced top level
+        ctx = ctx_for(m, chunk_index=2, buffer_s=0.0, playing=0, allowed=sorted((2, bad)))
+        with pytest.raises(MediaError, match=rf"level {bad} outside 1\.\.5"):
+            scheme.decide(ctx)
 
 
 # ---------------------------------------------------------------- rate-based
