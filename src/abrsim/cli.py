@@ -390,8 +390,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 ORACLE_MAX_CHUNKS = 32
 
 
-def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):
-    """Offline-optimal (levels, objective) for one trace."""
+def _check_oracle(config: RunConfig, manifest: VideoManifest) -> None:
+    """Refuse oracle inputs before any session or solve runs."""
     if config.target_quality is None:
         raise ConfigError("the offline oracle needs target_quality")
     if manifest.n_chunks > ORACLE_MAX_CHUNKS:
@@ -399,6 +399,10 @@ def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTr
             f"oracle supports manifests up to {ORACLE_MAX_CHUNKS} chunks; "
             f"this one has {manifest.n_chunks}"
         )
+
+
+def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):
+    """Offline-optimal (levels, objective) for one trace; `_check_oracle` has passed."""
     objective = OfflineObjective(config.target_quality, config.gamma)
     return offline_optimal(trace, manifest, objective, config.sim)
 
@@ -428,6 +432,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tasks = [(name, trace, manifest, config, allowed)
              for name in config.schemes or (config.scheme,) for trace in traces]
     if config.include_oracle:  # the oracle row is unfiltered
+        _check_oracle(config, manifest)
         tasks += [(_FixedSequence.name, trace, manifest, config, None) for trace in traces]
     if config.jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
@@ -477,6 +482,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if len(traces) != 1:
         raise ConfigError("oracle takes exactly one trace")
     trace = traces[0]
+    _check_oracle(config, manifest)
     levels, value = _solve_oracle(config, manifest, trace)
     payload = {
         "trace": trace.name,

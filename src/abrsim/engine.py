@@ -178,8 +178,10 @@ def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int)
         t = float(sec + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Decision:
+    """One chunk's row of the session log, in `CSV_HEADER` order plus its stall time."""
+
     chunk: int
     level: int
     bitrate_kbps: float
@@ -240,6 +242,7 @@ class _Session:
     def __init__(self, scheme, trace, manifest, config, allowed):
         self.scheme = scheme
         self.trace = trace
+        self.samples, self.period = trace.samples, len(trace.samples)
         self.manifest = manifest
         self.config = config
         self.allowed = allowed
@@ -295,10 +298,10 @@ class _Session:
         """
         delta = self.delta
         upper, lower = delta + _TINY, delta - _TINY
-        samples, period = self.trace.samples, self.trace.duration_s
+        samples, period = self.samples, self.period
         observe = self.scheme.observe_interval
         add_sample = self.history.add_second_sample
-        download = leg == "download"
+        download, idle = leg == "download", leg == "idle"
         end = self.clock + amount
         clock, due = self._start_if_due(self.clock)
         x, played = self.buffer, self.play_accum
@@ -308,17 +311,17 @@ class _Session:
             if download:
                 if not remaining > 0.0:
                     break
-            elif leg == "gate" and not x > amount + _TINY:
+            elif not idle and not x > amount + _TINY:
                 break
             if due is not None:
                 clock, due = self._start_if_due(clock)
                 playing = due is None
-            if leg == "idle":
+            if idle:
                 left = end - clock
                 if left <= _TINY:
                     clock = end
                     break
-            sec = int(math.floor(clock + _TINY))
+            sec = math.floor(clock + _TINY)
             c = fill = 0.0
             if download:
                 c = samples[sec % period]
@@ -342,7 +345,7 @@ class _Session:
                     hc = remaining / c
                     if hc <= h:
                         h, done = hc, True
-            elif leg == "idle":
+            elif idle:
                 if left <= h:
                     h = left
             else:
@@ -410,16 +413,12 @@ class _Session:
                 self._walk("gate", self.resume_level)
         est = self._estimate()
         allowed = self.allowed[i]
+        buffer = self.buffer
+        playing = int(self.startup_latency is not None and buffer >= self.delta)
+        # positional, in field order: chunk_index, buffer_s, clock_s, est_kbps,
+        # last_level, allowed_levels, manifest, playing_indicator, history
         ctx = DecisionContext(
-            chunk_index=i,
-            buffer_s=self.buffer,
-            clock_s=self.clock,
-            est_kbps=est,
-            last_level=self.last_level,
-            allowed_levels=allowed,
-            manifest=self.manifest,
-            playing_indicator=int(self.startup_latency is not None and self.buffer >= self.delta),
-            history=self.history,
+            i, buffer, self.clock, est, self.last_level, allowed, self.manifest, playing, self.history
         )
         first = self.config.first_chunk_level
         if i == 0 and first is not None:
@@ -454,19 +453,10 @@ class _Session:
         rule = self.config.startup
         if rule.kind == "chunks_buffered" and i + 1 == int(rule.value):
             self.startup_latency = dl_end
+        # positional, in field order: chunk, level, bitrate_kbps, vmaf, dl_start_s,
+        # dl_end_s, buffer_s, est_kbps, u, stall_s
         self.decisions.append(
-            Decision(
-                chunk=i,
-                level=level,
-                bitrate_kbps=bitrate,
-                vmaf=chunk.vmaf,
-                dl_start_s=dl_start,
-                dl_end_s=dl_end,
-                buffer_s=ctx.buffer_s,
-                est_kbps=est,
-                u=u,
-                stall_s=self.chunk_stall,
-            )
+            Decision(i, level, bitrate, chunk.vmaf, dl_start, dl_end, buffer, est, u, self.chunk_stall)
         )
 
 
@@ -536,7 +526,8 @@ def simulate_session(
             f"content conservation mismatch: played {session.play_accum!r} + buffered "
             f"{session.buffer!r} != delivered {delivered!r}"
         )
-    expected_bytes = sum(manifest.chunk(d.level, d.chunk).size_bytes for d in session.decisions)
+    tracks = manifest.tracks  # every logged level is an allowed one, so in range
+    expected_bytes = sum(tracks[d.level - 1].chunks[d.chunk].size_bytes for d in session.decisions)
     if session.bytes_downloaded != expected_bytes:
         raise SimulationError("byte conservation mismatch")
     return SessionLog(

@@ -129,7 +129,8 @@ class VideoManifest:
     tracks: `avg_kbps[level - 1]` is `track_avg_bitrate` of that track,
     `rate_rows[level - 1][i]` is the bitrate of chunk i, and
     `quality_rows[level - 1][i]` its quality value; `quality_rows` is None
-    unless every chunk has one. They take no part in equality or repr.
+    unless every chunk has one. `check_levels` reads the set of levels 1..L.
+    They take no part in equality or repr.
     """
 
     name: str
@@ -139,6 +140,7 @@ class VideoManifest:
     avg_kbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
     rate_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     quality_rows: tuple[tuple[float, ...], ...] | None = field(init=False, repr=False, compare=False)
+    _level_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tracks", tuple(self.tracks))
@@ -173,6 +175,7 @@ class VideoManifest:
         qualities = tuple(tuple(c.vmaf for c in t.chunks) for t in self.tracks)
         complete = not any(None in row for row in qualities)
         object.__setattr__(self, "quality_rows", qualities if complete else None)
+        object.__setattr__(self, "_level_set", frozenset(range(1, len(self.tracks) + 1)))
 
     @property
     def n_levels(self) -> int:
@@ -190,6 +193,13 @@ class VideoManifest:
         if not 1 <= level <= len(self.tracks):
             raise MediaError(f"level {level} outside 1..{self.n_levels}")
         return level - 1
+
+    def check_levels(self, levels) -> None:
+        """Raise `_index`'s MediaError for the first of `levels` outside 1..L; a
+        decision checks its levels once here, then indexes the tables directly."""
+        if not self._level_set.issuperset(levels):
+            for level in levels:
+                self._index(level)
 
     def track(self, level: int) -> Track:
         return self.tracks[self._index(level)]

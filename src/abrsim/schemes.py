@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .control import (
     ControlError,
@@ -44,9 +44,9 @@ def require_quality(manifest: VideoManifest) -> tuple[tuple[float, ...], ...]:
     return manifest.quality_rows
 
 
-@dataclass(frozen=True)
-class DecisionContext:
-    """Everything a scheme may inspect when choosing the next chunk's level."""
+class DecisionContext(NamedTuple):
+    """Everything a scheme may inspect when choosing the next chunk's level; a
+    named tuple, so it is immutable and cheap to build once per chunk."""
 
     chunk_index: int
     buffer_s: float
@@ -60,12 +60,17 @@ class DecisionContext:
 
     def allowed_pairs(self) -> tuple[tuple[int, float], ...]:
         """(level, bitrate kbps of this chunk) pairs for the allowed levels."""
-        i = self.chunk_index
-        return tuple((lvl, self.manifest.bitrate_kbps(lvl, i)) for lvl in self.allowed_levels)
+        levels, manifest, i = self.allowed_levels, self.manifest, self.chunk_index
+        manifest.check_levels(levels)
+        rows = manifest.rate_rows
+        return tuple([(lvl, rows[lvl - 1][i]) for lvl in levels])
 
     def track_pairs(self) -> tuple[tuple[int, float], ...]:
         """(level, track average bitrate kbps) pairs for the allowed levels."""
-        return tuple((lvl, self.manifest.avg_bitrate_kbps(lvl)) for lvl in self.allowed_levels)
+        levels, manifest = self.allowed_levels, self.manifest
+        manifest.check_levels(levels)
+        avg = manifest.avg_kbps
+        return tuple([(lvl, avg[lvl - 1]) for lvl in levels])
 
 
 class AbrScheme:
@@ -103,7 +108,8 @@ class RateBased(AbrScheme):
     name = "rb"
 
     def decide(self, ctx: DecisionContext) -> int:
-        fits = [lvl for lvl, rate in ctx.track_pairs() if rate <= ctx.est_kbps]
+        est = ctx.est_kbps
+        fits = [lvl for lvl, rate in ctx.track_pairs() if rate <= est]
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
@@ -141,12 +147,14 @@ class BufferAwareRate(AbrScheme):
 
     def decide(self, ctx: DecisionContext) -> int:
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
-        floor = self.min_buffer_chunks * ctx.manifest.chunk_duration_s
-        fits = []
-        for lvl in ctx.allowed_levels:
-            size = ctx.manifest.chunk(lvl, ctx.chunk_index).size_bytes
-            if ctx.buffer_s - size * 8.0 / 1000.0 / est >= floor:
-                fits.append(lvl)
+        manifest, i, x = ctx.manifest, ctx.chunk_index, ctx.buffer_s
+        floor = self.min_buffer_chunks * manifest.chunk_duration_s
+        manifest.check_levels(ctx.allowed_levels)
+        tracks = manifest.tracks
+        fits = [
+            lvl for lvl in ctx.allowed_levels
+            if x - tracks[lvl - 1].chunks[i].size_bytes * 8.0 / 1000.0 / est >= floor
+        ]
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
@@ -202,10 +210,12 @@ class Mpc(AbrScheme):
         delta = ctx.manifest.chunk_duration_s
         mu = self.mu
         levels = sorted(ctx.allowed_levels)
+        ctx.manifest.check_levels(levels)
+        rows = ctx.manifest.rate_rows
         # (level, rate, download seconds) per horizon step, in sorted level order
         steps = []
         for k in range(h):
-            rates = [(lvl, ctx.manifest.bitrate_kbps(lvl, i + k)) for lvl in levels]
+            rates = [(lvl, rows[lvl - 1][i + k]) for lvl in levels]
             steps.append([(lvl, rate, rate * delta / est) for lvl, rate in rates])
         best = best_first = None
 
@@ -316,7 +326,8 @@ class _PidScheme(AbrScheme):
         return u, force_max
 
     def _rollout_rate(self, ctx: DecisionContext, level: int) -> float:
-        return ctx.manifest.avg_bitrate_kbps(level)
+        """The rate `_argmin` rolls `level` out at; `_argmin` has range-checked it."""
+        return ctx.manifest.avg_kbps[level - 1]
 
     def _argmin(self, ctx: DecisionContext, u, kp, xr, alpha, eta) -> int:
         """Allowed level with the least cost: the sum of (u_k * rate - alpha * est)^2
@@ -341,6 +352,7 @@ class _PidScheme(AbrScheme):
         if ctx.last_level is not None:
             prev_rate = manifest.avg_bitrate_kbps(ctx.last_level)
         levels = sorted(ctx.allowed_levels)
+        manifest.check_levels(levels)
         best = best_lvl = None
         for lvl in levels:
             rate = self._rollout_rate(ctx, lvl)
@@ -357,7 +369,6 @@ class _PidScheme(AbrScheme):
                 uk = epsilon if epsilon > uk else uk
                 x = nx
             if prev_rate is not None:
-                # `_rollout_rate` has range-checked lvl
                 cost += eta * (avg[lvl - 1] - prev_rate) ** 2
             if best is None or cost < best:
                 best, best_lvl = cost, lvl
@@ -557,12 +568,17 @@ class Quad(_PidScheme):
             return max(fits) if fits else min(ctx.allowed_levels)
         i = ctx.chunk_index
         qr = p.target_quality
+        manifest, last = ctx.manifest, ctx.last_level
         prev_q = None
-        if ctx.last_level is not None:
-            prev_q = quality[ctx.last_level - 1][i - 1]
+        if last is not None:
+            manifest.check_levels((last,))
+            prev_q = quality[last - 1][i - 1]
+        levels = sorted(ctx.allowed_levels)
+        manifest.check_levels(levels)
+        rows = manifest.rate_rows
         best = best_lvl = None
-        for lvl in sorted(ctx.allowed_levels):
-            rate = ctx.manifest.bitrate_kbps(lvl, i)
+        for lvl in levels:
+            rate = rows[lvl - 1][i]
             q = quality[lvl - 1][i]
             cost = (max(0.0, u * rate - est) / est) ** 2
             cost += p.alpha * ((qr - q) / qr) ** 2

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import JSON_VALUES
+from abrsim import cli
 from abrsim.cli import (
     ORACLE_MAX_CHUNKS,
     RunConfig,
@@ -507,6 +508,39 @@ def test_compare_oracle_row_when_requested(workdir):
     lines = (out / "compare.csv").read_text().strip().split("\n")
     assert len(lines) == 3
     assert lines[2].startswith("offline-optimal,")
+
+
+@pytest.mark.parametrize("command", ["compare", "oracle"])
+@pytest.mark.parametrize("bad", ["no_target_quality", "too_many_chunks"])
+def test_bad_oracle_inputs_exit_2_before_any_session(workdir, capsys, monkeypatch, command, bad):
+    tmp, _, trace = workdir
+    n = ORACLE_MAX_CHUNKS + 1 if bad == "too_many_chunks" else 4
+    video = write_manifest(tmp / "video.json", bitrates=(400, 800), n=n, vmafs=(60.0, 85.0))
+    fields = {} if bad == "no_target_quality" else {"target_quality": 80.0}
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(video),
+        traces=[str(trace)],
+        schemes=["rb", "pia"],
+        include_oracle=True,
+        out_dir=str(tmp / "out"),
+        **fields,
+    )
+    sessions = []
+    simulate = cli.simulate_session
+
+    def counted(*args, **kwargs):
+        sessions.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_session", counted)
+    assert main([command, "--config", str(config)]) == 2
+    message = {
+        "no_target_quality": "the offline oracle needs target_quality",
+        "too_many_chunks": f"up to {ORACLE_MAX_CHUNKS} chunks; this one has {n}",
+    }[bad]
+    assert message in capsys.readouterr().err
+    assert sessions == []
 
 
 def test_compare_jobs_flag_keeps_output_identical(workdir):

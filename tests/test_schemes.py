@@ -91,6 +91,17 @@ class TestDecisionContext:
         with pytest.raises(MediaError, match=rf"level {bad} outside 1\.\.5"):
             scheme.decide(ctx)
 
+    # the schemes that read the last level's rate or quality
+    @pytest.mark.parametrize("bad", [0, 6])
+    @pytest.mark.parametrize("name", ["mpc", "pia", "cava", "quad"])
+    def test_last_level_outside_the_ladder_is_a_media_error(self, name, bad):
+        m = cbr_manifest([350, 600, 1000, 2000, 3000], n_chunks=6, vmafs=[40, 55, 70, 85, 95])
+        scheme = build_scheme(name)
+        scheme.reset(m)
+        ctx = ctx_for(m, chunk_index=2, buffer_s=40.0, last_level=bad)
+        with pytest.raises(MediaError, match=rf"level {bad} outside 1\.\.5"):
+            scheme.decide(ctx)
+
 
 # ---------------------------------------------------------------- rate-based
 
