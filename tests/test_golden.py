@@ -7,8 +7,9 @@ manifest (both with quality values), and the sha256 of each
 instance are pinned the same way, and so are the files that `abrsim run`,
 `compare`, `sweep` and `oracle` write (the PID schemes assembled from
 non-default `scheme_params`) and the `RunConfig.to_json()` text of a config
-that sets every key. A change that alters any of these on purpose must update
-the values here and say why.
+that sets every key, and so are the rate and quality tables of three
+manifests parsed from JSON. A change that alters any of these on purpose must
+update the values here and say why.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from abrsim import (
     simulate_session,
 )
 from abrsim.cli import RunConfig, main, noisy_bandwidth, square_wave
+from abrsim.media import parse_manifest
 
 _RATES = (400, 1000, 2200, 4000)
 _N_CHUNKS = 60
@@ -235,6 +237,58 @@ def test_session_log_is_unchanged(scheme, manifest, trace):
 def test_session_log_json_is_unchanged(scheme, manifest, trace):
     text = session_log(scheme, manifest, trace).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LOG_JSON[(scheme, manifest, trace)]
+
+
+def _ladder_json(sizes, vmafs, duration_s, is_vbr, name):
+    """Manifest JSON from plain per-level size and vmaf lists; declared rates are
+    each level's mean chunk rate."""
+    tracks = [
+        {
+            "level": idx + 1,
+            "declared_bitrate_kbps": sum(row) * 8.0 / 1000.0 / (duration_s * len(row)),
+            "chunks": [{"size_bytes": size, "vmaf": vmaf} for size, vmaf in zip(row, vrow)],
+        }
+        for idx, (row, vrow) in enumerate(zip(sizes, vmafs))
+    ]
+    return json.dumps(
+        {"name": name, "chunk_duration_s": duration_s, "is_vbr": is_vbr, "tracks": tracks}
+    )
+
+
+def _seeded_ladder(seed, n_chunks, duration_s):
+    rng = random.Random(seed)
+    complexity = [rng.uniform(0.4, 1.8) for _ in range(n_chunks)]
+    sizes = [[round(rate * 125 * duration_s * c) for c in complexity] for rate in _RATES]
+    vmafs = [[round(base + rng.uniform(-9.0, 6.0), 3) for _ in complexity] for base in (44, 65, 80, 91)]
+    return sizes, vmafs
+
+
+def _table_manifests():
+    vbr = _seeded_ladder(23, 50, 2.0)
+    # 0.1 s x 12 chunks: the repeated duration sum (1.2) differs from 12 * 0.1, and
+    # so does every level's average
+    short = _seeded_ladder(29, 12, 0.1)
+    cbr = [[round(rate * 125 * 4.0)] * 20 for rate in _RATES], [[None] * 20 for _ in _RATES]
+    return {
+        "vbr-2s": _ladder_json(*vbr, 2.0, True, "tables-vbr"),
+        "vbr-0.1s": _ladder_json(*short, 0.1, True, "tables-short"),
+        "cbr-4s": _ladder_json(*cbr, 4.0, False, "tables-cbr"),
+    }
+
+
+GOLDEN_TABLES = {
+    # sha256 of repr((avg_kbps, rate_rows, quality_rows)) of the parsed manifest
+    "vbr-2s": "019cb1fa28f79864766a81129c3bc14c0b32104b4b112e613cafc2224694b50a",
+    "vbr-0.1s": "2d0de0a2988648eb017e132bcc54f74540ad23cdf40a7013e2c8a4fb93073525",
+    "cbr-4s": "49d7da71738d7278a7b000363fc8d64045a8387d54629372d559b96ff2091727",
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_TABLES))
+def test_manifest_tables_are_unchanged(key):
+    m = parse_manifest(_table_manifests()[key])
+    text = repr((m.avg_kbps, m.rate_rows, m.quality_rows))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TABLES[key]
 
 
 def test_offline_optimal_is_unchanged():
