@@ -433,14 +433,16 @@ class _Session:
                 )
             u = self.scheme.last_u
         # `level` is one of `allowed`, which `_normalize_allowed` range-checked
-        chunk = self.manifest.tracks[level - 1].chunks[i]
-        bitrate = self.manifest.rate_rows[level - 1][i]
+        manifest = self.manifest
+        size = manifest.size_rows[level - 1][i]
+        bitrate = manifest.rate_rows[level - 1][i]
+        vmaf = manifest.vmaf_rows[level - 1][i]
         self.chunk_stall = 0.0
         dl_start = self.clock
         if self.config.rtt_s > 0:
             self._walk("idle", self.config.rtt_s)
         data_start = self.clock
-        kilobits = chunk.size_bytes * 8.0 / 1000.0
+        kilobits = size * 8.0 / 1000.0
         _check_download_span(self.trace, kilobits)
         self._walk("download", kilobits, bitrate)
         dl_end = self.clock
@@ -448,7 +450,7 @@ class _Session:
         self.history.add_chunk_sample(throughput)
         self.history.add_estimate(est)
         self.scheme.observe_chunk(i, level, throughput)
-        self.bytes_downloaded += chunk.size_bytes
+        self.bytes_downloaded += size
         self.last_level = level
         rule = self.config.startup
         if rule.kind == "chunks_buffered" and i + 1 == int(rule.value):
@@ -456,7 +458,7 @@ class _Session:
         # positional, in field order: chunk, level, bitrate_kbps, vmaf, dl_start_s,
         # dl_end_s, buffer_s, est_kbps, u, stall_s
         self.decisions.append(
-            Decision(i, level, bitrate, chunk.vmaf, dl_start, dl_end, buffer, est, u, self.chunk_stall)
+            Decision(i, level, bitrate, vmaf, dl_start, dl_end, buffer, est, u, self.chunk_stall)
         )
 
 
@@ -526,8 +528,8 @@ def simulate_session(
             f"content conservation mismatch: played {session.play_accum!r} + buffered "
             f"{session.buffer!r} != delivered {delivered!r}"
         )
-    tracks = manifest.tracks  # every logged level is an allowed one, so in range
-    expected_bytes = sum(tracks[d.level - 1].chunks[d.chunk].size_bytes for d in session.decisions)
+    sizes = manifest.size_rows  # every logged level is an allowed one, so in range
+    expected_bytes = sum(sizes[d.level - 1][d.chunk] for d in session.decisions)
     if session.bytes_downloaded != expected_bytes:
         raise SimulationError("byte conservation mismatch")
     return SessionLog(

@@ -1,4 +1,4 @@
-"""Bandwidth traces, video manifests, and derived per-track statistics."""
+"""Bandwidth traces and video manifests held as per-level rows."""
 
 from __future__ import annotations
 
@@ -76,149 +76,112 @@ def parse_trace(text: str, name: str = "trace") -> BandwidthTrace:
 
 
 @dataclass(frozen=True)
-class ChunkMeta:
-    """One encoded chunk: payload size, playback duration, optional VMAF quality."""
-
-    size_bytes: int
-    duration_s: float
-    vmaf: float | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.size_bytes, int) or self.size_bytes <= 0:
-            raise MediaError("chunk size must be a positive integer byte count")
-        if self.duration_s <= 0:
-            raise MediaError("chunk duration must be positive")
-        if self.vmaf is not None and not 0.0 <= self.vmaf <= 100.0:
-            raise MediaError("vmaf must lie in [0, 100]")
-
-    @property
-    def bitrate_kbps(self) -> float:
-        return self.size_bytes * 8.0 / 1000.0 / self.duration_s
-
-
-@dataclass(frozen=True)
-class Track:
-    """One bitrate level: 1-based level id, declared rate, per-position chunks."""
-
-    level: int
-    declared_bitrate_kbps: float
-    chunks: tuple[ChunkMeta, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "chunks", tuple(self.chunks))
-        if self.level < 1:
-            raise MediaError("track levels are 1-based")
-        if self.declared_bitrate_kbps <= 0:
-            raise MediaError("declared bitrate must be positive")
-        if not self.chunks:
-            raise MediaError("track has no chunks")
-
-
-def track_avg_bitrate(track: Track) -> float:
-    """Whole-track average bitrate in kbps: total bits over total playback time."""
-    total_kilobits = sum(c.size_bytes * 8.0 / 1000.0 for c in track.chunks)
-    total_seconds = sum(c.duration_s for c in track.chunks)
-    return total_kilobits / total_seconds
-
-
-@dataclass(frozen=True)
 class VideoManifest:
-    """A video's bitrate ladder plus the global chunk duration.
+    """A video's bitrate ladder, held as per-level rows.
 
-    Construction also builds tables that decisions read instead of walking
-    tracks: `avg_kbps[level - 1]` is `track_avg_bitrate` of that track,
-    `rate_rows[level - 1][i]` is the bitrate of chunk i, and
-    `quality_rows[level - 1][i]` its quality value; `quality_rows` is None
-    unless every chunk has one. `check_levels` reads the set of levels 1..L.
-    They take no part in equality or repr.
+    `declared_kbps[level - 1]` is a level's declared rate, `size_rows[level -
+    1][i]` the byte count of its chunk i and `vmaf_rows[level - 1][i]` that
+    chunk's quality value or None; every chunk plays for `chunk_duration_s`.
+    Construction validates the rows and derives the tables that decisions
+    read: `avg_kbps[level - 1]`, total kilobits over total playback time;
+    `rate_rows[level - 1][i]`, the bitrate of chunk i; and `quality_rows`, the
+    vmaf rows, or None unless every chunk has a value. `check_levels` reads
+    the set of levels 1..L. The derived fields take no part in equality or repr.
     """
 
     name: str
     chunk_duration_s: float
     is_vbr: bool
-    tracks: tuple[Track, ...]
+    declared_kbps: tuple[float, ...]
+    size_rows: tuple[tuple[int, ...], ...]
+    vmaf_rows: tuple[tuple[float | None, ...], ...]
     avg_kbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
     rate_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
     quality_rows: tuple[tuple[float, ...], ...] | None = field(init=False, repr=False, compare=False)
     _level_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tracks", tuple(self.tracks))
-        if self.chunk_duration_s <= 0:
+        declared = tuple(self.declared_kbps)
+        sizes, vmafs = tuple(map(tuple, self.size_rows)), tuple(map(tuple, self.vmaf_rows))
+        object.__setattr__(self, "declared_kbps", declared)
+        object.__setattr__(self, "size_rows", sizes)
+        object.__setattr__(self, "vmaf_rows", vmafs)
+        delta = self.chunk_duration_s
+        read_value(MediaError, "chunk_duration_s", delta, float)
+        if delta <= 0:
             raise MediaError("chunk duration must be positive")
-        if len(self.tracks) < 2:
+        if len(sizes) < 2:
             raise MediaError("manifest needs at least 2 tracks")
-        if len({len(t.chunks) for t in self.tracks}) != 1:
+        if len(declared) != len(sizes) or len(vmafs) != len(sizes):
+            raise MediaError("declared rates, size rows and vmaf rows must have one entry per level")
+        n = len(sizes[0])
+        if n == 0:
+            raise MediaError("track has no chunks")
+        if any(len(row) != n for row in sizes + vmafs):
             raise MediaError("ragged chunk counts across tracks")
-        for idx, track in enumerate(self.tracks):
-            if track.level != idx + 1:
-                raise MediaError("track levels must be contiguous 1..L in order")
-            for chunk in track.chunks:
-                if chunk.duration_s != self.chunk_duration_s:
-                    raise MediaError("chunk duration differs from manifest duration")
-        averages = tuple(track_avg_bitrate(t) for t in self.tracks)
+        for level, rate in enumerate(declared, 1):
+            read_value(MediaError, f"declared rate of level {level}", rate, float)
+            if rate <= 0:
+                raise MediaError("declared bitrate must be positive")
+        for row in sizes:
+            for size in row:
+                if not isinstance(size, int) or isinstance(size, bool) or size <= 0:
+                    raise MediaError("chunk size must be a positive integer byte count")
+        for row in vmafs:
+            for vmaf in row:
+                if vmaf is not None and (
+                    not isinstance(vmaf, (int, float)) or isinstance(vmaf, bool)
+                    or not 0.0 <= vmaf <= 100.0
+                ):
+                    raise MediaError("vmaf must lie in [0, 100]")
+        kilobit_rows = [[size * 8.0 / 1000.0 for size in row] for row in sizes]
+        seconds = sum([delta] * n)  # summed chunk by chunk, not n * delta
+        averages = tuple(sum(row) / seconds for row in kilobit_rows)
         for lower, upper in zip(averages, averages[1:]):
             if upper < lower - 1e-9:
                 raise MediaError("tracks must be ordered by increasing average bitrate")
         if not self.is_vbr:
-            for track in self.tracks:
-                expected = track.declared_bitrate_kbps * 125.0 * self.chunk_duration_s
-                for i, chunk in enumerate(track.chunks):
-                    if abs(chunk.size_bytes - expected) > 1.0 + 1e-9:
+            for level, (rate, row) in enumerate(zip(declared, sizes), 1):
+                expected = rate * 125.0 * delta
+                for i, size in enumerate(row):
+                    if abs(size - expected) > 1.0 + 1e-9:
                         raise MediaError(
-                            f"CBR size mismatch at level {track.level} chunk {i}: "
-                            f"{chunk.size_bytes} vs {expected:.1f} bytes"
+                            f"CBR size mismatch at level {level} chunk {i}: "
+                            f"{size} vs {expected:.1f} bytes"
                         )
         object.__setattr__(self, "avg_kbps", averages)
-        rows = tuple(tuple(c.bitrate_kbps for c in t.chunks) for t in self.tracks)
-        object.__setattr__(self, "rate_rows", rows)
-        qualities = tuple(tuple(c.vmaf for c in t.chunks) for t in self.tracks)
-        complete = not any(None in row for row in qualities)
-        object.__setattr__(self, "quality_rows", qualities if complete else None)
-        object.__setattr__(self, "_level_set", frozenset(range(1, len(self.tracks) + 1)))
+        rates = tuple(tuple([kb / delta for kb in row]) for row in kilobit_rows)
+        object.__setattr__(self, "rate_rows", rates)
+        complete = not any(None in row for row in vmafs)
+        object.__setattr__(self, "quality_rows", vmafs if complete else None)
+        object.__setattr__(self, "_level_set", frozenset(range(1, len(sizes) + 1)))
 
     @property
     def n_levels(self) -> int:
-        return len(self.tracks)
+        return len(self.size_rows)
 
     @property
     def n_chunks(self) -> int:
-        return len(self.tracks[0].chunks)
+        return len(self.size_rows[0])
 
     @property
     def levels(self) -> tuple[int, ...]:
         return tuple(range(1, self.n_levels + 1))
 
-    def _index(self, level: int) -> int:
-        if not 1 <= level <= len(self.tracks):
-            raise MediaError(f"level {level} outside 1..{self.n_levels}")
-        return level - 1
-
     def check_levels(self, levels) -> None:
-        """Raise `_index`'s MediaError for the first of `levels` outside 1..L; a
-        decision checks its levels once here, then indexes the tables directly."""
+        """Raise MediaError for the first of `levels` outside 1..L, the one range
+        check on levels: a decision checks its levels once here, then indexes
+        the rows directly."""
         if not self._level_set.issuperset(levels):
             for level in levels:
-                self._index(level)
-
-    def track(self, level: int) -> Track:
-        return self.tracks[self._index(level)]
-
-    def chunk(self, level: int, index: int) -> ChunkMeta:
-        return self.track(level).chunks[index]
-
-    def bitrate_kbps(self, level: int, index: int) -> float:
-        """Instantaneous bitrate of one chunk in kbps."""
-        return self.rate_rows[self._index(level)][index]
-
-    def avg_bitrate_kbps(self, level: int) -> float:
-        """Whole-track average bitrate of one level, as `track_avg_bitrate`."""
-        return self.avg_kbps[self._index(level)]
+                if level not in self._level_set:
+                    raise MediaError(f"level {level} outside 1..{self.n_levels}")
 
     def windowed_bitrate_kbps(self, level: int, start: int, window: int) -> float:
         """Mean chunk bitrate of one level over [start, start+window), truncated
         at video end."""
-        row = self.rate_rows[self._index(level)]
+        self.check_levels((level,))
+        row = self.rate_rows[level - 1]
         if not 0 <= start < len(row):
             raise MediaError("window start outside track")
         if window < 1:
@@ -229,11 +192,13 @@ class VideoManifest:
 
 def classify_chunks(manifest: VideoManifest, reference_level: int) -> tuple[int, ...]:
     """Per-position complexity quartile (1..4) by stable rank of reference-track size."""
-    ref = manifest.track(reference_level)
-    n = len(ref.chunks)
+    manifest.check_levels((reference_level,))
+    sizes = manifest.size_rows[reference_level - 1]
+    n = len(sizes)
     if n < 4:
         raise MediaError("classification needs at least 4 chunks")
-    order = sorted(range(n), key=lambda i: (ref.chunks[i].size_bytes, i))
+    # a stable sort, so equal sizes keep playback order
+    order = sorted(range(n), key=sizes.__getitem__)
     classes = [0] * n
     for rank, position in enumerate(order):
         classes[position] = 4 * rank // n + 1
@@ -267,20 +232,20 @@ def parse_manifest(text: str) -> VideoManifest:
         raise MediaError(f"manifest is not valid JSON: {exc}") from None
     raw = read_value(MediaError, "manifest", raw, dict)
     duration = _field(raw, "chunk_duration_s", float)
-    tracks = tuple(
-        Track(
-            level=_field(t, "level", int),
-            declared_bitrate_kbps=_field(t, "declared_bitrate_kbps", float),
-            chunks=tuple(
-                ChunkMeta(_field(c, "size_bytes", int), duration, _field(c, "vmaf", float, None))
-                for c in _field(t, "chunks", [dict])
-            ),
-        )
-        for t in _field(raw, "tracks", [dict])
-    )
+    declared, size_rows, vmaf_rows = [], [], []
+    for idx, track in enumerate(_field(raw, "tracks", [dict])):
+        # the one place a level number exists: the rows are indexed by position
+        if _field(track, "level", int) != idx + 1:
+            raise MediaError("track levels must be contiguous 1..L in order")
+        declared.append(_field(track, "declared_bitrate_kbps", float))
+        chunks = _field(track, "chunks", [dict])
+        size_rows.append([_field(c, "size_bytes", int) for c in chunks])
+        vmaf_rows.append([_field(c, "vmaf", float, None) for c in chunks])
     return VideoManifest(
         name=_field(raw, "name", str, "video"),
         chunk_duration_s=duration,
         is_vbr=_field(raw, "is_vbr", bool),
-        tracks=tracks,
+        declared_kbps=declared,
+        size_rows=size_rows,
+        vmaf_rows=vmaf_rows,
     )

@@ -234,9 +234,10 @@ def _transition(
     x_key: int,
     t_key: int,
 ) -> tuple[int, int, float]:
-    """One chunk request from a binned state; returns (x_key', t_key', stall_s)."""
+    """One chunk request from a binned state; returns (x_key', t_key', stall_s).
+    `score_sequence` has range-checked `level`."""
     x, t, stall = _request_start(manifest, config, chunk_index, x_key, t_key)
-    end = advance_download(trace, t, manifest.chunk(level, chunk_index).size_bytes)
+    end = advance_download(trace, t, manifest.size_rows[level - 1][chunk_index])
     return _arrive(manifest, config, chunk_index, x, t, stall, end)
 
 
@@ -320,7 +321,7 @@ def _search(
     frontier: dict[tuple[int | None, int, int], float] = {(None, 0, 0): 0.0}
     parents: list[dict] = []
     for i in range(manifest.n_chunks):
-        sizes = [manifest.chunk(level, i).size_bytes for level in levels]
+        sizes = [row[i] for row in manifest.size_rows]  # in `levels` order
         pair_costs = {
             prev: [_pair_cost(quality, objective, i, level, prev) for level in levels]
             for prev in ((None,) if i == 0 else levels)

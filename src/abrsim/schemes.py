@@ -35,7 +35,8 @@ def require_quality(manifest: VideoManifest) -> tuple[tuple[float, ...], ...]:
     """Per-level, per-chunk quality values; ConfigError if any chunk lacks one."""
     if manifest.quality_rows is None:
         level, index = next(
-            (t.level, i) for t in manifest.tracks for i, c in enumerate(t.chunks) if c.vmaf is None
+            (level, row.index(None))
+            for level, row in enumerate(manifest.vmaf_rows, 1) if None in row
         )
         raise ConfigError(
             f"chunk {index} of level {level} has no quality value; quality-aware schemes, "
@@ -150,10 +151,10 @@ class BufferAwareRate(AbrScheme):
         manifest, i, x = ctx.manifest, ctx.chunk_index, ctx.buffer_s
         floor = self.min_buffer_chunks * manifest.chunk_duration_s
         manifest.check_levels(ctx.allowed_levels)
-        tracks = manifest.tracks
+        sizes = manifest.size_rows
         fits = [
             lvl for lvl in ctx.allowed_levels
-            if x - tracks[lvl - 1].chunks[i].size_bytes * 8.0 / 1000.0 / est >= floor
+            if x - sizes[lvl - 1][i] * 8.0 / 1000.0 / est >= floor
         ]
         return max(fits) if fits else min(ctx.allowed_levels)
 
@@ -206,7 +207,8 @@ class Mpc(AbrScheme):
         h = min(self.horizon, ctx.manifest.n_chunks - i)
         prev_rate = None
         if ctx.last_level is not None:
-            prev_rate = ctx.manifest.bitrate_kbps(ctx.last_level, i - 1)
+            ctx.manifest.check_levels((ctx.last_level,))
+            prev_rate = ctx.manifest.rate_rows[ctx.last_level - 1][i - 1]
         delta = ctx.manifest.chunk_duration_s
         mu = self.mu
         levels = sorted(ctx.allowed_levels)
@@ -350,7 +352,8 @@ class _PidScheme(AbrScheme):
         avg = manifest.avg_kbps
         prev_rate = None
         if ctx.last_level is not None:
-            prev_rate = manifest.avg_bitrate_kbps(ctx.last_level)
+            manifest.check_levels((ctx.last_level,))
+            prev_rate = avg[ctx.last_level - 1]
         levels = sorted(ctx.allowed_levels)
         manifest.check_levels(levels)
         best = best_lvl = None
@@ -520,8 +523,9 @@ class Cava(_PidScheme):
         if ctx.last_level is None:
             return p.base_target_buffer_s
         manifest = ctx.manifest
+        # the window range-checks the last level
         upcoming = manifest.windowed_bitrate_kbps(ctx.last_level, ctx.chunk_index, p.outer_window)
-        ratio = upcoming / max(manifest.avg_bitrate_kbps(ctx.last_level), _EST_FLOOR_KBPS)
+        ratio = upcoming / max(manifest.avg_kbps[ctx.last_level - 1], _EST_FLOOR_KBPS)
         return p.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from abrsim.media import BandwidthTrace, ChunkMeta, Track, VideoManifest
+from abrsim.media import BandwidthTrace, VideoManifest
 
 # any JSON value: scalars (NaN, inf and big integers included) and small nests of them
 JSON_VALUES = st.recursive(
@@ -26,13 +26,12 @@ def cbr_manifest(
     name: str = "cbr",
 ) -> VideoManifest:
     """CBR manifest with exact sizes; vmafs is an optional per-level list."""
-    tracks = []
-    for idx, rate in enumerate(bitrates_kbps):
-        vmaf = None if vmafs is None else vmafs[idx]
-        size = round(rate * 125 * duration_s)
-        chunks = tuple(ChunkMeta(size, duration_s, vmaf) for _ in range(n_chunks))
-        tracks.append(Track(idx + 1, float(rate), chunks))
-    return VideoManifest(name, duration_s, False, tuple(tracks))
+    sizes = [[round(rate * 125 * duration_s)] * n_chunks for rate in bitrates_kbps]
+    if vmafs is None:
+        vmafs = [None] * len(bitrates_kbps)
+    vmaf_rows = [[vmaf] * n_chunks for vmaf in vmafs]
+    declared = [float(rate) for rate in bitrates_kbps]
+    return VideoManifest(name, duration_s, False, declared, sizes, vmaf_rows)
 
 
 def vbr_manifest(
@@ -43,15 +42,10 @@ def vbr_manifest(
     name: str = "vbr",
 ) -> VideoManifest:
     """VBR manifest from explicit per-level chunk sizes in bytes."""
-    tracks = []
-    for idx, sizes in enumerate(sizes_by_level):
-        if declared_kbps is not None:
-            declared = float(declared_kbps[idx])
-        else:
-            declared = sum(sizes) * 8.0 / 1000.0 / (duration_s * len(sizes))
-        chunks = []
-        for pos, size in enumerate(sizes):
-            vmaf = None if vmafs_by_level is None else vmafs_by_level[idx][pos]
-            chunks.append(ChunkMeta(int(size), duration_s, vmaf))
-        tracks.append(Track(idx + 1, declared, tuple(chunks)))
-    return VideoManifest(name, duration_s, True, tuple(tracks))
+    sizes = [[int(size) for size in row] for row in sizes_by_level]
+    if declared_kbps is None:
+        declared_kbps = [sum(row) * 8.0 / 1000.0 / (duration_s * len(row)) for row in sizes]
+    if vmafs_by_level is None:
+        vmafs_by_level = [[None] * len(row) for row in sizes]
+    declared = [float(rate) for rate in declared_kbps]
+    return VideoManifest(name, duration_s, True, declared, sizes, vmafs_by_level)

@@ -75,7 +75,7 @@ def test_c01_steady_state_tracking():
 
     sustainable = max(
         lvl for lvl in manifest.levels
-        if manifest.track(lvl).declared_bitrate_kbps <= capacity
+        if manifest.declared_kbps[lvl - 1] <= capacity
     )
     assert all(d.level == sustainable for d in late)
     assert log.stall_total_s == 0.0
@@ -163,11 +163,12 @@ def test_c04_cbf_dominance():
             allowed = cbf_filter(manifest, target)
             cap_minus = tbf_filter(manifest, target, "minus")
             cap_plus = tbf_filter(manifest, target, "plus")
+            quality = manifest.vmaf_rows
             for i in range(n):
                 positions += 1
-                dev_cbf = abs(manifest.chunk(max(allowed[i]), i).vmaf - target)
-                dev_minus = abs(manifest.chunk(cap_minus, i).vmaf - target)
-                dev_plus = abs(manifest.chunk(cap_plus, i).vmaf - target)
+                dev_cbf = abs(quality[max(allowed[i]) - 1][i] - target)
+                dev_minus = abs(quality[cap_minus - 1][i] - target)
+                dev_plus = abs(quality[cap_plus - 1][i] - target)
                 if dev_cbf > dev_minus or dev_cbf > dev_plus:
                     violations += 1
     assert positions > 0
@@ -364,7 +365,7 @@ def test_c10_metric_self_consistency():
             log = simulate_session(scheme_cls(), trace, manifest, SimConfig())
             sessions += 1
             assert abs(sum(d.stall_s for d in log.decisions) - log.stall_total_s) <= 1e-9
-            downloaded = sum(manifest.chunk(d.level, d.chunk).size_bytes for d in log.decisions)
+            downloaded = sum(manifest.size_rows[d.level - 1][d.chunk] for d in log.decisions)
             assert log.bytes_downloaded == downloaded
             report = session_metrics(log, manifest)
             assert report.data_usage_mb == log.bytes_downloaded / 1e6

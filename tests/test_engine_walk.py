@@ -290,20 +290,22 @@ class _ReferenceSession:
                 )
             u = self.scheme.last_u
         buffer_at_decision = self.st.buffer
-        chunk = self.manifest.chunk(level, i)
+        size = self.manifest.size_rows[level - 1][i]
+        vmaf = self.manifest.vmaf_rows[level - 1][i]
+        bitrate = size * 8.0 / 1000.0 / self.manifest.chunk_duration_s
         self.chunk_stall = 0.0
         dl_start = self.st.clock
         if self.config.rtt_s > 0:
             self._advance_idle(self.config.rtt_s)
         data_start = self.st.clock
-        kilobits = chunk.size_bytes * 8.0 / 1000.0
-        self._download(chunk.bitrate_kbps, kilobits)
+        kilobits = size * 8.0 / 1000.0
+        self._download(bitrate, kilobits)
         dl_end = self.st.clock
         throughput = kilobits / (dl_end - data_start)
         self.history.add_chunk_sample(throughput)
         self.history.add_estimate(est)
         self.scheme.observe_chunk(i, level, throughput)
-        self.st.bytes_downloaded += chunk.size_bytes
+        self.st.bytes_downloaded += size
         self.st.last_level = level
         rule = self.config.startup
         if rule.kind == "chunks_buffered" and not self.st.playing and i + 1 >= int(rule.value):
@@ -312,8 +314,8 @@ class _ReferenceSession:
             Decision(
                 chunk=i,
                 level=level,
-                bitrate_kbps=chunk.bitrate_kbps,
-                vmaf=chunk.vmaf,
+                bitrate_kbps=bitrate,
+                vmaf=vmaf,
                 dl_start_s=dl_start,
                 dl_end_s=dl_end,
                 buffer_s=buffer_at_decision,
@@ -361,7 +363,7 @@ def _reference_simulate(
             f"{st.buffer!r} != delivered {delivered!r}"
         )
     expected_bytes = sum(
-        manifest.chunk(d.level, d.chunk).size_bytes for d in session.decisions
+        manifest.size_rows[d.level - 1][d.chunk] for d in session.decisions
     )
     if st.bytes_downloaded != expected_bytes:
         raise SimulationError("byte conservation mismatch")

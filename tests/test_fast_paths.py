@@ -1,7 +1,7 @@
 """Equivalence of the fast paths with the references they replaced.
 
-The tables must reproduce `track_avg_bitrate` and the reference
-`windowed_avg_bitrate` below to the bit, `Mpc.decide` must pick the same level
+The tables must reproduce the references `track_avg_bitrate`,
+`chunk_bitrate` and `windowed_avg_bitrate` below to the bit, `Mpc.decide` must pick the same level
 and count the same evaluations as scoring every sequence from `itertools.product` one at a time, and
 `offline_optimal` must return the same sequence and objective as the DP that
 runs one full transition per (previous level, state, level). Where optimal
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from _builders import cbr_manifest, vbr_manifest
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, advance_download
-from abrsim.media import BandwidthTrace, MediaError, track_avg_bitrate
+from abrsim.media import BandwidthTrace, MediaError
 from abrsim.metrics import (
     _BEAM_WIDTH,
     OfflineObjective,
@@ -78,34 +78,46 @@ MANIFESTS = [
 # -- rate tables ------------------------------------------------------------
 
 
+def chunk_bitrate(manifest, level: int, index: int) -> float:
+    """Instantaneous bitrate of one chunk in kbps."""
+    return manifest.size_rows[level - 1][index] * 8.0 / 1000.0 / manifest.chunk_duration_s
+
+
+def track_avg_bitrate(manifest, level: int) -> float:
+    """Whole-track average bitrate in kbps: total bits over total playback time."""
+    sizes = manifest.size_rows[level - 1]
+    total_kilobits = sum(size * 8.0 / 1000.0 for size in sizes)
+    total_seconds = sum(manifest.chunk_duration_s for _ in sizes)
+    return total_kilobits / total_seconds
+
+
 @pytest.mark.parametrize("manifest", MANIFESTS)
 def test_table_average_is_track_avg_bitrate(manifest):
     for level in manifest.levels:
-        assert manifest.avg_bitrate_kbps(level) == track_avg_bitrate(manifest.track(level))
+        assert manifest.avg_kbps[level - 1] == track_avg_bitrate(manifest, level)
 
 
 @pytest.mark.parametrize("manifest", MANIFESTS)
 def test_table_row_is_chunk_bitrate(manifest):
     for level in manifest.levels:
-        for i, chunk in enumerate(manifest.track(level).chunks):
-            assert manifest.bitrate_kbps(level, i) == chunk.bitrate_kbps
+        for i in range(manifest.n_chunks):
+            assert manifest.rate_rows[level - 1][i] == chunk_bitrate(manifest, level, i)
 
 
 @pytest.mark.parametrize("manifest", MANIFESTS)
 @pytest.mark.parametrize("window", [1, 3, 10, 50])
 def test_table_window_is_windowed_avg_bitrate(manifest, window):
     for level in manifest.levels:
-        track = manifest.track(level)
         for start in range(manifest.n_chunks):
             got = manifest.windowed_bitrate_kbps(level, start, window)
-            assert got == windowed_avg_bitrate(track, start, window)
+            assert got == windowed_avg_bitrate(manifest, level, start, window)
 
 
 def test_table_window_keeps_range_checks():
     manifest = MANIFESTS[1]
     for start, window in ((-1, 2), (manifest.n_chunks, 2), (0, 0)):
         with pytest.raises(ValueError) as reference:
-            windowed_avg_bitrate(manifest.track(1), start, window)
+            windowed_avg_bitrate(manifest, 1, start, window)
         with pytest.raises(type(reference.value), match=str(reference.value)):
             manifest.windowed_bitrate_kbps(1, start, window)
 
@@ -129,7 +141,7 @@ def _score(manifest, chunk_index, buffer_s, seq, est_kbps, mu, lam, prev_rate):
     total = change = stall = 0.0
     last_rate = prev_rate
     for k, lvl in enumerate(seq):
-        rate = manifest.chunk(lvl, chunk_index + k).bitrate_kbps
+        rate = chunk_bitrate(manifest, lvl, chunk_index + k)
         dl = rate * delta / est_kbps
         stall += max(0.0, dl - x)
         x = max(x - dl, 0.0) + delta
@@ -148,11 +160,11 @@ def _reference_decide(scheme: Mpc, ctx: DecisionContext) -> tuple[int, int]:
         est = est / (1.0 + scheme._worst_overestimate(ctx.history))
     lam = scheme.lam
     if lam is None:
-        lam = max(track_avg_bitrate(t) for t in m.tracks) / 1000.0
+        lam = max(track_avg_bitrate(m, level) for level in m.levels) / 1000.0
     h = min(scheme.horizon, m.n_chunks - ctx.chunk_index)
     prev_rate = None
     if ctx.last_level is not None:
-        prev_rate = m.chunk(ctx.last_level, ctx.chunk_index - 1).bitrate_kbps
+        prev_rate = chunk_bitrate(m, ctx.last_level, ctx.chunk_index - 1)
     best = best_seq = None
     evals = 0
     for seq in itertools.product(sorted(ctx.allowed_levels), repeat=h):
@@ -254,21 +266,21 @@ def _reference_transition(trace, manifest, config, chunk_index, level, x_key, t_
         x, s = _drain(x, _playback_window(config, t, config.rtt_s, chunk_index))
         stall += s
         t += config.rtt_s
-    end = advance_download(trace, t, manifest.chunk(level, chunk_index).size_bytes)
+    end = advance_download(trace, t, manifest.size_rows[level - 1][chunk_index])
     x, s = _drain(x, _playback_window(config, t, end - t, chunk_index))
     stall += s
     x = min(x + delta, cap)
     return _bin(x), _bin(end), stall
 
 
-def windowed_avg_bitrate(track, start: int, window: int) -> float:
+def windowed_avg_bitrate(manifest, level: int, start: int, window: int) -> float:
     """Mean per-chunk bitrate over chunks [start, start+window), truncated at video end."""
-    if not 0 <= start < len(track.chunks):
+    if not 0 <= start < manifest.n_chunks:
         raise MediaError("window start outside track")
     if window < 1:
         raise MediaError("window must be >= 1")
-    span = track.chunks[start : start + window]
-    return sum(c.bitrate_kbps for c in span) / len(span)
+    span = range(start, min(start + window, manifest.n_chunks))
+    return sum(chunk_bitrate(manifest, level, i) for i in span) / len(span)
 
 
 def _reference_step_cost(quality, objective, chunk_index, level, prev_level, stall_s):
@@ -312,8 +324,7 @@ def _reference_offline_optimal(trace, manifest, objective, config):
 
 def _rated_vbr(rng, seed, n_levels, n_chunks):
     """`_seeded_vbr` sizes with a random quality value on every chunk."""
-    tracks = _seeded_vbr(seed, n_levels=n_levels, n_chunks=n_chunks).tracks
-    sizes = [[c.size_bytes for c in t.chunks] for t in tracks]
+    sizes = _seeded_vbr(seed, n_levels=n_levels, n_chunks=n_chunks).size_rows
     vmafs = [[round(rng.uniform(30.0, 99.0), 1) for _ in range(n_chunks)] for _ in range(n_levels)]
     return vbr_manifest(sizes, vmafs_by_level=vmafs)
 
@@ -435,7 +446,7 @@ def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
     target = alpha * est
     prev_rate = None
     if ctx.last_level is not None:
-        prev_rate = manifest.avg_bitrate_kbps(ctx.last_level)
+        prev_rate = manifest.avg_kbps[ctx.last_level - 1]
     best = best_lvl = None
     for lvl in sorted(ctx.allowed_levels):
         rate = self._rollout_rate(ctx, lvl)
@@ -452,7 +463,7 @@ def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
             x = nx
         self.eval_count += horizon
         if prev_rate is not None:
-            cost += eta * (manifest.avg_bitrate_kbps(lvl) - prev_rate) ** 2
+            cost += eta * (manifest.avg_kbps[lvl - 1] - prev_rate) ** 2
         if best is None or cost < best:
             best, best_lvl = cost, lvl
     return best_lvl

@@ -19,6 +19,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
 from abrsim import (
@@ -30,7 +32,7 @@ from abrsim import (
     simulate_session,
 )
 from abrsim.cli import RunConfig, main, noisy_bandwidth, square_wave
-from abrsim.media import parse_manifest
+from abrsim.media import VideoManifest, parse_manifest
 
 _RATES = (400, 1000, 2200, 4000)
 _N_CHUNKS = 60
@@ -380,11 +382,13 @@ FULL_CONFIG = {
 def _manifest_json(manifest) -> str:
     tracks = [
         {
-            "level": track.level,
-            "declared_bitrate_kbps": track.declared_bitrate_kbps,
-            "chunks": [{"size_bytes": c.size_bytes, "vmaf": c.vmaf} for c in track.chunks],
+            "level": level,
+            "declared_bitrate_kbps": declared,
+            "chunks": [{"size_bytes": size, "vmaf": vmaf} for size, vmaf in zip(sizes, vmafs)],
         }
-        for track in manifest.tracks
+        for level, (declared, sizes, vmafs) in enumerate(
+            zip(manifest.declared_kbps, manifest.size_rows, manifest.vmaf_rows), 1
+        )
     ]
     return json.dumps(
         {
@@ -394,6 +398,35 @@ def _manifest_json(manifest) -> str:
             "tracks": tracks,
         }
     )
+
+
+@st.composite
+def _row_manifests(draw):
+    """Valid manifests: CBR with exact sizes, or VBR whose rows grow level by level."""
+    n_levels, n = draw(st.integers(2, 4)), draw(st.integers(1, 8))
+    duration = draw(st.sampled_from((0.1, 2.0, 4.0)) | st.floats(0.01, 10.0))
+    vmaf = st.none() | st.floats(0.0, 100.0)
+    vmafs = [draw(st.lists(vmaf, min_size=n, max_size=n)) for _ in range(n_levels)]
+    name = draw(st.text(max_size=6))
+    if draw(st.booleans()):
+        rates = sorted(draw(st.lists(st.integers(100, 8000), min_size=n_levels, max_size=n_levels)))
+        sizes = [[round(rate * 125 * duration)] * n for rate in rates]
+        return VideoManifest(name, duration, False, [float(r) for r in rates], sizes, vmafs)
+    sizes = [draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))]
+    for _ in range(n_levels - 1):
+        steps = draw(st.lists(st.integers(0, 10**5), min_size=n, max_size=n))
+        sizes.append([size + step for size, step in zip(sizes[-1], steps)])
+    declared = draw(st.lists(st.floats(1.0, 1e5), min_size=n_levels, max_size=n_levels))
+    return VideoManifest(name, duration, True, declared, sizes, vmafs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(manifest=_row_manifests())
+def test_manifest_json_round_trips(manifest):
+    parsed = parse_manifest(_manifest_json(manifest))
+    assert parsed == manifest
+    assert (parsed.avg_kbps, parsed.rate_rows) == (manifest.avg_kbps, manifest.rate_rows)
+    assert parsed.quality_rows == manifest.quality_rows
 
 
 def _cli_output(tmp_path, command, filename, video=_vbr, links=TRACES, **fields) -> str:

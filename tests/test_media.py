@@ -1,4 +1,4 @@
-"""Media-model tests: trace parsing, manifest validation, classification, track stats."""
+"""Media-model tests: trace parsing, manifest validation, classification, level stats."""
 
 from __future__ import annotations
 
@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from abrsim.media import (
     TRACE_HEADER,
     BandwidthTrace,
-    ChunkMeta,
     MediaError,
-    Track,
     VideoManifest,
     classify_chunks,
     parse_manifest,
     parse_trace,
-    track_avg_bitrate,
 )
 
 from _builders import JSON_VALUES, cbr_manifest, vbr_manifest
@@ -162,7 +159,7 @@ class TestParseManifest:
 
     def test_cbr_sizes(self):
         m = parse_manifest(manifest_json([350, 600]))
-        assert [t.chunks[0].size_bytes for t in m.tracks] == [87500, 150000]
+        assert [row[0] for row in m.size_rows] == [87500, 150000]
         assert m.n_chunks == 3 and m.n_levels == 2
 
     def test_cbr_tolerates_one_byte(self):
@@ -218,13 +215,13 @@ class TestParseManifest:
 
     def test_vmaf_passthrough_and_range(self):
         m = parse_manifest(manifest_json([350, 600], vmaf=93.5))
-        assert m.tracks[0].chunks[0].vmaf == 93.5
+        assert m.vmaf_rows[0][0] == 93.5
         with pytest.raises(MediaError, match="vmaf"):
             parse_manifest(manifest_json([350, 600], vmaf=101.0))
 
     def test_null_vmaf_is_none(self):
         m = parse_manifest(manifest_json([350, 600]))
-        assert m.tracks[0].chunks[0].vmaf is None
+        assert m.vmaf_rows[0][0] is None
 
     def test_six_track_ladder_accepted(self):
         m = parse_manifest(manifest_json([350, 600, 1000, 2000, 3000, 5000]))
@@ -265,9 +262,8 @@ class TestParseManifest:
         raw = json.loads(manifest_json([350, 600], vmaf=80.0))
         raw["tracks"][1]["level"] = 2.0
         raw["tracks"][1]["chunks"][2]["size_bytes"] = 150000.0
-        track = parse_manifest(json.dumps(raw)).tracks[1]
-        assert track.level == 2 and type(track.level) is int
-        size = track.chunks[2].size_bytes
+        # level 2.0 reads as level 2, so the contiguity check passes
+        size = parse_manifest(json.dumps(raw)).size_rows[1][2]
         assert size == 150000 and type(size) is int
 
 
@@ -323,17 +319,17 @@ class TestClassifyChunks:
 
 class TestTrackStats:
     def test_track_avg_bitrate(self):
-        track = Track(1, 1000.0, tuple(ChunkMeta(250000, 2.0) for _ in range(3)))
-        assert track_avg_bitrate(track) == 1000.0
+        m = vbr_manifest([[250000] * 3, [500000] * 3])
+        assert m.avg_kbps[0] == 1000.0
 
     def test_single_chunk_avg(self):
-        track = Track(1, 1000.0, (ChunkMeta(500000, 2.0),))
-        assert track_avg_bitrate(track) == 2000.0
+        m = vbr_manifest([[500000], [600000]])
+        assert m.avg_kbps[0] == 2000.0
 
     def test_cbr_avg_matches_declared(self):
         m = cbr_manifest([350, 600, 1000], duration_s=2.0, n_chunks=5)
-        for t in m.tracks:
-            assert track_avg_bitrate(t) == pytest.approx(t.declared_bitrate_kbps, abs=1e-6)
+        for avg, declared in zip(m.avg_kbps, m.declared_kbps):
+            assert avg == pytest.approx(declared, abs=1e-6)
 
     def test_windowed_avg(self):
         m = vbr_manifest([[250000, 750000], [500000, 1500000]])
@@ -347,41 +343,101 @@ class TestTrackStats:
             m.windowed_bitrate_kbps(1, 1, 1)
         with pytest.raises(MediaError):
             m.windowed_bitrate_kbps(1, 0, 0)
+        with pytest.raises(MediaError, match="level 3 outside 1..2"):
+            m.windowed_bitrate_kbps(3, 0, 1)
 
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=20))
     def test_window_of_one_is_chunk_bitrate(self, sizes):
         m = vbr_manifest([sizes, [2 * s for s in sizes]])
-        for i, chunk in enumerate(m.track(1).chunks):
-            assert m.windowed_bitrate_kbps(1, i, 1) == chunk.bitrate_kbps
+        for i, size in enumerate(m.size_rows[0]):
+            assert m.windowed_bitrate_kbps(1, i, 1) == size * 8.0 / 1000.0 / m.chunk_duration_s
+
+
+def _rows_manifest(duration=2.0, declared=(400.0, 800.0), sizes=((100, 100), (200, 200)),
+                   vmafs=((None, None), (None, None)), is_vbr=True):
+    return VideoManifest("rows", duration, is_vbr, declared, sizes, vmafs)
 
 
 class TestChunkMeta:
+    """Per-chunk values: one entry of `size_rows` and `vmaf_rows`."""
+
     def test_bitrate_kbps(self):
-        assert ChunkMeta(250000, 2.0).bitrate_kbps == 1000.0
+        assert vbr_manifest([[250000, 1], [500000, 1]]).rate_rows[0][0] == 1000.0
 
     def test_validation(self):
-        with pytest.raises(MediaError):
-            ChunkMeta(0, 2.0)
-        with pytest.raises(MediaError):
-            ChunkMeta(100, 0.0)
-        with pytest.raises(MediaError):
-            ChunkMeta(100, 2.0, -1.0)
+        with pytest.raises(MediaError, match="size"):
+            vbr_manifest([[0, 100], [200, 200]])
+        with pytest.raises(MediaError, match="duration"):
+            _rows_manifest(duration=0.0)
+        with pytest.raises(MediaError, match="vmaf"):
+            vbr_manifest([[100, 100], [200, 200]], vmafs_by_level=[[-1.0, 50.0], [60.0, 70.0]])
+
+
+class TestManifestRows:
+    """A manifest built in Python gets the checks a parsed one does."""
+
+    def test_builds_from_lists(self):
+        m = _rows_manifest(declared=[400.0, 800.0], sizes=[[100, 100], [200, 200]])
+        assert m == _rows_manifest()
+        assert m.size_rows == ((100, 100), (200, 200)) and m.quality_rows is None
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), "2.0", True])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(MediaError, match="chunk_duration_s"):
+            _rows_manifest(duration=duration)
+
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), "800"])
+    def test_non_finite_declared_rate_rejected(self, rate):
+        with pytest.raises(MediaError, match="declared rate of level 2"):
+            _rows_manifest(declared=(400.0, rate))
+
+    def test_non_positive_declared_rate_rejected(self):
+        with pytest.raises(MediaError, match="declared bitrate must be positive"):
+            _rows_manifest(declared=(0.0, 800.0))
+
+    def test_bool_size_rejected(self):
+        with pytest.raises(MediaError, match="positive integer byte count"):
+            _rows_manifest(sizes=((True, 100), (200, 200)))
+
+    @pytest.mark.parametrize("size", [0, -3, 100.0])
+    def test_non_positive_or_fractional_size_rejected(self, size):
+        with pytest.raises(MediaError, match="positive integer byte count"):
+            _rows_manifest(sizes=((100, size), (200, 200)))
+
+    @pytest.mark.parametrize("vmaf", [-1.0, 100.5])
+    def test_vmaf_outside_range_rejected(self, vmaf):
+        with pytest.raises(MediaError, match="vmaf"):
+            _rows_manifest(vmafs=((50.0, 50.0), (60.0, vmaf)))
+
+    @pytest.mark.parametrize("vmaf", [float("nan"), float("inf"), True, "80"])
+    def test_non_finite_vmaf_rejected(self, vmaf):
+        with pytest.raises(MediaError, match="vmaf"):
+            _rows_manifest(vmafs=((50.0, 50.0), (60.0, vmaf)))
+
+    def test_row_counts_must_match_the_levels(self):
+        with pytest.raises(MediaError, match="one entry per level"):
+            _rows_manifest(declared=(400.0, 800.0, 1200.0))
+        with pytest.raises(MediaError, match="one entry per level"):
+            _rows_manifest(vmafs=((None, None),))
+
+    def test_ragged_vmaf_row_rejected(self):
+        with pytest.raises(MediaError, match="ragged"):
+            _rows_manifest(vmafs=((None, None), (None,)))
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(MediaError, match="no chunks"):
+            _rows_manifest(sizes=((), ()), vmafs=((), ()))
 
 
 class TestManifestAccessors:
     def test_track_and_chunk_lookup(self):
         m = cbr_manifest([350, 600], n_chunks=4)
-        assert m.track(2).declared_bitrate_kbps == 600.0
-        assert m.chunk(1, 0).size_bytes == 87500
-        assert m.bitrate_kbps(2, 3) == pytest.approx(600.0)
+        assert m.declared_kbps[1] == 600.0
+        assert m.size_rows[0][0] == 87500
+        assert m.rate_rows[1][3] == pytest.approx(600.0)
         assert m.levels == (1, 2)
-        with pytest.raises(MediaError):
-            m.track(0)
-        with pytest.raises(MediaError):
-            m.track(3)
-
-    def test_duration_mismatch_rejected(self):
-        chunks_a = (ChunkMeta(87500, 2.0), ChunkMeta(87500, 2.0))
-        chunks_b = (ChunkMeta(150000, 2.5), ChunkMeta(150000, 2.5))
-        with pytest.raises(MediaError, match="duration"):
-            VideoManifest("x", 2.0, True, (Track(1, 350.0, chunks_a), Track(2, 600.0, chunks_b)))
+        m.check_levels((1, 2))
+        with pytest.raises(MediaError, match="level 0 outside 1..2"):
+            m.check_levels((0,))
+        with pytest.raises(MediaError, match="level 3 outside 1..2"):
+            m.check_levels((1, 3))

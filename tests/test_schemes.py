@@ -12,7 +12,7 @@ from _builders import cbr_manifest, constant_trace, vbr_manifest
 from abrsim.cli import noisy_bandwidth
 from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams, RampSchedule
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, simulate_session
-from abrsim.media import MediaError, classify_chunks, track_avg_bitrate
+from abrsim.media import MediaError, classify_chunks
 from abrsim.schemes import (
     SCHEMES,
     BufferAwareRate,
@@ -265,14 +265,14 @@ def _mpc_oracle(ctx, horizon, mu, lam):
     delta = m.chunk_duration_s
     prev = None
     if ctx.last_level is not None:
-        prev = m.bitrate_kbps(ctx.last_level, ctx.chunk_index - 1)
+        prev = m.rate_rows[ctx.last_level - 1][ctx.chunk_index - 1]
     best = best_seq = None
     for seq in itertools.product(sorted(ctx.allowed_levels), repeat=h):
         x = ctx.buffer_s
         total = change = stall = 0.0
         last_rate = prev
         for k, lvl in enumerate(seq):
-            rate = m.bitrate_kbps(lvl, ctx.chunk_index + k)
+            rate = m.rate_rows[lvl - 1][ctx.chunk_index + k]
             dl = rate * delta / ctx.est_kbps
             stall += max(0.0, dl - x)
             x = max(x - dl, 0.0) + delta
@@ -426,10 +426,10 @@ def _pia_oracle(ctx, params, integral0, kp=None, xr=None):
     delta = ctx.manifest.chunk_duration_s
     prev = None
     if ctx.last_level is not None:
-        prev = track_avg_bitrate(ctx.manifest.track(ctx.last_level))
+        prev = ctx.manifest.avg_kbps[ctx.last_level - 1]
     best = best_lvl = None
     for lvl in sorted(ctx.allowed_levels):
-        rate = track_avg_bitrate(ctx.manifest.track(lvl))
+        rate = ctx.manifest.avg_kbps[lvl - 1]
         cost = 0.0
         x, integral, u, ind = ctx.buffer_s, integral0, u0, float(ctx.playing_indicator)
         d = rate * delta / est
@@ -791,15 +791,15 @@ def _quad_costs(ctx, params, u):
     est = ctx.est_kbps
     prev_q = None
     if ctx.last_level is not None:
-        prev_q = m.chunk(ctx.last_level, ctx.chunk_index - 1).vmaf
+        prev_q = m.vmaf_rows[ctx.last_level - 1][ctx.chunk_index - 1]
     costs = {}
     for lvl in ctx.allowed_levels:
-        chunk = m.chunk(lvl, ctx.chunk_index)
-        rate = m.bitrate_kbps(lvl, ctx.chunk_index)
+        vmaf = m.vmaf_rows[lvl - 1][ctx.chunk_index]
+        rate = m.rate_rows[lvl - 1][ctx.chunk_index]
         cost = (max(0.0, u * rate - est) / est) ** 2
-        cost += params.alpha * ((qr - chunk.vmaf) / qr) ** 2
+        cost += params.alpha * ((qr - vmaf) / qr) ** 2
         if prev_q is not None:
-            cost += params.eta * ((chunk.vmaf - prev_q) / qr) ** 2
+            cost += params.eta * ((vmaf - prev_q) / qr) ** 2
         costs[lvl] = cost
     return costs
 
@@ -900,8 +900,8 @@ class TestFilters:
         for variant in ("minus", "plus"):
             tbf_cap = tbf_filter(m, target, variant)
             for i in range(n_chunks):
-                dev_cbf = abs(m.chunk(caps[i], i).vmaf - target)
-                dev_tbf = abs(m.chunk(tbf_cap, i).vmaf - target)
+                dev_cbf = abs(m.vmaf_rows[caps[i] - 1][i] - target)
+                dev_tbf = abs(m.vmaf_rows[tbf_cap - 1][i] - target)
                 assert dev_cbf <= dev_tbf + 1e-12
 
 
