@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
@@ -48,7 +47,7 @@ from .schemes import (
     build_scheme,
     scheme_class,
 )
-from .tuning import GainGrid, extract_region, sweep_gains
+from .tuning import GainGrid, extract_region, map_tasks, sweep_gains
 
 _MIN_NOISY_KBPS = 50.0
 _MAX_TRACE_SECONDS = 7 * 24 * 3600  # one week of 1 Hz samples
@@ -434,11 +433,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if config.include_oracle:  # the oracle row is unfiltered
         _check_oracle(config, manifest)
         tasks += [(_FixedSequence.name, trace, manifest, config, None) for trace in traces]
-    if config.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            cells = list(pool.map(_compare_cell, tasks))
-    else:
-        cells = [_compare_cell(task) for task in tasks]
+    cells = map_tasks(_compare_cell, tasks, config.jobs)
     header = f"scheme,trace,{cells[0][1]}"
     rows = [row for row, _ in cells]
     out = _out_dir(config)

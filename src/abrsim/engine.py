@@ -471,15 +471,31 @@ def _normalize_allowed(manifest: VideoManifest, allowed_levels) -> tuple[tuple[i
     if seq and isinstance(seq[0], int):
         per_position = (tuple(sorted(seq)),) * n
     else:
-        per_position = tuple(tuple(sorted(s)) for s in seq)
+        # A filter repeats a few tuples over every position, so each distinct
+        # tuple is sorted and checked once. The memo keys on identity (the
+        # positions keep every set alive), so no level is ever hashed.
+        sorted_by_id = {}
+        rows = []
+        for s in seq:
+            levels = sorted_by_id.get(id(s))
+            if levels is None:
+                levels = tuple(sorted(s))
+                if type(s) is tuple:  # an iterator may not be read twice
+                    sorted_by_id[id(s)] = levels
+            rows.append(levels)
+        per_position = tuple(rows)
     if len(per_position) != n:
         raise ConfigError("allowed_levels must cover every chunk position")
+    checked = set()
     for pos, levels in enumerate(per_position):
+        if id(levels) in checked:
+            continue
         if not levels:
             raise ConfigError(f"no allowed levels for chunk {pos}")
         for lvl in levels:
             if lvl not in all_levels:
                 raise ConfigError(f"allowed level {lvl} not in manifest at chunk {pos}")
+        checked.add(id(levels))
     return per_position
 
 

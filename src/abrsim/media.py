@@ -224,6 +224,29 @@ def _field(raw: dict, key: str, kind, default=_REQUIRED):
     return read_value(_manifest_error, key, value, kind)
 
 
+_EXACT_INT = 2**53  # a positive int below this is a size read_value takes as it is
+
+
+def _read_chunks(chunks: list) -> tuple[list, list]:
+    """Each chunk's size and vmaf, as `_field` reads them. One pass takes an int
+    size and a vmaf that is absent, null or a finite float as they are; at any
+    other value the whole list is read again through `_field`, which gives the
+    same value, or the same error as reading every size before any vmaf."""
+    sizes, vmafs = [], []
+    isfinite = math.isfinite
+    for c in chunks:
+        size, vmaf = c.get("size_bytes"), c.get("vmaf")
+        if type(size) is int and 0 < size < _EXACT_INT and (
+            vmaf is None or type(vmaf) is float and isfinite(vmaf)
+        ):
+            sizes.append(size)
+            vmafs.append(vmaf)
+        else:
+            return ([_field(c, "size_bytes", int) for c in chunks],
+                    [_field(c, "vmaf", float, None) for c in chunks])
+    return sizes, vmafs
+
+
 def parse_manifest(text: str) -> VideoManifest:
     """Parse manifest JSON into a validated VideoManifest."""
     try:
@@ -238,9 +261,12 @@ def parse_manifest(text: str) -> VideoManifest:
         if _field(track, "level", int) != idx + 1:
             raise MediaError("track levels must be contiguous 1..L in order")
         declared.append(_field(track, "declared_bitrate_kbps", float))
-        chunks = _field(track, "chunks", [dict])
-        size_rows.append([_field(c, "size_bytes", int) for c in chunks])
-        vmaf_rows.append([_field(c, "vmaf", float, None) for c in chunks])
+        chunks = track.get("chunks")
+        if type(chunks) is not list or not all(type(c) is dict for c in chunks):
+            chunks = _field(track, "chunks", [dict])
+        sizes, vmafs = _read_chunks(chunks)
+        size_rows.append(sizes)
+        vmaf_rows.append(vmafs)
     return VideoManifest(
         name=_field(raw, "name", str, "video"),
         chunk_duration_s=duration,

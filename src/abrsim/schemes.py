@@ -617,6 +617,8 @@ class FilterSpec:
 def cbf_filter(manifest: VideoManifest, target_quality: float) -> tuple[tuple[int, ...], ...]:
     """Per-position allowed sets {1..cap} where cap's quality is closest to target."""
     quality = require_quality(manifest)
+    # one shared tuple per cap, so the engine sorts and checks each cap's set once
+    prefixes = [tuple(range(1, cap + 1)) for cap in manifest.levels]
     allowed = []
     for i in range(manifest.n_chunks):
         best = cap = None
@@ -624,7 +626,7 @@ def cbf_filter(manifest: VideoManifest, target_quality: float) -> tuple[tuple[in
             dev = abs(quality[lvl - 1][i] - target_quality)
             if best is None or dev < best:
                 best, cap = dev, lvl
-        allowed.append(tuple(range(1, cap + 1)))
+        allowed.append(prefixes[cap - 1])
     return tuple(allowed)
 
 
@@ -651,7 +653,7 @@ def allowed_from_filter(spec: FilterSpec, manifest: VideoManifest):
         return cbf_filter(manifest, spec.target_quality)
     variant = "minus" if spec.kind == "tbf-" else "plus"
     cap = tbf_filter(manifest, spec.target_quality, variant)
-    return tuple(tuple(range(1, cap + 1)) for _ in range(manifest.n_chunks))
+    return (tuple(range(1, cap + 1)),) * manifest.n_chunks
 
 
 # ------------------------------------------------------------------ registry

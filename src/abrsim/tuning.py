@@ -8,7 +8,6 @@ operating region is then grown greedily around the hottest cell.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .control import is_valid_gain_pair, read_value
@@ -80,6 +79,19 @@ class HeatMap:
         return "\n".join(lines) + "\n"
 
 
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """`[fn(task) for task in tasks]`, in task order. With `jobs` > 1 and more
+    than one task, the tasks run in a process pool of at most one worker per
+    task (`fn` and each task must pickle); the pool is imported only then, so a
+    serial command never loads it."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(task) for task in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _trace_flags(task) -> tuple[int, ...]:
     """Flags for one trace, aligned to the grid's valid cells in scan order."""
     grid, trace, manifest, template, weights, config = task
@@ -121,11 +133,7 @@ def sweep_gains(
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     tasks = [(grid, trace, manifest, template, weights, config) for trace in traces]
-    if jobs == 1:
-        rows = [_trace_flags(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_trace_flags, tasks))
+    rows = map_tasks(_trace_flags, tasks, jobs)
     mask = grid.validity()
     cells = [
         (i, j)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -562,6 +566,84 @@ def test_compare_jobs_flag_keeps_output_identical(workdir):
     assert [row.split(",")[0] for row in serial.split("\n")[-3:-1]] == ["offline-optimal"] * 2
     assert main(["compare", "--config", str(config), "--jobs", "2"]) == 0
     assert (out / "compare.csv").read_text() == serial
+
+
+# -- worker pool ---------------------------------------------------------------------
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool a command starts; the pools are
+    stand-ins that run their tasks in this process, so no worker is forked."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
+def _pool_job(tmp, manifest, command, n_tasks):
+    """A compare job with one row per scheme, or a sweep with one trace per task."""
+    traces = [str(write_trace(tmp / f"t{k}.csv", kbps=700.0 + 400 * k)) for k in range(n_tasks)]
+    if command == "compare":
+        fields = dict(schemes=["rb", "bba0", "pia"][:n_tasks], traces=traces[:1])
+    else:
+        fields = dict(traces=traces, grid={"kp_values": [0.0088], "ki_values": [3.6e-5]})
+    out = tmp / "out"
+    config = write_config(tmp / "cfg.json", manifest=str(manifest), out_dir=str(out), **fields)
+    return config, out / ("compare.csv" if command == "compare" else "heatmap.csv")
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_one_task_starts_no_pool(workdir, pool_sizes, command):
+    tmp, manifest, _ = workdir
+    config, output = _pool_job(tmp, manifest, command, 1)
+    assert main([command, "--config", str(config), "--jobs", "2"]) == 0
+    assert output.is_file() and pool_sizes == []
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+def test_pool_starts_at_most_one_worker_per_task(workdir, pool_sizes, command):
+    tmp, manifest, _ = workdir
+    config, output = _pool_job(tmp, manifest, command, 3)
+    assert main([command, "--config", str(config)]) == 0
+    serial = output.read_text()
+    assert pool_sizes == []
+    assert main([command, "--config", str(config), "--jobs", "50"]) == 0
+    assert pool_sizes == [3]
+    assert output.read_text() == serial
+
+
+def test_cli_import_and_run_leave_the_pool_unloaded(workdir):
+    tmp, manifest, trace = workdir
+    config = write_config(tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)],
+                          scheme="rb", out_dir=str(tmp / "out"))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "pool = ('concurrent.futures.process', 'multiprocessing')",
+        "import abrsim.cli",
+        "on_import = [m for m in pool if m in sys.modules]",
+        f"code = abrsim.cli.main(['run', '--config', {str(config)!r}])",
+        "print(on_import, [m for m in pool if m in sys.modules], code)",
+    ])
+    done = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[] [] 0"
 
 
 def test_compare_reads_trace_dir_sorted(workdir):

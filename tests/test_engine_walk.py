@@ -6,7 +6,9 @@ event; the estimator summing reciprocals on every call), kept here as the
 reference. On small finite traces (zeros included), 2-8 chunk CBR and VBR
 manifests and configs that reach every startup rule, RTT and request-gate
 branch, `simulate_session` must return a `SessionLog` equal to the
-reference's, or raise the same `SimulationError`.
+reference's, or raise the same `SimulationError`. `_reference_normalize_allowed`
+is the allowed-set check as first written, one sort and check per position;
+the engine's memoized check must return or raise the same.
 """
 
 from __future__ import annotations
@@ -511,3 +513,66 @@ def test_startup_at_the_gate_example_starts_playback_in_the_precheck():
     session.run_chunk(2)
     assert session.startup_latency == 2.0
     assert session.decisions[2].dl_start_s == 3.0
+
+
+# -- allowed-level sets -------------------------------------------------------------
+
+
+def _reference_normalize_allowed(manifest, allowed_levels):
+    """`_normalize_allowed` as first written: every position sorted and checked."""
+    n = manifest.n_chunks
+    all_levels = manifest.levels
+    if allowed_levels is None:
+        return (all_levels,) * n
+    seq = tuple(allowed_levels)
+    if seq and isinstance(seq[0], int):
+        per_position = (tuple(sorted(seq)),) * n
+    else:
+        per_position = tuple(tuple(sorted(s)) for s in seq)
+    if len(per_position) != n:
+        raise ConfigError("allowed_levels must cover every chunk position")
+    for pos, levels in enumerate(per_position):
+        if not levels:
+            raise ConfigError(f"no allowed levels for chunk {pos}")
+        for lvl in levels:
+            if lvl not in all_levels:
+                raise ConfigError(f"allowed level {lvl} not in manifest at chunk {pos}")
+    return per_position
+
+
+def _normalized(normalize, manifest, allowed):
+    try:
+        return normalize(manifest, allowed)
+    except Exception as exc:  # both must fail alike, TypeError from sorting included
+        return type(exc), str(exc)
+
+
+# shared tuples, as a filter repeats them, plus sets that fail each check
+_SHARED_SETS = ((1,), (2, 1), (1, 2, 3), (3, 2.0), (), (1, 4), (0,), ([1],), (1, "a"))
+# a position holds a shared tuple itself, an equal fresh tuple or an equal list
+_COPIES = {"shared": lambda s: s, "fresh": lambda s: tuple(list(s)), "list": list}
+
+
+@settings(max_examples=200, deadline=None)
+@given(picks=st.lists(st.tuples(st.sampled_from(_SHARED_SETS), st.sampled_from(sorted(_COPIES))),
+                      min_size=1, max_size=6))
+def test_allowed_sets_normalize_as_reference(picks):
+    manifest = cbr_manifest((500, 1000, 1500), n_chunks=len(picks))
+    allowed = [_COPIES[copy](levels) for levels, copy in picks]
+    got = _normalized(_normalize_allowed, manifest, allowed)
+    assert got == _normalized(_reference_normalize_allowed, manifest, allowed)
+
+
+def test_shared_bad_set_fails_at_its_first_position():
+    manifest = cbr_manifest((500, 1000), n_chunks=4)
+    bad = (1, 3)
+    allowed = ((1,), (1, 2), bad, bad)
+    assert _normalized(_normalize_allowed, manifest, allowed) == (
+        ConfigError, "allowed level 3 not in manifest at chunk 2")
+    unhashable = ([1],)
+    assert _normalized(_normalize_allowed, manifest, (unhashable,) * 4) == (
+        ConfigError, "allowed level [1] not in manifest at chunk 0")
+    # one iterator at every position is read once, so chunk 1 finds it empty
+    once = iter((1, 2))
+    assert _normalized(_normalize_allowed, manifest, (once,) * 4) == (
+        ConfigError, "no allowed levels for chunk 1")

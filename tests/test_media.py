@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abrsim.control import read_value
 from abrsim.media import (
     TRACE_HEADER,
     BandwidthTrace,
     MediaError,
     VideoManifest,
+    _field,
     classify_chunks,
     parse_manifest,
     parse_trace,
@@ -265,6 +267,114 @@ class TestParseManifest:
         # level 2.0 reads as level 2, so the contiguity check passes
         size = parse_manifest(json.dumps(raw)).size_rows[1][2]
         assert size == 150000 and type(size) is int
+
+
+# -- one-pass chunk reader ----------------------------------------------------------
+
+
+def _reference_parse_manifest(text: str) -> VideoManifest:
+    """The manifest reader as first written: every chunk field through `_field`,
+    all sizes of a track before any of its vmafs."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MediaError(f"manifest is not valid JSON: {exc}") from None
+    raw = read_value(MediaError, "manifest", raw, dict)
+    duration = _field(raw, "chunk_duration_s", float)
+    declared, size_rows, vmaf_rows = [], [], []
+    for idx, track in enumerate(_field(raw, "tracks", [dict])):
+        if _field(track, "level", int) != idx + 1:
+            raise MediaError("track levels must be contiguous 1..L in order")
+        declared.append(_field(track, "declared_bitrate_kbps", float))
+        chunks = _field(track, "chunks", [dict])
+        size_rows.append([_field(c, "size_bytes", int) for c in chunks])
+        vmaf_rows.append([_field(c, "vmaf", float, None) for c in chunks])
+    return VideoManifest(
+        name=_field(raw, "name", str, "video"),
+        chunk_duration_s=duration,
+        is_vbr=_field(raw, "is_vbr", bool),
+        declared_kbps=declared,
+        size_rows=size_rows,
+        vmaf_rows=vmaf_rows,
+    )
+
+
+def _outcome(parse, text):
+    """A parse's manifest with its derived tables (repr keeps 80 apart from
+    80.0), or its exception's type and message."""
+    try:
+        m = parse(text)
+    except Exception as exc:  # the two readers must fail alike, whatever the type
+        return type(exc), str(exc)
+    return m, repr(m), m.avg_kbps, m.rate_rows, m.quality_rows
+
+
+def _assert_reads_as_reference(text):
+    got = _outcome(parse_manifest, text)
+    assert got == _outcome(_reference_parse_manifest, text)
+    return got
+
+
+class TestChunkFastPath:
+    @settings(max_examples=200, deadline=None)
+    @given(edits=MANIFEST_EDITS, vbr=st.booleans())
+    def test_fuzzed_manifest_reads_as_reference(self, edits, vbr):
+        sizes = [[87500, 90000, 60000], [150000, 160000, 140000]] if vbr else None
+        raw = json.loads(manifest_json([350, 600], is_vbr=vbr, sizes=sizes, vmaf=80.0))
+        target = {"top": raw, "track": raw["tracks"][1], "chunk": raw["tracks"][1]["chunks"][2]}
+        for (where, field), value in edits:
+            target[where][field] = value
+        _assert_reads_as_reference(json.dumps(raw))
+
+    @staticmethod
+    def _edited(edit, vmaf=80.0):
+        raw = json.loads(manifest_json([350, 600], is_vbr=True, vmaf=vmaf))
+        edit(raw["tracks"][1]["chunks"])
+        return json.dumps(raw)
+
+    def test_int_vmaf_reads_as_float(self):
+        m = _assert_reads_as_reference(manifest_json([350, 600], vmaf=80))[0]
+        assert all(v == 80.0 and type(v) is float for row in m.vmaf_rows for v in row)
+
+    def test_integral_float_size_reads_as_int(self):
+        text = self._edited(lambda chunks: chunks[0].update(size_bytes=100000.0))
+        size = _assert_reads_as_reference(text)[0].size_rows[1][0]
+        assert size == 100000 and type(size) is int
+
+    @pytest.mark.parametrize(
+        "case,field,value,message",
+        [
+            ("bool size", "size_bytes", True, "size_bytes must be a whole number, got True"),
+            ("bool vmaf", "vmaf", False, "vmaf must be a finite number, got False"),
+            ("size past float range", "size_bytes", 10**400, "size_bytes must be a whole number"),
+            ("NaN vmaf", "vmaf", float("nan"), "vmaf must be a finite number, got nan"),
+            ("Infinity vmaf", "vmaf", float("inf"), "vmaf must be a finite number, got inf"),
+        ],
+    )
+    def test_refused_value_fails_as_reference(self, case, field, value, message):
+        text = self._edited(lambda chunks: chunks[1].update({field: value}))
+        kind, got = _assert_reads_as_reference(text)
+        assert kind is MediaError and message in got
+
+    def test_missing_size_fails_as_reference(self):
+        text = self._edited(lambda chunks: chunks[2].pop("size_bytes"))
+        assert _assert_reads_as_reference(text) == (MediaError, "manifest missing field 'size_bytes'")
+
+    def test_bad_size_before_bad_vmaf_fails_on_the_size(self):
+        def edit(chunks):
+            chunks[0]["vmaf"] = "abc"
+            chunks[2]["size_bytes"] = 2.5
+
+        kind, got = _assert_reads_as_reference(self._edited(edit))
+        assert "size_bytes" in got
+
+    def test_non_object_after_a_bad_size_fails_on_the_object(self):
+        def edit(chunks):
+            chunks[0]["size_bytes"] = 2.5
+            chunks.append(7)
+
+        kind, got = _assert_reads_as_reference(self._edited(edit))
+        assert "each item of chunks must be an object, got 7" in got
 
 
 class TestClassifyChunks:
