@@ -251,7 +251,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         given = {}
         for key, value in read_value(ConfigError, "config", raw, dict).items():
@@ -306,45 +306,59 @@ class _FixedSequence(AbrScheme):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
-def _load_manifest(config: RunConfig) -> VideoManifest:
+# each job flag that overrides the config, and the RunConfig field it sets
+_FLAGS = {"scheme": "scheme", "filter": "filter_kind", "target_quality": "target_quality",
+          "out": "out_dir", "jobs": "jobs"}
+
+
+def _job(args: argparse.Namespace, one_trace: bool = False):
+    """(config, manifest, traces) for a job: the config file with the flags over
+    it, then the manifest, then every trace, each read and checked in turn."""
+    config = RunConfig.from_json(_read_text(args.config)) if args.config else RunConfig()
+    # `is not None`, so `--jobs 0` is refused, not dropped
+    config = replace(config, **{name: getattr(args, flag) for flag, name in _FLAGS.items()
+                                if getattr(args, flag) is not None})
     if not config.manifest_path:
         raise ConfigError("config needs a manifest path")
-    return parse_manifest(_read_text(config.manifest_path))
-
-
-def _load_traces(config: RunConfig) -> list[BandwidthTrace]:
+    manifest = parse_manifest(_read_text(config.manifest_path))
     paths = list(config.trace_paths)
     if config.trace_dir:
         paths.extend(sorted(str(p) for p in Path(config.trace_dir).glob("*.csv")))
     if not paths:
         raise ConfigError("config needs at least one trace")
-    return [parse_trace(_read_text(p), name=Path(p).stem) for p in paths]
+    traces = [parse_trace(_read_text(p), name=Path(p).stem) for p in paths]
+    if one_trace and len(traces) != 1:
+        raise ConfigError(f"{args.command} takes exactly one trace")
+    return config, manifest, traces
 
 
-def _out_dir(config: RunConfig) -> Path:
+def _write(config: RunConfig, name: str, text: str) -> Path:
+    """Write one output file under the job's `out_dir`, made if absent; returns its path."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except ValueError as exc:  # a NUL or an unencodable character in the path
+        raise ConfigError(f"cannot use out_dir {config.out_dir!r}: {exc}") from None
+    path = out / name
+    path.write_text(text)
+    return path
 
 
-def _config_for(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig.from_json(_read_text(args.config)) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "scheme", None) is not None:
-        overrides["scheme"] = args.scheme
-    if getattr(args, "filter", None) is not None:
-        overrides["filter_kind"] = args.filter
-    if getattr(args, "target_quality", None) is not None:
-        overrides["target_quality"] = args.target_quality
-    if getattr(args, "out", None) is not None:
-        overrides["out_dir"] = args.out
-    if getattr(args, "jobs", None) is not None:  # so `--jobs 0` is refused, not dropped
-        overrides["jobs"] = args.jobs
-    return replace(config, **overrides) if overrides else config
+def _allowed(config: RunConfig, manifest: VideoManifest):
+    """The config's prefilter applied to the manifest: allowed levels per chunk, or None."""
+    spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
+    return allowed_from_filter(spec, manifest)
+
+
+def _session(scheme, trace, manifest, config: RunConfig, allowed):
+    """(log, report) for one scheme on one trace."""
+    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
+    return log, session_metrics(log, manifest, target_quality=config.target_quality,
+                                weights=config.weights)
 
 
 def _decisions_csv(log: SessionLog, allowed) -> str:
@@ -356,27 +370,17 @@ def _decisions_csv(log: SessionLog, allowed) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    manifest = _load_manifest(config)
-    traces = _load_traces(config)
-    if len(traces) != 1:
-        raise ConfigError("run takes exactly one trace")
-    trace = traces[0]
-    spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
-    allowed = allowed_from_filter(spec, manifest)
+    config, manifest, (trace,) = _job(args, one_trace=True)
+    allowed = _allowed(config, manifest)
     scheme = build_scheme(config.scheme, config.scheme_params, target_quality=config.target_quality,
                           reference_level=config.reference_level)
-    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
-    report = session_metrics(
-        log, manifest, target_quality=config.target_quality, weights=config.weights
-    )
-    out = _out_dir(config)
+    log, report = _session(scheme, trace, manifest, config, allowed)
     echo = allowed if allowed is not None else (manifest.levels,) * manifest.n_chunks
-    (out / "decisions.csv").write_text(_decisions_csv(log, echo))
-    (out / "metrics.json").write_text(report.to_json() + "\n")
+    path = _write(config, "decisions.csv", _decisions_csv(log, echo))
+    _write(config, "metrics.json", report.to_json() + "\n")
     print(
         f"{log.scheme_name} on {trace.name}: qoe={report.qoe:.4f} Mbps, "
-        f"stall={report.total_stall_s:.2f} s -> {out / 'decisions.csv'}"
+        f"stall={report.total_stall_s:.2f} s -> {path}"
     )
     return 0
 
@@ -414,20 +418,14 @@ def _compare_cell(task):
     else:
         scheme = build_scheme(name, target_quality=config.target_quality,
                               reference_level=config.reference_level)
-    log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
-    report = session_metrics(
-        log, manifest, target_quality=config.target_quality, weights=config.weights
-    )
+    _, report = _session(scheme, trace, manifest, config, allowed)
     header, values = report.to_csv().strip().split("\n")
     return f"{name},{trace.name},{values}", header
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    manifest = _load_manifest(config)
-    traces = _load_traces(config)
-    spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
-    allowed = allowed_from_filter(spec, manifest)
+    config, manifest, traces = _job(args)
+    allowed = _allowed(config, manifest)
     tasks = [(name, trace, manifest, config, allowed)
              for name in config.schemes or (config.scheme,) for trace in traces]
     if config.include_oracle:  # the oracle row is unfiltered
@@ -436,17 +434,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cells = map_tasks(_compare_cell, tasks, config.jobs)
     header = f"scheme,trace,{cells[0][1]}"
     rows = [row for row, _ in cells]
-    out = _out_dir(config)
-    path = out / "compare.csv"
-    path.write_text("\n".join([header] + rows) + "\n")
+    path = _write(config, "compare.csv", "\n".join([header] + rows) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    manifest = _load_manifest(config)
-    traces = _load_traces(config)
+    config, manifest, traces = _job(args)
     if config.grid is None:
         raise ConfigError("sweep needs a gain grid in the config")
     # the sweep tunes pia's gains; scheme_params fix the rest of its params
@@ -455,9 +449,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     heatmap = sweep_gains(
         config.grid, traces, manifest, template, weights, config.sim, jobs=config.jobs
     )
-    out = _out_dir(config)
-    path = out / "heatmap.csv"
-    path.write_text(heatmap.to_csv())
+    path = _write(config, "heatmap.csv", heatmap.to_csv())
     region = extract_region(heatmap)
     if region is None:
         print(f"wrote {path}; no region met the heat threshold")
@@ -471,12 +463,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    config = _config_for(args)
-    manifest = _load_manifest(config)
-    traces = _load_traces(config)
-    if len(traces) != 1:
-        raise ConfigError("oracle takes exactly one trace")
-    trace = traces[0]
+    config, manifest, (trace,) = _job(args, one_trace=True)
     _check_oracle(config, manifest)
     levels, value = _solve_oracle(config, manifest, trace)
     payload = {
@@ -487,9 +474,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "sequence": list(levels),
         "objective": value,
     }
-    out = _out_dir(config)
-    path = out / "oracle.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    path = _write(config, "oracle.json", json.dumps(payload, indent=2) + "\n")
     print(f"offline optimal objective {value!r} over {len(levels)} chunks -> {path}")
     return 0
 

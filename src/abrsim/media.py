@@ -251,7 +251,7 @@ def parse_manifest(text: str) -> VideoManifest:
     """Parse manifest JSON into a validated VideoManifest."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MediaError(f"manifest is not valid JSON: {exc}") from None
     raw = read_value(MediaError, "manifest", raw, dict)
     duration = _field(raw, "chunk_duration_s", float)

@@ -336,8 +336,9 @@ class _PidScheme(AbrScheme):
         stepping the closed loop one chunk at a time over the horizon, plus eta
         times the squared change in track average from the last level.
 
-        Every level runs all |L|*H steps in ascending level order, and a later
-        level must cost strictly less to win. The step invariants are read once
+        Every level scores all H steps in ascending level order, and a later
+        level must cost strictly less to win; the state after the last step is
+        never read, so it is not computed. The step invariants are read once
         per call; `b if b > a else a` is what `max(a, b)` returns, signed zeros
         and NaN included, so the costs are the floats of the plain rollout."""
         pid, horizon = self.params.pid, self.params.horizon
@@ -362,7 +363,7 @@ class _PidScheme(AbrScheme):
             d = rate * delta / est
             cost = 0.0
             x, integral, uk, ind = x0, integral0, u, ind0
-            for _ in range(horizon):
+            for _ in range(horizon - 1):
                 cost += (uk * rate - target) ** 2
                 nx = x + delta - (d if ind else 0.0)
                 nx = 0.0 if 0.0 > nx else nx
@@ -371,6 +372,7 @@ class _PidScheme(AbrScheme):
                 uk = kp * (bxr - nx) + ki * integral + ind
                 uk = epsilon if epsilon > uk else uk
                 x = nx
+            cost += (uk * rate - target) ** 2
             if prev_rate is not None:
                 cost += eta * (avg[lvl - 1] - prev_rate) ** 2
             if best is None or cost < best:

@@ -93,17 +93,13 @@ def map_tasks(fn, tasks: list, jobs: int) -> list:
 
 
 def _trace_flags(task) -> tuple[int, ...]:
-    """Flags for one trace, aligned to the grid's valid cells in scan order."""
-    grid, trace, manifest, template, weights, config = task
-    mask = grid.validity()
+    """Flags for one trace, one per valid (kp, ki) pair, in the order given."""
+    pairs, trace, manifest, template, weights, config = task
     scores = []
-    for i, kp in enumerate(grid.kp_values):
-        for j, ki in enumerate(grid.ki_values):
-            if not mask[i][j]:
-                continue
-            params = replace(template, pid=replace(template.pid, kp=kp, ki=ki))
-            log = simulate_session(Pia(params), trace, manifest, config)
-            scores.append(qoe_score(log, weights))
+    for kp, ki in pairs:
+        params = replace(template, pid=replace(template.pid, kp=kp, ki=ki))
+        log = simulate_session(Pia(params), trace, manifest, config)
+        scores.append(qoe_score(log, weights))
     best = max(scores)
     cutoff = best - 0.1 * abs(best)
     return tuple(1 if score >= cutoff else 0 for score in scores)
@@ -132,15 +128,11 @@ def sweep_gains(
         raise ConfigError("sweep needs at least one trace")
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    tasks = [(grid, trace, manifest, template, weights, config) for trace in traces]
-    rows = map_tasks(_trace_flags, tasks, jobs)
     mask = grid.validity()
-    cells = [
-        (i, j)
-        for i in range(len(grid.kp_values))
-        for j in range(len(grid.ki_values))
-        if mask[i][j]
-    ]
+    cells = [(i, j) for i, row in enumerate(mask) for j, valid in enumerate(row) if valid]
+    pairs = [(grid.kp_values[i], grid.ki_values[j]) for i, j in cells]
+    tasks = [(pairs, trace, manifest, template, weights, config) for trace in traces]
+    rows = map_tasks(_trace_flags, tasks, jobs)
     heat = [[0] * len(grid.ki_values) for _ in grid.kp_values]
     for flags in rows:
         for (i, j), flag in zip(cells, flags):

@@ -303,6 +303,10 @@ def test_huge_rtt_exits_1(workdir, capsys):
         (dict(scheme="mpc", scheme_params={"horizon": True}), "horizon"),
         (dict(scheme="robustmpc", scheme_params={"error_window": 2.5}), "error_window"),
         (dict(scheme="cava", scheme_params={"inner_window": 5.5}), "inner_window"),
+        (dict(scheme="rb", weights={"mu": 1.0}), "weights needs lam"),
+        (dict(scheme="rb", grid={"kp_values": [0.0088]}), "grid needs ki_values"),
+        (dict(scheme="rb", manifest=None), "config needs a manifest path"),
+        (dict(scheme="rb", traces=None), "config needs at least one trace"),
     ],
     ids=[
         "kp-nan",
@@ -323,6 +327,10 @@ def test_huge_rtt_exits_1(workdir, capsys):
         "mpc-horizon-bool",
         "robustmpc-error-window-frac",
         "cava-inner-window-frac",
+        "weights-without-lam",
+        "grid-without-ki",
+        "no-manifest",
+        "no-traces",
     ],
 )
 def test_run_bad_scheme_or_weight_values_exit_2(workdir, capsys, fields, message):
@@ -368,6 +376,79 @@ def test_run_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_one_trace_commands_refuse_two_traces(workdir, capsys, command):
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace), str(trace)],
+        target_quality=80.0, out_dir=str(tmp / "out"),
+    )
+    assert main([command, "--config", str(config)]) == 2
+    assert f"error: {command} takes exactly one trace" in capsys.readouterr().err
+
+
+# Each case spoils one input of an otherwise good job: a file that is not
+# UTF-8, a path holding a NUL byte, or JSON nested past the parser's depth.
+BAD_INPUTS = {
+    "config-not-utf8": "cannot read",
+    "config-not-json": "config is not valid JSON",
+    "config-too-deep": "config is not valid JSON",
+    "manifest-not-utf8": "cannot read",
+    "manifest-too-deep": "manifest is not valid JSON",
+    "trace-not-utf8": "cannot read",
+    "manifest-nul": "embedded null byte",
+    "trace-nul": "embedded null byte",
+    "out-dir-nul": "out_dir",
+}
+DEEP_JSON = "[" * 5000 + "]" * 5000
+
+
+def _bad_input_config(tmp, manifest, trace, case):
+    fields = dict(
+        manifest=str(manifest), traces=[str(trace)], schemes=["rb"], target_quality=80.0,
+        grid={"kp_values": [0.0088], "ki_values": [3.6e-5]}, out_dir=str(tmp / "out"),
+    )
+    latin1 = tmp / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    deep = tmp / "deep.json"
+    deep.write_text(DEEP_JSON)
+    if case == "config-not-utf8":
+        return latin1
+    if case in ("config-not-json", "config-too-deep"):
+        config = tmp / "cfg.json"
+        config.write_text("{manifest" if case == "config-not-json" else DEEP_JSON)
+        return config
+    key, value = {
+        "manifest-not-utf8": ("manifest", str(latin1)),
+        "manifest-too-deep": ("manifest", str(deep)),
+        "trace-not-utf8": ("traces", [str(latin1)]),
+        "manifest-nul": ("manifest", str(tmp / "clip\0.json")),
+        "trace-nul": ("traces", [str(tmp / "trace\0.csv")]),
+        "out-dir-nul": ("out_dir", str(tmp / "out\0dir")),
+    }[case]
+    fields[key] = value
+    return write_config(tmp / "cfg.json", **fields)
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+@pytest.mark.parametrize("command", ["run", "compare", "sweep", "oracle"])
+def test_bad_input_file_exits_2_without_traceback(workdir, capsys, command, case):
+    tmp, manifest, trace = workdir
+    config = _bad_input_config(tmp, manifest, trace, case)
+    assert main([command, "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and BAD_INPUTS[case] in err
+    assert "Traceback" not in err
+    assert not (tmp / "out").exists()
+
+
+def test_config_nested_too_deep_is_a_config_error():
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        RunConfig.from_json(DEEP_JSON)
+    with pytest.raises(ConfigError, match="config is not valid JSON"):
+        RunConfig.from_json('{"scheme_params": ' + DEEP_JSON + "}")
+
+
 def test_scheme_flag_overrides_config(workdir, capsys):
     tmp, manifest, trace = workdir
     config = write_config(
@@ -379,6 +460,18 @@ def test_scheme_flag_overrides_config(workdir, capsys):
     )
     assert main(["run", "--config", str(config), "--scheme", "rb"]) == 0
     assert "rb on" in capsys.readouterr().out
+
+
+def test_out_flag_overrides_config_out_dir(workdir, capsys):
+    tmp, manifest, trace = workdir
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], scheme="rb",
+        out_dir=str(tmp / "from-config"),
+    )
+    assert main(["run", "--config", str(config), "--out", str(tmp / "from-flag")]) == 0
+    assert str(tmp / "from-flag" / "decisions.csv") in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp / "from-flag").iterdir()) == ["decisions.csv", "metrics.json"]
+    assert not (tmp / "from-config").exists()
 
 
 def test_bad_flag_exits_2():
@@ -911,6 +1004,25 @@ def test_gen_trace_refuses_more_than_a_week(tmp_path, capsys):
     assert constant_bandwidth(1000.0, 604800).duration_s == 604800
     with pytest.raises(ConfigError, match="one week"):
         noisy_bandwidth(1000.0, 100.0, 604801, seed=1)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--kind", "step", "--low", "0"], "bandwidth must be positive"),
+        (["--kind", "step", "--switch-at", "11"], "switch time must fall inside the trace"),
+        (["--kind", "square-wave", "--period", "1"], "period must be at least 2 s"),
+        (["--kind", "noisy", "--seed", "1", "--mean", "0"], "mean bandwidth must be positive"),
+        (["--kind", "noisy"], "noisy traces need a seed"),
+    ],
+    ids=["step-low-zero", "step-switch-past-end", "square-period-1", "noisy-mean-zero",
+         "noisy-no-seed"],
+)
+def test_gen_trace_out_of_range_values_exit_2(tmp_path, capsys, args, message):
+    assert main(["gen-trace", *args, "--seconds", "10", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_gen_trace_bad_params_exit_2(tmp_path):

@@ -72,6 +72,10 @@ class TestBitrateFromU:
         with pytest.raises(ControlError):
             bitrate_from_u(0.0, 3000.0, LADDER)
 
+    def test_no_levels_rejected(self):
+        with pytest.raises(ControlError, match="no levels to choose from"):
+            bitrate_from_u(1.0, 3000.0, ())
+
     def test_subset_of_levels(self):
         assert bitrate_from_u(1.0, 3000.0, ((1, 350.0), (3, 1000.0))) == 3
 
@@ -203,6 +207,12 @@ class TestRamps:
     )
     def test_schedule_rejects_non_finite(self, kw):
         with pytest.raises(ControlError, match="finite"):
+            RampSchedule(**kw)
+
+    @pytest.mark.parametrize("kw", [dict(base_kp=0.0), dict(base_xr=0.0), dict(delta=0.0)],
+                             ids=["base_kp", "base_xr", "delta"])
+    def test_schedule_rejects_zero_bases(self, kw):
+        with pytest.raises(ControlError, match="base_kp, base_xr, delta must be positive"):
             RampSchedule(**kw)
 
 

@@ -233,6 +233,12 @@ class TestParseManifest:
         with pytest.raises(MediaError, match="JSON"):
             parse_manifest("not json {")
 
+    @pytest.mark.parametrize("text", ["[" * 5000 + "]" * 5000, '{"a": ' * 5000 + "1" + "}" * 5000],
+                             ids=["arrays", "objects"])
+    def test_nested_too_deep_is_not_json(self, text):
+        with pytest.raises(MediaError, match="manifest is not valid JSON"):
+            parse_manifest(text)
+
     @pytest.mark.parametrize(
         "where,field,value",
         [

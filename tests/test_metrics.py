@@ -185,9 +185,9 @@ def test_report_stall_and_startup_come_from_log():
     assert report.startup_latency_s == 0.8
 
 
-def test_report_rejects_empty_log():
+def _empty_log():
     log = make_log([1000.0])
-    empty = SessionLog(
+    return SessionLog(
         scheme_name=log.scheme_name,
         trace_name=log.trace_name,
         manifest_name=log.manifest_name,
@@ -201,8 +201,16 @@ def test_report_rejects_empty_log():
         stall_total_s=0.0,
         bytes_downloaded=0,
     )
+
+
+def test_report_rejects_empty_log():
     with pytest.raises(ConfigError):
-        session_metrics(empty, cbr_manifest([500, 1000]))
+        session_metrics(_empty_log(), cbr_manifest([500, 1000]))
+
+
+def test_qoe_rejects_empty_log():
+    with pytest.raises(ConfigError, match="session log has no decisions"):
+        qoe_score(_empty_log(), QoeWeights(mu=1.0, lam=1.0))
 
 
 def test_report_csv_round_trip():

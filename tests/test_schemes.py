@@ -570,6 +570,18 @@ class TestCava:
         ctx = ctx_for(CAVA_M1, chunk_index=3, buffer_s=8.0, est_kbps=900.0)
         assert q4.decide(ctx) == 3
 
+    def test_antiwindup_forces_top_allowed_level_and_freezes(self):
+        # buffer 200 s against the 30 s base target: u = 0.0088 * -170 + 1 + 0.0018 < 0
+        scheme = cava_for(CAVA_M1)
+        scheme.pid_state.integral = 50.0
+        ctx = ctx_for(CAVA_M1, chunk_index=1, buffer_s=200.0, est_kbps=900.0, allowed=(1, 2))
+        assert scheme.decide(ctx) == 2
+        assert scheme.last_u == EPS
+        assert scheme.pid_state.freeze is True
+        assert scheme.eval_count == 0
+        scheme.observe_interval(2.0, 5.0, 200.0)
+        assert scheme.pid_state.integral == 50.0
+
     def test_low_level_exception_reinflates(self):
         # Q1 argmin under deflation is level 1, buffer 30 > 10 -> redo with alpha=1
         scheme = cava_n1(CAVA_M1)
@@ -1002,6 +1014,24 @@ class TestWholeNumberParams:
     def test_flags_take_only_bools(self):
         with pytest.raises(ConfigError, match="q4_low_buffer_relief"):
             CavaParams(q4_low_buffer_relief="no")
+
+
+class TestParamRanges:
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Mpc(error_window=0), "error window must be >= 1"),
+            (lambda: CavaParams(horizon=0), "horizon must be >= 1"),
+            (lambda: CavaParams(outer_window=0), "outer window must be >= 1"),
+            (lambda: CavaParams(low_level_cutoff=0), "low level cutoff must be >= 1"),
+            (lambda: QuadParams(low_buffer_chunks=0), "low buffer threshold must be positive"),
+        ],
+        ids=["mpc-error-window", "cava-horizon", "cava-outer-window", "cava-cutoff",
+             "quad-low-buffer"],
+    )
+    def test_rejected(self, build, message):
+        with pytest.raises(ConfigError, match=message):
+            build()
 
 
 class TestBuildScheme:

@@ -73,6 +73,19 @@ def test_grid_values_must_be_numbers(axes, name):
         GainGrid(**axes)
 
 
+@pytest.mark.parametrize(
+    "axes,name",
+    [
+        (dict(kp_values=(), ki_values=(3.6e-5,)), "kp"),
+        (dict(kp_values=(0.0088,), ki_values=()), "ki"),
+    ],
+    ids=["kp", "ki"],
+)
+def test_grid_axes_must_not_be_empty(axes, name):
+    with pytest.raises(ConfigError, match=f"{name} axis is empty"):
+        GainGrid(**axes)
+
+
 def test_grid_needs_one_valid_cell():
     # zeta = kp / (2 sqrt(ki)); these pairs sit far outside [0.6, 0.8].
     with pytest.raises(ConfigError):
@@ -147,6 +160,16 @@ def test_sweep_identical_cells_all_reach_trace_count():
     for i in range(2):
         if mask[i][0]:
             assert heatmap.heat[i][0] == heatmap.trace_count
+
+
+@pytest.mark.parametrize(
+    "traces,jobs,message",
+    [([], 1, "sweep needs at least one trace"), ([constant_trace(1000.0, 30)], 0, "jobs must be >= 1")],
+    ids=["no-traces", "jobs-0"],
+)
+def test_sweep_rejects_bad_arguments(traces, jobs, message):
+    with pytest.raises(ConfigError, match=message):
+        sweep_gains(SWEEP_GRID, traces, SWEEP_MANIFEST, None, WEIGHTS, SimConfig(), jobs=jobs)
 
 
 def test_sweep_jobs_do_not_change_results():
@@ -257,3 +280,19 @@ def test_heatmap_shape_validation():
             heat=((5,),),
             trace_count=1,
         )
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [
+        (dict(valid=((True,), (True,)), heat=((1,),), trace_count=1),
+         "valid must have one row per kp value"),
+        (dict(valid=((True,),), heat=((1,), (1,)), trace_count=1),
+         "heat must have one row per kp value"),
+        (dict(valid=((True,),), heat=((0,),), trace_count=-1), "trace count must be >= 0"),
+    ],
+    ids=["valid-rows", "heat-rows", "negative-trace-count"],
+)
+def test_heatmap_rejects_bad_shape(shape, message):
+    with pytest.raises(ConfigError, match=message):
+        HeatMap(kp_values=(0.001,), ki_values=(1e-5,), **shape)
