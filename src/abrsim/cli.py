@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .control import ControlError, read_value, require_finite
+from .control import ControlError, check_fields, read_value, require_finite, spec
 from .engine import (
     EstimatorSpec,
     SessionLog,
@@ -147,36 +147,36 @@ def noisy_bandwidth(
 
 # ------------------------------------------------------------------ job config
 
-# Every job-config key: the RunConfig attribute path it sets and its JSON type
-# (as `read_value` takes it). A dotted key sits inside an object, so "sim.rtt_s"
-# is {"sim": {"rtt_s": ...}}. An absent or null key keeps the attribute's default.
+# Every job-config key and the RunConfig attribute path it sets; its JSON type is
+# the kind in the spec of the field there. A dotted key sits inside an object, so
+# "sim.rtt_s" is {"sim": {"rtt_s": ...}}. An absent or null key keeps the default.
 _KEYS = {
-    "manifest": ("manifest_path", str),
-    "traces": ("trace_paths", [str]),
-    "trace_dir": ("trace_dir", str),
-    "scheme": ("scheme", str),
-    "scheme_params": ("scheme_params", dict),
-    "schemes": ("schemes", [str]),
-    "filter": ("filter_kind", str),
-    "target_quality": ("target_quality", float),
-    "weights.mu": ("weights.mu", float),
-    "weights.lam": ("weights.lam", float),
-    "sim.startup_kind": ("sim.startup.kind", str),
-    "sim.startup_value": ("sim.startup.value", float),
-    "sim.max_buffer_s": ("sim.max_buffer_s", float),
-    "sim.resume_margin_s": ("sim.resume_margin_s", float),
-    "sim.rtt_s": ("sim.rtt_s", float),
-    "sim.estimator_kind": ("sim.estimator.kind", str),
-    "sim.estimator_window": ("sim.estimator.window", int),
-    "sim.first_chunk_level": ("sim.first_chunk_level", int),
-    "gamma": ("gamma", float),
-    "reference_level": ("reference_level", int),
-    "include_oracle": ("include_oracle", bool),
-    "grid.kp_values": ("grid.kp_values", [float]),
-    "grid.ki_values": ("grid.ki_values", [float]),
-    "out_dir": ("out_dir", str),
-    "jobs": ("jobs", int),
-    "deterministic": ("deterministic", bool),
+    "manifest": "manifest_path",
+    "traces": "trace_paths",
+    "trace_dir": "trace_dir",
+    "scheme": "scheme",
+    "scheme_params": "scheme_params",
+    "schemes": "schemes",
+    "filter": "filter_kind",
+    "target_quality": "target_quality",
+    "weights.mu": "weights.mu",
+    "weights.lam": "weights.lam",
+    "sim.startup_kind": "sim.startup.kind",
+    "sim.startup_value": "sim.startup.value",
+    "sim.max_buffer_s": "sim.max_buffer_s",
+    "sim.resume_margin_s": "sim.resume_margin_s",
+    "sim.rtt_s": "sim.rtt_s",
+    "sim.estimator_kind": "sim.estimator.kind",
+    "sim.estimator_window": "sim.estimator.window",
+    "sim.first_chunk_level": "sim.first_chunk_level",
+    "gamma": "gamma",
+    "reference_level": "reference_level",
+    "include_oracle": "include_oracle",
+    "grid.kp_values": "grid.kp_values",
+    "grid.ki_values": "grid.ki_values",
+    "out_dir": "out_dir",
+    "jobs": "jobs",
+    "deterministic": "deterministic",
 }
 # the keys that hold an object; each is also the name of the RunConfig attribute
 _GROUPS = {key.partition(".")[0] for key in _KEYS if "." in key}
@@ -209,43 +209,40 @@ def _arguments(values: dict, prefix: str = "") -> dict:
     return args
 
 
+def _kind(path: str):
+    """The kind in the `spec` of the RunConfig field at attribute path `path`."""
+    parent, _, name = path.rpartition(".")
+    cls = _OBJECTS[parent] if parent else RunConfig
+    return next(f for f in fields(cls) if f.name == name).metadata["spec"][0]
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI job: media, traces, scheme choice, and output layout."""
 
-    manifest_path: str | None = None
-    trace_paths: tuple[str, ...] = ()
-    trace_dir: str | None = None
-    scheme: str = "pia"
-    scheme_params: dict = field(default_factory=dict)
-    schemes: tuple[str, ...] = ()
-    filter_kind: str = "none"
-    target_quality: float | None = None
+    manifest_path: str | None = spec(None, str)
+    trace_paths: tuple[str, ...] = spec((), [str])
+    trace_dir: str | None = spec(None, str)
+    scheme: str = spec("pia", str)
+    scheme_params: dict = spec({}, dict)
+    schemes: tuple[str, ...] = spec((), [str])
+    filter_kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}")
+    target_quality: float | None = spec(None, float)
     weights: QoeWeights | None = None
     sim: SimConfig = field(default_factory=SimConfig)
-    gamma: float = 10000.0
-    reference_level: int | None = None
-    include_oracle: bool = False
+    gamma: float = spec(10000.0, float)
+    reference_level: int | None = spec(None, int)
+    include_oracle: bool = spec(False, bool)
     grid: GainGrid | None = None
-    out_dir: str = "out"
-    jobs: int = 1
-    deterministic: bool = True
+    out_dir: str = spec("out", str)
+    jobs: int = spec(1, int, lambda v: v >= 1, "jobs must be >= 1")
+    deterministic: bool = spec(True, bool, lambda v: v is True,
+                               "runs are always deterministic; the flag cannot be disabled")
 
     def __post_init__(self) -> None:
-        if self.deterministic is not True:
-            raise ConfigError("runs are always deterministic; the flag cannot be disabled")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
-        if self.filter_kind not in FILTER_KINDS:
-            raise ConfigError(f"unknown filter kind {self.filter_kind!r}")
+        check_fields(self, ConfigError)
         for name in (self.scheme, *self.schemes):
             scheme_class(name)
-        require_finite(ConfigError, gamma=self.gamma)
-        if self.target_quality is not None:
-            require_finite(ConfigError, target_quality=self.target_quality)
-        object.__setattr__(self, "trace_paths", tuple(self.trace_paths))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        object.__setattr__(self, "scheme_params", dict(self.scheme_params))
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
@@ -266,15 +263,15 @@ class RunConfig:
                 f"unknown config keys: {', '.join(unknown)} (expected any of: {', '.join(_KEYS)})"
             )
         values = {
-            path: read_value(ConfigError, key, given[key], kind)
-            for key, (path, kind) in _KEYS.items()
+            path: read_value(ConfigError, key, given[key], _kind(path))
+            for key, path in _KEYS.items()
             if given.get(key) is not None
         }
         return cls(**_arguments(values))
 
     def to_json(self) -> str:
         data: dict = {}
-        for key, (path, _) in _KEYS.items():
+        for key, path in _KEYS.items():
             group, _, name = key.rpartition(".")
             if not group:
                 data[key] = attrgetter(path)(self)
@@ -307,7 +304,7 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
 
 
 # each job flag that overrides the config, and the RunConfig field it sets
@@ -327,6 +324,8 @@ def _job(args: argparse.Namespace, one_trace: bool = False):
     manifest = parse_manifest(_read_text(config.manifest_path))
     paths = list(config.trace_paths)
     if config.trace_dir:
+        if "\0" in config.trace_dir:  # Path.glob would match nothing and hide the cause
+            raise ConfigError(f"cannot use trace_dir {config.trace_dir!r}: embedded null byte")
         paths.extend(sorted(str(p) for p in Path(config.trace_dir).glob("*.csv")))
     if not paths:
         raise ConfigError("config needs at least one trace")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 DEFAULT_KP = 8.8e-3
 DEFAULT_KI = 3.6e-5
@@ -53,27 +53,55 @@ def require_finite(error: type[ValueError], **values) -> None:
         read_value(error, name, value, float)
 
 
+def spec(default, kind, ok=None, message=None, name=None):
+    """A dataclass field that `check_fields` reads as `kind` by `read_value`'s rule,
+    then bounds by `ok`, raising `message` (formatted with the value) if it fails;
+    `name` is the field's name in errors. A MISSING default makes the field
+    required, and a dict default is copied for each instance."""
+    metadata = {"spec": (kind, ok, message, name)}
+    if isinstance(default, dict):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
+def check_fields(obj, error) -> None:
+    """Read each `spec` field of `obj` in field order and store what was read (a list
+    kind as a tuple, a dict as a copy; None where the default is None), then test
+    each bound in field order, so kinds are checked before ranges; raise `error`."""
+    bounds = []
+    for f in fields(obj):
+        if "spec" not in f.metadata:
+            continue
+        kind, ok, message, name = f.metadata["spec"]
+        value = getattr(obj, f.name)
+        if value is None and f.default is None:
+            continue
+        if isinstance(kind, list) and isinstance(value, tuple):
+            value = list(value)  # a list kind is held as a tuple, so a caller may pass one
+        value = read_value(error, name or f.name, value, kind)
+        if isinstance(value, (list, dict)):  # held as a copy, a list as a tuple
+            value = tuple(value) if isinstance(value, list) else dict(value)
+        object.__setattr__(obj, f.name, value)
+        if ok is not None:
+            bounds.append((ok, value, message))
+    for ok, value, message in bounds:
+        if not ok(value):
+            raise error(message.format(value))
+
+
 @dataclass(frozen=True)
 class PidParams:
     """PI controller gains plus setpoint weighting and anti-windup threshold."""
 
-    kp: float = DEFAULT_KP
-    ki: float = DEFAULT_KI
-    beta: float = 1.0
-    epsilon: float = DEFAULT_EPSILON
-    target_buffer: float = DEFAULT_TARGET_BUFFER_S
+    kp: float = spec(DEFAULT_KP, float, lambda v: v > 0, "kp and ki must be positive")
+    ki: float = spec(DEFAULT_KI, float, lambda v: v > 0, "kp and ki must be positive")
+    beta: float = spec(1.0, float, lambda v: 0.0 < v <= 1.0, "beta must lie in (0, 1]")
+    epsilon: float = spec(DEFAULT_EPSILON, float, lambda v: 0 < v < 1, "epsilon must lie in (0, 1)")
+    target_buffer: float = spec(DEFAULT_TARGET_BUFFER_S, float, lambda v: v > 0,
+                                "target buffer must be positive")
 
     def __post_init__(self) -> None:
-        require_finite(ControlError, kp=self.kp, ki=self.ki, beta=self.beta,
-                       epsilon=self.epsilon, target_buffer=self.target_buffer)
-        if self.kp <= 0 or self.ki <= 0:
-            raise ControlError("kp and ki must be positive")
-        if not 0.0 < self.beta <= 1.0:
-            raise ControlError("beta must lie in (0, 1]")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ControlError("epsilon must lie in (0, 1)")
-        if self.target_buffer <= 0:
-            raise ControlError("target buffer must be positive")
+        check_fields(self, ControlError)
 
 
 @dataclass
@@ -148,21 +176,16 @@ def is_valid_gain_pair(kp: float, ki: float) -> bool:
 class RampSchedule:
     """Startup ramp for kp and the buffer target over the first tau seconds."""
 
-    alpha: float = 4.0
-    tau: float = 300.0
-    base_kp: float = DEFAULT_KP
-    base_xr: float = DEFAULT_TARGET_BUFFER_S
-    delta: float = 2.0
+    alpha: float = spec(4.0, float, lambda v: v > 1, "alpha must exceed 1")
+    tau: float = spec(300.0, float, lambda v: v > 0, "tau must be positive")
+    base_kp: float = spec(DEFAULT_KP, float, lambda v: v > 0,
+                          "base_kp, base_xr, delta must be positive")
+    base_xr: float = spec(DEFAULT_TARGET_BUFFER_S, float, lambda v: v > 0,
+                          "base_kp, base_xr, delta must be positive")
+    delta: float = spec(2.0, float, lambda v: v > 0, "base_kp, base_xr, delta must be positive")
 
     def __post_init__(self) -> None:
-        require_finite(ControlError, alpha=self.alpha, tau=self.tau, base_kp=self.base_kp,
-                       base_xr=self.base_xr, delta=self.delta)
-        if self.alpha <= 1:
-            raise ControlError("alpha must exceed 1")
-        if self.tau <= 0:
-            raise ControlError("tau must be positive")
-        if self.base_kp <= 0 or self.base_xr <= 0 or self.delta <= 0:
-            raise ControlError("base_kp, base_xr, delta must be positive")
+        check_fields(self, ControlError)
 
 
 def ramp_kp(schedule: RampSchedule, t: float) -> float:

@@ -6,7 +6,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
-from .control import read_value, require_finite
+from .control import check_fields, spec
 from .media import BandwidthTrace, VideoManifest
 from .schemes import AbrScheme, ConfigError, DecisionContext
 
@@ -22,34 +22,29 @@ class SimulationError(RuntimeError):
 class EstimatorSpec:
     """Harmonic-mean estimator over per-second samples or per-chunk throughputs."""
 
-    kind: str = "harmonic_seconds"
-    window: int = 20
+    kind: str = spec("harmonic_seconds", str,
+                     lambda v: v in ("harmonic_seconds", "harmonic_chunks"),
+                     "unknown estimator kind {!r}")
+    window: int = spec(20, int, lambda v: v >= 1, "estimator window must be >= 1")
 
     def __post_init__(self) -> None:
-        if self.kind not in ("harmonic_seconds", "harmonic_chunks"):
-            raise ConfigError(f"unknown estimator kind {self.kind!r}")
-        object.__setattr__(self, "window", read_value(ConfigError, "window", self.window, int))
-        if self.window < 1:
-            raise ConfigError("estimator window must be >= 1")
+        check_fields(self, ConfigError)
 
 
 @dataclass(frozen=True)
 class StartupRule:
     """Playback enablement: fixed latency in seconds, or k chunks fully buffered."""
 
-    kind: str = "latency"
-    value: float = 5.0
+    kind: str = spec("latency", str, lambda v: v in ("latency", "chunks_buffered"),
+                     "unknown startup rule {!r}")
+    value: float = spec(5.0, float, name="startup_value")
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, startup_value=self.value)
-        if self.kind == "latency":
-            if self.value < 0:
-                raise ConfigError("startup delay must be >= 0")
-        elif self.kind == "chunks_buffered":
-            if self.value < 1 or self.value != int(self.value):
-                raise ConfigError("chunks_buffered needs a whole count >= 1")
-        else:
-            raise ConfigError(f"unknown startup rule {self.kind!r}")
+        check_fields(self, ConfigError)
+        if self.kind == "latency" and self.value < 0:
+            raise ConfigError("startup delay must be >= 0")
+        if self.kind == "chunks_buffered" and (self.value < 1 or self.value != int(self.value)):
+            raise ConfigError("chunks_buffered needs a whole count >= 1")
 
 
 @dataclass(frozen=True)
@@ -57,23 +52,16 @@ class SimConfig:
     """Session-level knobs; resume_margin_s of None means one chunk duration."""
 
     startup: StartupRule = StartupRule()
-    max_buffer_s: float = 120.0
-    resume_margin_s: float | None = None
-    rtt_s: float = 0.07
+    max_buffer_s: float = spec(120.0, float, lambda v: v > 0, "max buffer must be positive")
+    resume_margin_s: float | None = spec(None, float)
+    rtt_s: float = spec(0.07, float, lambda v: v >= 0, "rtt must be >= 0")
     estimator: EstimatorSpec = EstimatorSpec()
-    first_chunk_level: int | None = None
+    first_chunk_level: int | None = spec(None, int)
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, max_buffer_s=self.max_buffer_s, rtt_s=self.rtt_s)
-        if self.first_chunk_level is not None:
-            level = read_value(ConfigError, "first_chunk_level", self.first_chunk_level, int)
-            object.__setattr__(self, "first_chunk_level", level)
-        if self.max_buffer_s <= 0:
-            raise ConfigError("max buffer must be positive")
+        check_fields(self, ConfigError)
         if self.resume_margin_s is not None and not 0 < self.resume_margin_s < self.max_buffer_s:
             raise ConfigError("resume margin must lie in (0, max_buffer)")
-        if self.rtt_s < 0:
-            raise ConfigError("rtt must be >= 0")
 
     def resume_level(self, delta: float) -> float:
         """Level the request gate drains to: the cap less the margin, at least one chunk."""

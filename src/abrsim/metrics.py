@@ -21,11 +21,11 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 
 from .engine import SessionLog, SimConfig, advance_download
 from .media import BandwidthTrace, VideoManifest
-from .control import require_finite
+from .control import check_fields, spec
 from .schemes import ConfigError, require_quality
 
 LOW_QUALITY_VMAF = 60.0
@@ -40,13 +40,11 @@ _BEAM_WIDTH = 8  # states per chunk the upper-bound pass keeps
 class QoeWeights:
     """Penalty weights: mu per Mbps of switching, lam per second stalled."""
 
-    mu: float
-    lam: float
+    mu: float = spec(MISSING, float, lambda v: v >= 0.0, "qoe weights must be >= 0")
+    lam: float = spec(MISSING, float, lambda v: v >= 0.0, "qoe weights must be >= 0")
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, mu=self.mu, lam=self.lam)
-        if self.mu < 0.0 or self.lam < 0.0:
-            raise ConfigError("qoe weights must be >= 0")
+        check_fields(self, ConfigError)
 
 
 def default_weights(manifest: VideoManifest) -> QoeWeights:
@@ -151,15 +149,12 @@ def session_metrics(
 class OfflineObjective:
     """Quality deviation plus switching cost plus gamma per second stalled."""
 
-    target_quality: float
-    gamma: float = 10000.0
+    target_quality: float = spec(MISSING, float, lambda v: 0.0 < v <= 100.0,
+                                 "target quality must lie in (0, 100]")
+    gamma: float = spec(10000.0, float, lambda v: v >= 0.0, "gamma must be >= 0")
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, target_quality=self.target_quality, gamma=self.gamma)
-        if not 0.0 < self.target_quality <= 100.0:
-            raise ConfigError("target quality must lie in (0, 100]")
-        if self.gamma < 0.0:
-            raise ConfigError("gamma must be >= 0")
+        check_fields(self, ConfigError)
 
 
 def _bin(value: float) -> int:

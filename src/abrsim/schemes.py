@@ -12,11 +12,13 @@ from .control import (
     RampSchedule,
     anti_windup,
     bitrate_from_u,
+    check_fields,
     pid_output,
     ramp_kp,
     ramp_xr,
     read_value,
     require_finite,
+    spec,
 )
 from .media import VideoManifest, classify_chunks
 
@@ -274,16 +276,11 @@ class PiaParams:
     """Lookahead shape for the PID-driven scheme."""
 
     pid: PidParams = field(default_factory=lambda: PidParams(beta=0.2))
-    horizon: int = 5
-    eta: float = 1.0
+    horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
+    eta: float = spec(1.0, float, lambda v: v >= 0, "eta must be >= 0")
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, eta=self.eta)
-        self.horizon = read_value(ConfigError, "horizon", self.horizon, int)
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.eta < 0:
-            raise ConfigError("eta must be >= 0")
+        check_fields(self, ConfigError)
 
 
 class _PidScheme(AbrScheme):
@@ -439,42 +436,23 @@ class CavaParams:
     """Windows and thresholds for the size-aware PID scheme."""
 
     pid: PidParams = field(default_factory=PidParams)
-    horizon: int = 5
-    inner_window: int = 10
-    outer_window: int = 10
-    alpha_q4: float = 1.1
-    alpha_q123: float = 0.8
-    low_level_cutoff: int = 2
-    safe_buffer_s: float = 10.0
-    base_target_buffer_s: float = 30.0
-    q4_low_buffer_relief: bool = False
+    horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
+    inner_window: int = spec(10, int)
+    outer_window: int = spec(10, int, lambda v: v >= 1, "outer window must be >= 1")
+    alpha_q4: float = spec(1.1, float, lambda v: v > 1.0, "need alpha_q4 > 1 > alpha_q123 > 0")
+    alpha_q123: float = spec(0.8, float, lambda v: 0 < v < 1, "need alpha_q4 > 1 > alpha_q123 > 0")
+    low_level_cutoff: int = spec(2, int, lambda v: v >= 1, "low level cutoff must be >= 1")
+    safe_buffer_s: float = spec(10.0, float, lambda v: v > 0, "buffer thresholds must be positive")
+    base_target_buffer_s: float = spec(30.0, float, lambda v: v > 0,
+                                       "buffer thresholds must be positive")
+    q4_low_buffer_relief: bool = spec(False, bool)
     # track whose chunk sizes rank the positions; None is the middle level
-    reference_level: int | None = None
+    reference_level: int | None = spec(None, int, lambda v: v >= 1, "reference_level must be >= 1")
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, alpha_q4=self.alpha_q4, alpha_q123=self.alpha_q123,
-                       safe_buffer_s=self.safe_buffer_s,
-                       base_target_buffer_s=self.base_target_buffer_s)
-        for name in ("horizon", "inner_window", "outer_window", "low_level_cutoff"):
-            setattr(self, name, read_value(ConfigError, name, getattr(self, name), int))
-        read_value(ConfigError, "q4_low_buffer_relief", self.q4_low_buffer_relief, bool)
-        ref = self.reference_level
-        if ref is not None:
-            self.reference_level = ref = read_value(ConfigError, "reference_level", ref, int)
-            if ref < 1:
-                raise ConfigError("reference_level must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+        check_fields(self, ConfigError)
         if self.inner_window < self.horizon:
             raise ConfigError("inner window must cover the horizon")
-        if self.outer_window < 1:
-            raise ConfigError("outer window must be >= 1")
-        if not self.alpha_q4 > 1.0 > self.alpha_q123 > 0.0:
-            raise ConfigError("need alpha_q4 > 1 > alpha_q123 > 0")
-        if self.low_level_cutoff < 1:
-            raise ConfigError("low level cutoff must be >= 1")
-        if self.safe_buffer_s <= 0 or self.base_target_buffer_s <= 0:
-            raise ConfigError("buffer thresholds must be positive")
 
 
 class Cava(_PidScheme):
@@ -536,24 +514,16 @@ class QuadParams:
     """Quality-target weights for the quality-aware PID scheme."""
 
     pid: PidParams = field(default_factory=PidParams)
-    target_quality: float = 80.0
-    alpha: float = 1.0
-    eta: float = 1.0
-    fair_level: int = 2
-    low_buffer_chunks: float = 4.0
+    target_quality: float = spec(80.0, float, lambda v: 0.0 < v <= 100.0,
+                                 "target quality must lie in (0, 100]")
+    alpha: float = spec(1.0, float, lambda v: v >= 0, "alpha and eta must be >= 0")
+    eta: float = spec(1.0, float, lambda v: v >= 0, "alpha and eta must be >= 0")
+    fair_level: int = spec(2, int, lambda v: v >= 1, "fair level must be >= 1")
+    low_buffer_chunks: float = spec(4.0, float, lambda v: v > 0,
+                                    "low buffer threshold must be positive")
 
     def __post_init__(self) -> None:
-        require_finite(ConfigError, target_quality=self.target_quality, alpha=self.alpha,
-                       eta=self.eta, low_buffer_chunks=self.low_buffer_chunks)
-        self.fair_level = read_value(ConfigError, "fair_level", self.fair_level, int)
-        if not 0.0 < self.target_quality <= 100.0:
-            raise ConfigError("target quality must lie in (0, 100]")
-        if self.alpha < 0 or self.eta < 0:
-            raise ConfigError("alpha and eta must be >= 0")
-        if self.fair_level < 1:
-            raise ConfigError("fair level must be >= 1")
-        if self.low_buffer_chunks <= 0:
-            raise ConfigError("low buffer threshold must be positive")
+        check_fields(self, ConfigError)
 
 
 class Quad(_PidScheme):
@@ -604,16 +574,14 @@ FILTER_KINDS = ("none", "cbf", "tbf-", "tbf+")
 class FilterSpec:
     """Quality prefilter selection: none, per-chunk cap, or track cap."""
 
-    kind: str = "none"
-    target_quality: float | None = None
+    kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}")
+    target_quality: float | None = spec(None, float)
 
     def __post_init__(self) -> None:
-        if self.kind not in FILTER_KINDS:
-            raise ConfigError(f"unknown filter kind {self.kind!r}")
-        if self.kind != "none":
-            q = self.target_quality
-            if q is None or not 0.0 < q <= 100.0:
-                raise ConfigError("filter needs a target quality in (0, 100]")
+        check_fields(self, ConfigError)
+        q = self.target_quality
+        if self.kind != "none" and (q is None or not 0.0 < q <= 100.0):
+            raise ConfigError("filter needs a target quality in (0, 100]")
 
 
 def cbf_filter(manifest: VideoManifest, target_quality: float) -> tuple[tuple[int, ...], ...]:

@@ -8,9 +8,9 @@ operating region is then grown greedily around the hottest cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 
-from .control import is_valid_gain_pair, read_value
+from .control import check_fields, is_valid_gain_pair, spec
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
@@ -21,15 +21,12 @@ from .schemes import ConfigError, Pia, PiaParams
 class GainGrid:
     """Strictly increasing kp/ki axes; validity comes from the damping band."""
 
-    kp_values: tuple[float, ...]
-    ki_values: tuple[float, ...]
+    kp_values: tuple[float, ...] = spec(MISSING, [float])
+    ki_values: tuple[float, ...] = spec(MISSING, [float])
 
     def __post_init__(self) -> None:
-        for name in ("kp", "ki"):
-            key = f"{name}_values"
-            axis = tuple(read_value(ConfigError, f"each item of {key}", v, float)
-                         for v in getattr(self, key))
-            object.__setattr__(self, key, axis)
+        check_fields(self, ConfigError)
+        for name, axis in (("kp", self.kp_values), ("ki", self.ki_values)):
             if not axis:
                 raise ConfigError(f"{name} axis is empty")
             if any(v <= 0.0 for v in axis):
@@ -54,13 +51,12 @@ class HeatMap:
     ki_values: tuple[float, ...]
     valid: tuple[tuple[bool, ...], ...]
     heat: tuple[tuple[int, ...], ...]
-    trace_count: int
+    trace_count: int = spec(MISSING, int, lambda v: v >= 0, "trace count must be >= 0")
 
     def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
         object.__setattr__(self, "valid", tuple(tuple(bool(v) for v in row) for row in self.valid))
         object.__setattr__(self, "heat", tuple(tuple(int(h) for h in row) for row in self.heat))
-        if self.trace_count < 0:
-            raise ConfigError("trace count must be >= 0")
         for name, table in (("valid", self.valid), ("heat", self.heat)):
             if len(table) != len(self.kp_values):
                 raise ConfigError(f"{name} must have one row per kp value")

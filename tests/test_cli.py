@@ -399,6 +399,7 @@ BAD_INPUTS = {
     "manifest-nul": "embedded null byte",
     "trace-nul": "embedded null byte",
     "out-dir-nul": "out_dir",
+    "trace-dir-nul": "trace_dir",
 }
 DEEP_JSON = "[" * 5000 + "]" * 5000
 
@@ -425,6 +426,7 @@ def _bad_input_config(tmp, manifest, trace, case):
         "manifest-nul": ("manifest", str(tmp / "clip\0.json")),
         "trace-nul": ("traces", [str(tmp / "trace\0.csv")]),
         "out-dir-nul": ("out_dir", str(tmp / "out\0dir")),
+        "trace-dir-nul": ("trace_dir", str(tmp / "tr\0aces")),
     }[case]
     fields[key] = value
     return write_config(tmp / "cfg.json", **fields)
@@ -440,6 +442,14 @@ def test_bad_input_file_exits_2_without_traceback(workdir, capsys, command, case
     assert err.startswith("error: ") and BAD_INPUTS[case] in err
     assert "Traceback" not in err
     assert not (tmp / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["manifest-nul", "trace-nul", "trace-dir-nul"])
+def test_nul_in_a_path_never_reaches_stderr(workdir, capsysbinary, case):
+    tmp, manifest, trace = workdir
+    config = _bad_input_config(tmp, manifest, trace, case)
+    assert main(["run", "--config", str(config)]) == 2
+    assert b"\0" not in capsysbinary.readouterr().err
 
 
 def test_config_nested_too_deep_is_a_config_error():

@@ -1,10 +1,12 @@
-"""Input contract for job configs and scheme parameters.
+"""Input contract for job configs, scheme parameters and Python-built objects.
 
 Every job-config key and every `scheme_params` key of the parameterised
 schemes is fed each of a fixed set of bad JSON values. The outcome of each
 case (accepted, or the exception type and message) is pinned twice: one
 literal case per distinct message, and the sha256 of the whole sorted table,
-so a refactor of the checks must keep every message, word for word.
+so a refactor of the checks must keep every message, word for word. Objects
+built in Python are held to the same contract, and every parameter field
+declares its kind and bound in a `spec`, which the CLI reads its key types from.
 """
 
 from __future__ import annotations
@@ -12,13 +14,25 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import re
 from dataclasses import fields
 
 import pytest
 
-from abrsim.cli import _KEYS, RunConfig
-from abrsim.control import PidParams
-from abrsim.schemes import SCHEMES, build_scheme
+from abrsim.cli import _KEYS, RunConfig, _kind
+from abrsim.control import PidParams, RampSchedule
+from abrsim.engine import EstimatorSpec, SimConfig, StartupRule
+from abrsim.metrics import OfflineObjective, QoeWeights
+from abrsim.schemes import (
+    SCHEMES,
+    CavaParams,
+    ConfigError,
+    FilterSpec,
+    PiaParams,
+    QuadParams,
+    build_scheme,
+)
+from abrsim.tuning import GainGrid, HeatMap
 
 BAD_JSON = ("NaN", "Infinity", "1e400", "true", '"3"', "[1]", "{}", "-1", "0", "2.5", "101")
 # siblings a group needs besides the key under test
@@ -152,3 +166,59 @@ def test_whole_message_table_is_pinned(table):
     assert len(table) == 803
     text = "\n".join(f"{case}\t{outcome}" for case, outcome in sorted(table.items()))
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256
+
+
+# -- objects built in Python ------------------------------------------------------
+
+_HEAT_TABLES = dict(kp_values=(0.001,), ki_values=(1e-5,), valid=((True,),), heat=((0,),))
+PYTHON_BUILT = {
+    "sim-margin-text": (lambda: SimConfig(resume_margin_s="1"), "resume_margin_s"),
+    "sim-margin-bool": (lambda: SimConfig(resume_margin_s=True), "resume_margin_s"),
+    "filter-target-text": (lambda: FilterSpec("cbf", "80"), "target_quality"),
+    "filter-target-bool": (lambda: FilterSpec("cbf", True), "target_quality"),
+    "jobs-text": (lambda: RunConfig(jobs="2"), "jobs"),
+    "jobs-fraction": (lambda: RunConfig(jobs=2.5), "jobs"),
+    "oracle-text": (lambda: RunConfig(include_oracle="yes"), "include_oracle"),
+    "out-dir-number": (lambda: RunConfig(out_dir=3), "out_dir"),
+    "heat-count-text": (lambda: HeatMap(**_HEAT_TABLES, trace_count="3"), "trace_count"),
+}
+
+
+@pytest.mark.parametrize("case", list(PYTHON_BUILT))
+def test_python_built_objects_raise_a_typed_error(case):
+    build, name = PYTHON_BUILT[case]
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        build()
+
+
+def test_python_built_values_are_stored_as_read():
+    assert repr(PidParams(kp=1).kp) == "1.0"
+    assert RunConfig(schemes=["rb"], scheme_params={"kp": 0.01}).schemes == ("rb",)
+    assert GainGrid(kp_values=[0.0088], ki_values=(3.6e-5,)).kp_values == (0.0088,)
+
+
+# -- field specs ------------------------------------------------------------------
+
+SPEC_CLASSES = (PidParams, RampSchedule, EstimatorSpec, StartupRule, SimConfig, PiaParams,
+                CavaParams, QuadParams, FilterSpec, QoeWeights, OfflineObjective, GainGrid,
+                RunConfig)
+# an annotation naming a number, str, bool, list (held as a tuple) or dict
+_PLAIN = re.compile(r"\b(float|int|str|bool|tuple|dict)\b")
+
+
+@pytest.mark.parametrize("cls", SPEC_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_plain_field_carries_a_spec(cls):
+    plain = [f for f in fields(cls) if f.init and _PLAIN.search(f.type)]
+    assert plain and [f.name for f in plain if "spec" not in f.metadata] == []
+    source = inspect.getsource(cls.__post_init__)
+    assert "check_fields(self, " in source
+    assert "require_finite" not in source and "read_value" not in source
+
+
+def test_heat_map_trace_count_carries_a_spec():
+    assert "spec" in {f.name: f for f in fields(HeatMap)}["trace_count"].metadata
+
+
+def test_every_config_key_reads_its_type_from_a_spec():
+    for path in _KEYS.values():
+        assert _kind(path) is not None, path
