@@ -45,6 +45,7 @@ from .schemes import (
     FilterSpec,
     allowed_from_filter,
     build_scheme,
+    require_quality,
     scheme_class,
 )
 from .tuning import GainGrid, extract_region, map_tasks, sweep_gains
@@ -392,8 +393,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 ORACLE_MAX_CHUNKS = 32
 
 
-def _check_oracle(config: RunConfig, manifest: VideoManifest) -> None:
-    """Refuse oracle inputs before any session or solve runs."""
+def _check_oracle(config: RunConfig, manifest: VideoManifest) -> OfflineObjective:
+    """The oracle's objective for the job; every oracle input is refused here,
+    before any session or solve runs."""
     if config.target_quality is None:
         raise ConfigError("the offline oracle needs target_quality")
     if manifest.n_chunks > ORACLE_MAX_CHUNKS:
@@ -401,19 +403,17 @@ def _check_oracle(config: RunConfig, manifest: VideoManifest) -> None:
             f"oracle supports manifests up to {ORACLE_MAX_CHUNKS} chunks; "
             f"this one has {manifest.n_chunks}"
         )
-
-
-def _solve_oracle(config: RunConfig, manifest: VideoManifest, trace: BandwidthTrace):
-    """Offline-optimal (levels, objective) for one trace; `_check_oracle` has passed."""
     objective = OfflineObjective(config.target_quality, config.gamma)
-    return offline_optimal(trace, manifest, objective, config.sim)
+    require_quality(manifest)
+    return objective
 
 
 def _compare_cell(task):
     """One compare row and its metrics header; the oracle's row replays its solved sequence."""
     name, trace, manifest, config, allowed = task
     if name == _FixedSequence.name:
-        scheme = _FixedSequence(_solve_oracle(config, manifest, trace)[0])
+        objective = _check_oracle(config, manifest)
+        scheme = _FixedSequence(offline_optimal(trace, manifest, objective, config.sim)[0])
     else:
         scheme = build_scheme(name, target_quality=config.target_quality,
                               reference_level=config.reference_level)
@@ -463,8 +463,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     config, manifest, (trace,) = _job(args, one_trace=True)
-    _check_oracle(config, manifest)
-    levels, value = _solve_oracle(config, manifest, trace)
+    objective = _check_oracle(config, manifest)
+    levels, value = offline_optimal(trace, manifest, objective, config.sim)
     payload = {
         "trace": trace.name,
         "manifest": manifest.name,

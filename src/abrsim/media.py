@@ -4,15 +4,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
-from .control import read_value
+from .control import check_fields, read_value, spec
 
 TRACE_HEADER = "t_s,bandwidth_kbps"
 
 
 class MediaError(ValueError):
     """Malformed or inconsistent trace/manifest input."""
+
+
+def _sample(t: int, value) -> float:
+    """A trace sample that is not a float, read as one; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MediaError(f"bandwidth at t={t} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int beyond float range fails the finite check
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -22,18 +32,22 @@ class BandwidthTrace:
     `kilobits_per_period`, the kilobits one pass over the samples carries, is
     computed once and takes no part in equality or repr."""
 
-    name: str
+    name: str = spec(MISSING, str)
     samples: tuple[float, ...]
     kilobits_per_period: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(float(v) for v in self.samples))
-        if not self.samples:
+        check_fields(self, MediaError)
+        samples = tuple(self.samples)
+        if not samples:
             raise MediaError("trace has no samples")
-        for t, value in enumerate(self.samples):
+        if not all(type(value) is float for value in samples):  # parse_trace gives floats
+            samples = tuple([_sample(t, value) for t, value in enumerate(samples)])
+        for t, value in enumerate(samples):
             if not (value >= 0.0 and math.isfinite(value)):
                 raise MediaError(f"bandwidth at t={t} must be finite and >= 0")
-        object.__setattr__(self, "kilobits_per_period", sum(self.samples))
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "kilobits_per_period", sum(samples))
 
     @property
     def duration_s(self) -> int:
@@ -89,9 +103,9 @@ class VideoManifest:
     the set of levels 1..L. The derived fields take no part in equality or repr.
     """
 
-    name: str
-    chunk_duration_s: float
-    is_vbr: bool
+    name: str = spec(MISSING, str)
+    chunk_duration_s: float = spec(MISSING, float, lambda v: v > 0, "chunk duration must be positive")
+    is_vbr: bool = spec(MISSING, bool)
     declared_kbps: tuple[float, ...]
     size_rows: tuple[tuple[int, ...], ...]
     vmaf_rows: tuple[tuple[float | None, ...], ...]
@@ -101,15 +115,13 @@ class VideoManifest:
     _level_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        check_fields(self, MediaError)
         declared = tuple(self.declared_kbps)
         sizes, vmafs = tuple(map(tuple, self.size_rows)), tuple(map(tuple, self.vmaf_rows))
         object.__setattr__(self, "declared_kbps", declared)
         object.__setattr__(self, "size_rows", sizes)
         object.__setattr__(self, "vmaf_rows", vmafs)
         delta = self.chunk_duration_s
-        read_value(MediaError, "chunk_duration_s", delta, float)
-        if delta <= 0:
-            raise MediaError("chunk duration must be positive")
         if len(sizes) < 2:
             raise MediaError("manifest needs at least 2 tracks")
         if len(declared) != len(sizes) or len(vmafs) != len(sizes):

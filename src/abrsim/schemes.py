@@ -16,8 +16,6 @@ from .control import (
     pid_output,
     ramp_kp,
     ramp_xr,
-    read_value,
-    require_finite,
     spec,
 )
 from .media import VideoManifest, classify_chunks
@@ -116,17 +114,19 @@ class RateBased(AbrScheme):
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
+@dataclass(eq=False)
 class BufferBased(AbrScheme):
     """Map the buffer level linearly onto the rate ladder between two thresholds."""
 
     name = "bba0"
 
-    def __init__(self, theta_low_s: float = 10.0, theta_high_s: float = 60.0) -> None:
-        require_finite(ConfigError, theta_low_s=theta_low_s, theta_high_s=theta_high_s)
-        if theta_high_s <= theta_low_s:
+    theta_low_s: float = spec(10.0, float)
+    theta_high_s: float = spec(60.0, float)
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
+        if self.theta_high_s <= self.theta_low_s:
             raise ConfigError("theta_high must exceed theta_low")
-        self.theta_low_s = theta_low_s
-        self.theta_high_s = theta_high_s
 
     def decide(self, ctx: DecisionContext) -> int:
         pairs = ctx.track_pairs()
@@ -161,6 +161,7 @@ class BufferAwareRate(AbrScheme):
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
+@dataclass(eq=False)
 class Mpc(AbrScheme):
     """Exhaustive lookahead maximizing bitrate minus switch and stall penalties.
 
@@ -173,29 +174,14 @@ class Mpc(AbrScheme):
     name = "mpc"
     robust = False
 
-    def __init__(
-        self,
-        horizon: int = 5,
-        mu: float = 1.0,
-        lam: float | None = None,
-        error_window: int = 5,
-    ) -> None:
-        require_finite(ConfigError, mu=mu, lam=0.0 if lam is None else lam)
-        horizon = read_value(ConfigError, "horizon", horizon, int)
-        error_window = read_value(ConfigError, "error_window", error_window, int)
-        if horizon < 1:
-            raise ConfigError("mpc horizon must be >= 1")
-        if mu < 0:
-            raise ConfigError("mu must be >= 0")
-        if lam is not None and lam < 0:
-            raise ConfigError("lam must be >= 0")
-        if error_window < 1:
-            raise ConfigError("error window must be >= 1")
-        self.horizon = horizon
-        self.mu = mu
-        self.lam = lam
-        self.error_window = error_window
-        self.eval_count = 0
+    horizon: int = spec(5, int, lambda v: v >= 1, "mpc horizon must be >= 1")
+    mu: float = spec(1.0, float, lambda v: v >= 0, "mu must be >= 0")
+    lam: float | None = spec(None, float, lambda v: v >= 0, "lam must be >= 0")
+    error_window: int = spec(5, int, lambda v: v >= 1, "error window must be >= 1")
+    eval_count: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
 
     def decide(self, ctx: DecisionContext) -> int:
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)

@@ -650,6 +650,39 @@ def test_bad_oracle_inputs_exit_2_before_any_session(workdir, capsys, monkeypatc
     assert sessions == []
 
 
+@pytest.mark.parametrize("bad", ["negative_gamma", "target_above_100", "no_quality_values"])
+def test_bad_oracle_objective_exits_2_before_any_compare_session(workdir, capsys, monkeypatch, bad):
+    tmp, _, trace = workdir
+    vmafs = None if bad == "no_quality_values" else (60.0, 85.0)
+    video = write_manifest(tmp / "video.json", bitrates=(400, 800), n=4, vmafs=vmafs)
+    fields = {"negative_gamma": {"gamma": -1}, "target_above_100": {"target_quality": 150.0}}
+    config = write_config(
+        tmp / "cfg.json",
+        manifest=str(video),
+        traces=[str(trace)],
+        schemes=["rb", "bba0"],
+        include_oracle=True,
+        out_dir=str(tmp / "out"),
+        **{"target_quality": 80.0, **fields.get(bad, {})},
+    )
+    sessions = []
+    simulate = cli.simulate_session
+
+    def counted(*args, **kwargs):
+        sessions.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_session", counted)
+    assert main(["compare", "--config", str(config)]) == 2
+    message = {
+        "negative_gamma": "gamma must be >= 0",
+        "target_above_100": "target quality must lie in (0, 100]",
+        "no_quality_values": "chunk 0 of level 1 has no quality value",
+    }[bad]
+    assert message in capsys.readouterr().err
+    assert sessions == []
+
+
 def test_compare_jobs_flag_keeps_output_identical(workdir):
     tmp, manifest, trace = workdir
     t2 = write_trace(tmp / "t2.csv", kbps=700.0)

@@ -6,7 +6,8 @@ case (accepted, or the exception type and message) is pinned twice: one
 literal case per distinct message, and the sha256 of the whole sorted table,
 so a refactor of the checks must keep every message, word for word. Objects
 built in Python are held to the same contract, and every parameter field
-declares its kind and bound in a `spec`, which the CLI reads its key types from.
+(the scheme classes' and the manifest's scalars included) declares its kind and
+bound in a `spec`, which the CLI reads its key types from.
 """
 
 from __future__ import annotations
@@ -15,19 +16,21 @@ import hashlib
 import inspect
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from abrsim.cli import _KEYS, RunConfig, _kind
 from abrsim.control import PidParams, RampSchedule
 from abrsim.engine import EstimatorSpec, SimConfig, StartupRule
+from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
 from abrsim.schemes import (
     SCHEMES,
     CavaParams,
     ConfigError,
     FilterSpec,
+    Mpc,
     PiaParams,
     QuadParams,
     build_scheme,
@@ -197,11 +200,54 @@ def test_python_built_values_are_stored_as_read():
     assert GainGrid(kp_values=[0.0088], ki_values=(3.6e-5,)).kp_values == (0.0088,)
 
 
+def test_mpc_checks_every_kind_before_any_bound():
+    with pytest.raises(ConfigError, match=r"^horizon must be a whole number, got 'x'$"):
+        Mpc(horizon="x", mu=float("nan"))
+    with pytest.raises(ConfigError, match=r"^mu must be a finite number, got nan$"):
+        Mpc(horizon=0, mu=float("nan"))
+
+
+def _manifest(name="clip", chunk_duration_s=2.0, is_vbr=False):
+    """A 2-level, 3-chunk CBR ladder of 400 and 800 kbps at 2 s chunks."""
+    sizes = [[100_000] * 3, [200_000] * 3]
+    return VideoManifest(name, chunk_duration_s, is_vbr, [400.0, 800.0], sizes, [[None] * 3] * 2)
+
+
+MEDIA_BUILT = {
+    "manifest-name-number": (lambda: _manifest(name=3), "name must be a string, got 3"),
+    "manifest-vbr-text": (lambda: _manifest(is_vbr="no"), "is_vbr must be true or false, got 'no'"),
+    "trace-name-number": (lambda: BandwidthTrace(3, ("3", True, 2)), "name must be a string, got 3"),
+    "trace-sample-bool": (lambda: BandwidthTrace("t", (1000.0, True)),
+                          "bandwidth at t=1 must be a number, got True"),
+    "trace-sample-text": (lambda: BandwidthTrace("t", ("abc",)),
+                          "bandwidth at t=0 must be a number, got 'abc'"),
+    "trace-sample-huge": (lambda: BandwidthTrace("t", (1.0, 10**400)),
+                          "bandwidth at t=1 must be finite and >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MEDIA_BUILT))
+def test_python_built_media_raise_a_media_error(case):
+    build, message = MEDIA_BUILT[case]
+    with pytest.raises(MediaError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_python_built_media_values_are_stored_as_read():
+    manifest = _manifest(chunk_duration_s=2)
+    assert repr(manifest.chunk_duration_s) == "2.0"
+    assert manifest == _manifest()
+    assert repr(BandwidthTrace("t", (1000, 2.5)).samples) == "(1000.0, 2.5)"
+    with pytest.raises(MediaError, match=r"^bandwidth at t=1 must be finite and >= 0$"):
+        BandwidthTrace("t", (1000, float("nan")))
+
+
 # -- field specs ------------------------------------------------------------------
 
 SPEC_CLASSES = (PidParams, RampSchedule, EstimatorSpec, StartupRule, SimConfig, PiaParams,
                 CavaParams, QuadParams, FilterSpec, QoeWeights, OfflineObjective, GainGrid,
-                RunConfig)
+                RunConfig, *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
 # an annotation naming a number, str, bool, list (held as a tuple) or dict
 _PLAIN = re.compile(r"\b(float|int|str|bool|tuple|dict)\b")
 
@@ -213,6 +259,25 @@ def test_every_plain_field_carries_a_spec(cls):
     source = inspect.getsource(cls.__post_init__)
     assert "check_fields(self, " in source
     assert "require_finite" not in source and "read_value" not in source
+
+
+def test_every_scheme_takes_its_parameters_through_specs():
+    """A registered scheme is a spec'd dataclass (checked above), is built from
+    `_default_params` of a spec'd params class, or takes no constructor arguments."""
+    unchecked = [
+        name for name, cls in SCHEMES.items()
+        if not (is_dataclass(cls)
+                or cls._default_params is not None and issubclass(cls._default_params, SPEC_CLASSES)
+                or cls.__init__ is object.__init__)
+    ]
+    assert unchecked == []
+
+
+def test_manifest_scalar_fields_carry_a_spec():
+    declared = {f.name for f in fields(VideoManifest) if "spec" in f.metadata}
+    assert declared == {"name", "chunk_duration_s", "is_vbr"}
+    assert "spec" in {f.name: f for f in fields(BandwidthTrace)}["name"].metadata
+    assert "check_fields(self, MediaError)" in inspect.getsource(VideoManifest.__post_init__)
 
 
 def test_heat_map_trace_count_carries_a_spec():
