@@ -287,3 +287,37 @@ def test_heat_map_trace_count_carries_a_spec():
 def test_every_config_key_reads_its_type_from_a_spec():
     for path in _KEYS.values():
         assert _kind(path) is not None, path
+
+
+# every job-config key and the RunConfig attribute path it sets, in order
+KEYS_PINNED = [
+    ("manifest", "manifest_path"), ("traces", "trace_paths"), ("trace_dir", "trace_dir"),
+    ("scheme", "scheme"), ("scheme_params", "scheme_params"), ("schemes", "schemes"),
+    ("filter", "filter_kind"), ("target_quality", "target_quality"),
+    ("weights.mu", "weights.mu"), ("weights.lam", "weights.lam"),
+    ("sim.startup_kind", "sim.startup.kind"), ("sim.startup_value", "sim.startup.value"),
+    ("sim.max_buffer_s", "sim.max_buffer_s"), ("sim.resume_margin_s", "sim.resume_margin_s"),
+    ("sim.rtt_s", "sim.rtt_s"), ("sim.estimator_kind", "sim.estimator.kind"),
+    ("sim.estimator_window", "sim.estimator.window"),
+    ("sim.first_chunk_level", "sim.first_chunk_level"), ("gamma", "gamma"),
+    ("reference_level", "reference_level"), ("include_oracle", "include_oracle"),
+    ("grid.kp_values", "grid.kp_values"), ("grid.ki_values", "grid.ki_values"),
+    ("out_dir", "out_dir"), ("jobs", "jobs"), ("deterministic", "deterministic"),
+]
+
+
+def test_config_keys_and_their_paths_are_pinned():
+    assert list(_KEYS.items()) == KEYS_PINNED
+
+
+def test_unknown_key_error_lists_every_key_in_order():
+    with pytest.raises(ConfigError) as info:
+        RunConfig.from_json('{"nonsense": 1}')
+    assert str(info.value) == (
+        "unknown config keys: nonsense (expected any of: manifest, traces, trace_dir, scheme, "
+        "scheme_params, schemes, filter, target_quality, weights.mu, weights.lam, "
+        "sim.startup_kind, sim.startup_value, sim.max_buffer_s, sim.resume_margin_s, sim.rtt_s, "
+        "sim.estimator_kind, sim.estimator_window, sim.first_chunk_level, gamma, "
+        "reference_level, include_oracle, grid.kp_values, grid.ki_values, out_dir, jobs, "
+        "deterministic)"
+    )
