@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .control import ControlError, check_fields, read_value, require_finite, spec
+from .control import ControlError, check_fields, read_json, read_value, require_finite, spec
 from .engine import (
     EstimatorSpec,
     SessionLog,
@@ -148,39 +148,6 @@ def noisy_bandwidth(
 
 # ------------------------------------------------------------------ job config
 
-# Every job-config key and the RunConfig attribute path it sets; its JSON type is
-# the kind in the spec of the field there. A dotted key sits inside an object, so
-# "sim.rtt_s" is {"sim": {"rtt_s": ...}}. An absent or null key keeps the default.
-_KEYS = {
-    "manifest": "manifest_path",
-    "traces": "trace_paths",
-    "trace_dir": "trace_dir",
-    "scheme": "scheme",
-    "scheme_params": "scheme_params",
-    "schemes": "schemes",
-    "filter": "filter_kind",
-    "target_quality": "target_quality",
-    "weights.mu": "weights.mu",
-    "weights.lam": "weights.lam",
-    "sim.startup_kind": "sim.startup.kind",
-    "sim.startup_value": "sim.startup.value",
-    "sim.max_buffer_s": "sim.max_buffer_s",
-    "sim.resume_margin_s": "sim.resume_margin_s",
-    "sim.rtt_s": "sim.rtt_s",
-    "sim.estimator_kind": "sim.estimator.kind",
-    "sim.estimator_window": "sim.estimator.window",
-    "sim.first_chunk_level": "sim.first_chunk_level",
-    "gamma": "gamma",
-    "reference_level": "reference_level",
-    "include_oracle": "include_oracle",
-    "grid.kp_values": "grid.kp_values",
-    "grid.ki_values": "grid.ki_values",
-    "out_dir": "out_dir",
-    "jobs": "jobs",
-    "deterministic": "deterministic",
-}
-# the keys that hold an object; each is also the name of the RunConfig attribute
-_GROUPS = {key.partition(".")[0] for key in _KEYS if "." in key}
 # attribute paths that hold an object, built from the values under them
 _OBJECTS = {
     "weights": QoeWeights,
@@ -210,24 +177,33 @@ def _arguments(values: dict, prefix: str = "") -> dict:
     return args
 
 
-def _kind(path: str):
-    """The kind in the `spec` of the RunConfig field at attribute path `path`."""
-    parent, _, name = path.rpartition(".")
-    cls = _OBJECTS[parent] if parent else RunConfig
-    return next(f for f in fields(cls) if f.name == name).metadata["spec"][0]
+def _spec_fields(cls, path: str = ""):
+    """(key, attribute path, kind) of each spec field of `cls`, found at RunConfig
+    attribute path `path`, in field order; each object in `_OBJECTS` is walked in
+    its place. A key is the spec's name, else the field's, under its top-level group."""
+    group = path.partition(".")[0]
+    for f in fields(cls):
+        at = f"{path}.{f.name}" if path else f.name
+        if at in _OBJECTS:
+            yield from _spec_fields(_OBJECTS[at], at)
+        elif "spec" in f.metadata:
+            kind, _, _, name = f.metadata["spec"]
+            key = name or f.name
+            yield (f"{group}.{key}" if group else key), at, kind
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """One CLI job: media, traces, scheme choice, and output layout."""
 
-    manifest_path: str | None = spec(None, str)
-    trace_paths: tuple[str, ...] = spec((), [str])
+    manifest_path: str | None = spec(None, str, name="manifest")
+    trace_paths: tuple[str, ...] = spec((), [str], name="traces")
     trace_dir: str | None = spec(None, str)
     scheme: str = spec("pia", str)
     scheme_params: dict = spec({}, dict)
     schemes: tuple[str, ...] = spec((), [str])
-    filter_kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}")
+    filter_kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}",
+                            name="filter")
     target_quality: float | None = spec(None, float)
     weights: QoeWeights | None = None
     sim: SimConfig = field(default_factory=SimConfig)
@@ -247,12 +223,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
-        try:
-            raw = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from None
         given = {}
-        for key, value in read_value(ConfigError, "config", raw, dict).items():
+        for key, value in read_json(ConfigError, "config", text).items():
             if key in _GROUPS and value is not None:
                 inner = read_value(ConfigError, key, value, dict)
                 given.update((f"{key}.{k}", v) for k, v in inner.items())
@@ -281,6 +253,16 @@ class RunConfig:
             else:
                 data.setdefault(group, {})[name] = attrgetter(path)(self)
         return json.dumps(data, sort_keys=True, indent=2)
+
+
+# Every job-config key and the RunConfig attribute path it sets; its JSON type is
+# the kind in the spec of the field there. A dotted key sits inside an object, so
+# "sim.rtt_s" is {"sim": {"rtt_s": ...}}. An absent or null key keeps the default.
+_FIELDS = list(_spec_fields(RunConfig))
+_KEYS = {key: path for key, path, _ in _FIELDS}
+_kind = {path: kind for _, path, kind in _FIELDS}.__getitem__  # the kind at an attribute path
+# the keys that hold an object; each is also the name of the RunConfig attribute
+_GROUPS = {key.partition(".")[0] for key in _KEYS if "." in key}
 
 
 # ------------------------------------------------------------- scheme assembly
@@ -510,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, help="worker processes (overrides config)")
     common.add_argument("--scheme", help="scheme name (overrides config)")
     common.add_argument("--filter", choices=FILTER_KINDS, help="quality prefilter")
-    common.add_argument("--target-quality", type=float, help="quality target in [0, 100]")
+    common.add_argument("--target-quality", type=float, help="quality target in (0, 100]")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("run", parents=[common], help="simulate one scheme on one trace").set_defaults(
         func=cmd_run

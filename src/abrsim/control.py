@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -37,13 +38,31 @@ def read_value(error, name: str, value, kind):
             if kind is int and number.is_integer():
                 return int(value)
         wanted = "a finite" if kind is float else "a whole"
-        raise error(f"{name} must be {wanted} number, got {value!r}")
+        raise error(f"{name} must be {wanted} number, got {_shown(value)}")
     if isinstance(kind, list):
         item = f"each item of {name}"
         return [read_value(error, item, v, kind[0]) for v in read_value(error, name, value, list)]
     if not isinstance(value, kind):
-        raise error(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        raise error(f"{name} must be {_KIND_NAMES[kind]}, got {_shown(value)}")
     return value
+
+
+def _shown(value) -> str:
+    """repr(value), unless it holds an int too long for `repr`."""
+    try:
+        return repr(value)
+    except ValueError:  # past the interpreter's limit on int-to-string digits
+        return "a value too long to print"
+
+
+def read_json(error, name: str, text: str) -> dict:
+    """`text` parsed as JSON and read as an object by `read_value`; text that is not
+    JSON, nests too deep or holds an int too long to convert raises `error`."""
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError is a ValueError
+        raise error(f"{name} is not valid JSON: {exc}") from None
+    return read_value(error, name, raw, dict)
 
 
 def require_finite(error: type[ValueError], **values) -> None:

@@ -24,8 +24,9 @@ class EstimatorSpec:
 
     kind: str = spec("harmonic_seconds", str,
                      lambda v: v in ("harmonic_seconds", "harmonic_chunks"),
-                     "unknown estimator kind {!r}")
-    window: int = spec(20, int, lambda v: v >= 1, "estimator window must be >= 1")
+                     "unknown estimator kind {!r}", name="estimator_kind")
+    window: int = spec(20, int, lambda v: v >= 1, "estimator window must be >= 1",
+                       name="estimator_window")
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -36,7 +37,7 @@ class StartupRule:
     """Playback enablement: fixed latency in seconds, or k chunks fully buffered."""
 
     kind: str = spec("latency", str, lambda v: v in ("latency", "chunks_buffered"),
-                     "unknown startup rule {!r}")
+                     "unknown startup rule {!r}", name="startup_kind")
     value: float = spec(5.0, float, name="startup_value")
 
     def __post_init__(self) -> None:
@@ -413,7 +414,11 @@ class _Session:
             # the highest allowed level at or below `first`, else the lowest allowed
             level, u = max((lvl for lvl in allowed if lvl <= first), default=min(allowed)), None
         else:
-            level = self.scheme.decide(ctx)
+            try:
+                level = self.scheme.decide(ctx)
+            except OverflowError:
+                raise SimulationError(f"link too fast: scheme {self.scheme.name!r} overflowed "
+                                      f"deciding chunk {i} on trace {self.trace.name!r}") from None
             if level not in allowed:
                 raise SimulationError(
                     f"scheme {self.scheme.name!r} chose level {level} for chunk {i}; "
@@ -434,6 +439,9 @@ class _Session:
         _check_download_span(self.trace, kilobits)
         self._walk("download", kilobits, bitrate)
         dl_end = self.clock
+        if dl_end == data_start:  # shorter than the clock's float resolution
+            raise SimulationError(f"link too fast: chunk {i} of scheme {self.scheme.name!r} on "
+                                  f"trace {self.trace.name!r} downloads in no time at {dl_end:g} s")
         throughput = kilobits / (dl_end - data_start)
         self.history.add_chunk_sample(throughput)
         self.history.add_estimate(est)

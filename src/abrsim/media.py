@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, field
 
-from .control import check_fields, read_value, spec
+from .control import check_fields, read_json, read_value, spec
 
 TRACE_HEADER = "t_s,bandwidth_kbps"
 
@@ -261,11 +260,7 @@ def _read_chunks(chunks: list) -> tuple[list, list]:
 
 def parse_manifest(text: str) -> VideoManifest:
     """Parse manifest JSON into a validated VideoManifest."""
-    try:
-        raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise MediaError(f"manifest is not valid JSON: {exc}") from None
-    raw = read_value(MediaError, "manifest", raw, dict)
+    raw = read_json(MediaError, "manifest", text)
     duration = _field(raw, "chunk_duration_s", float)
     declared, size_rows, vmaf_rows = [], [], []
     for idx, track in enumerate(_field(raw, "tracks", [dict])):

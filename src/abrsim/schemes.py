@@ -614,17 +614,8 @@ def allowed_from_filter(spec: FilterSpec, manifest: VideoManifest):
 
 # ------------------------------------------------------------------ registry
 
-SCHEMES: dict[str, type[AbrScheme]] = {
-    "rb": RateBased,
-    "bba0": BufferBased,
-    "rba": BufferAwareRate,
-    "mpc": Mpc,
-    "robustmpc": RobustMpc,
-    "pia": Pia,
-    "piae": PiaStartup,
-    "cava": Cava,
-    "quad": Quad,
-}
+SCHEMES: dict[str, type[AbrScheme]] = {cls.name: cls for cls in (
+    RateBased, BufferBased, BufferAwareRate, Mpc, RobustMpc, Pia, PiaStartup, Cava, Quad)}
 
 
 def scheme_class(name: str) -> type[AbrScheme]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, replace
 
-from .control import check_fields, is_valid_gain_pair, spec
+from .control import check_fields, is_valid_gain_pair, read_value, spec
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
@@ -55,9 +55,11 @@ class HeatMap:
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
-        object.__setattr__(self, "valid", tuple(tuple(bool(v) for v in row) for row in self.valid))
-        object.__setattr__(self, "heat", tuple(tuple(int(h) for h in row) for row in self.heat))
-        for name, table in (("valid", self.valid), ("heat", self.heat)):
+        for name, kind in (("valid", bool), ("heat", int)):
+            table = tuple(tuple(read_value(ConfigError, f"{name}[{i}][{j}]", v, kind)
+                                for j, v in enumerate(row))
+                          for i, row in enumerate(getattr(self, name)))
+            object.__setattr__(self, name, table)
             if len(table) != len(self.kp_values):
                 raise ConfigError(f"{name} must have one row per kp value")
             if any(len(row) != len(self.ki_values) for row in table):

@@ -24,7 +24,7 @@ from abrsim.cli import (
     step_bandwidth,
 )
 from abrsim.media import parse_trace
-from abrsim.schemes import ConfigError, cbf_filter
+from abrsim.schemes import SCHEMES, ConfigError, cbf_filter
 
 
 def write_manifest(path, bitrates=(400, 800, 1600), n=6, delta=2.0, vmafs=(55.0, 75.0, 90.0)):
@@ -282,6 +282,30 @@ def test_huge_rtt_exits_1(workdir, capsys):
     assert "rtt too long" in capsys.readouterr().err
 
 
+# (samples in kbps, rtt_s, schemes): a link so fast a download ends at its own
+# start clock, and one whose estimate overflows a PID scheme's squared cost
+FAST_LINKS = {
+    "zero-length-download": ("1e20", 0.07, tuple(SCHEMES)),
+    "overflow-in-decide": ("1e160", 0.0, ("pia", "piae", "cava")),
+}
+
+
+@pytest.mark.parametrize("case", list(FAST_LINKS))
+def test_too_fast_link_exits_1_naming_trace_scheme_and_chunk(workdir, capsys, case):
+    tmp, _, _ = workdir
+    kbps, rtt, schemes = FAST_LINKS[case]
+    small = write_manifest(tmp / "small.json", bitrates=(400, 800), n=6, vmafs=(60.0, 85.0))
+    trace = tmp / "fast.csv"
+    trace.write_text("t_s,bandwidth_kbps\n" + "".join(f"{t},{kbps}\n" for t in range(40)))
+    for name in schemes:
+        config = write_config(tmp / "cfg.json", manifest=str(small), traces=[str(trace)],
+                              scheme=name, sim={"rtt_s": rtt}, out_dir=str(tmp / "out"))
+        assert main(["run", "--config", str(config)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: link too fast: "), err
+        assert f"scheme {name!r}" in err and "trace 'fast'" in err and "chunk " in err
+
+
 @pytest.mark.parametrize(
     "fields,message",
     [
@@ -388,13 +412,16 @@ def test_one_trace_commands_refuse_two_traces(workdir, capsys, command):
 
 
 # Each case spoils one input of an otherwise good job: a file that is not
-# UTF-8, a path holding a NUL byte, or JSON nested past the parser's depth.
+# UTF-8, a path holding a NUL byte, JSON nested past the parser's depth, or a
+# JSON integer past the interpreter's 4,300-digit conversion limit.
 BAD_INPUTS = {
     "config-not-utf8": "cannot read",
     "config-not-json": "config is not valid JSON",
     "config-too-deep": "config is not valid JSON",
+    "config-huge-int": "config is not valid JSON",
     "manifest-not-utf8": "cannot read",
     "manifest-too-deep": "manifest is not valid JSON",
+    "manifest-huge-int": "manifest is not valid JSON",
     "trace-not-utf8": "cannot read",
     "manifest-nul": "embedded null byte",
     "trace-nul": "embedded null byte",
@@ -402,6 +429,7 @@ BAD_INPUTS = {
     "trace-dir-nul": "trace_dir",
 }
 DEEP_JSON = "[" * 5000 + "]" * 5000
+HUGE_INT = "1" * 5000
 
 
 def _bad_input_config(tmp, manifest, trace, case):
@@ -419,9 +447,17 @@ def _bad_input_config(tmp, manifest, trace, case):
         config = tmp / "cfg.json"
         config.write_text("{manifest" if case == "config-not-json" else DEEP_JSON)
         return config
+    if case == "config-huge-int":
+        config = write_config(tmp / "cfg.json", **fields)
+        config.write_text(config.read_text()[:-1] + f', "jobs": {HUGE_INT}}}')
+        return config
+    huge = tmp / "huge.json"
+    huge.write_text(manifest.read_text().replace('"chunk_duration_s": 2.0',
+                                                 f'"chunk_duration_s": {HUGE_INT}'))
     key, value = {
         "manifest-not-utf8": ("manifest", str(latin1)),
         "manifest-too-deep": ("manifest", str(deep)),
+        "manifest-huge-int": ("manifest", str(huge)),
         "trace-not-utf8": ("traces", [str(latin1)]),
         "manifest-nul": ("manifest", str(tmp / "clip\0.json")),
         "trace-nul": ("traces", [str(tmp / "trace\0.csv")]),

@@ -7,7 +7,7 @@ literal case per distinct message, and the sha256 of the whole sorted table,
 so a refactor of the checks must keep every message, word for word. Objects
 built in Python are held to the same contract, and every parameter field
 (the scheme classes' and the manifest's scalars included) declares its kind and
-bound in a `spec`, which the CLI reads its key types from.
+bound in a `spec`, which the CLI reads its keys and their types from.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import inspect
 import json
 import re
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
 
 from abrsim.cli import _KEYS, RunConfig, _kind
-from abrsim.control import PidParams, RampSchedule
+from abrsim.control import ControlError, PidParams, RampSchedule
 from abrsim.engine import EstimatorSpec, SimConfig, StartupRule
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
@@ -184,6 +185,20 @@ PYTHON_BUILT = {
     "oracle-text": (lambda: RunConfig(include_oracle="yes"), "include_oracle"),
     "out-dir-number": (lambda: RunConfig(out_dir=3), "out_dir"),
     "heat-count-text": (lambda: HeatMap(**_HEAT_TABLES, trace_count="3"), "trace_count"),
+    # a field whose config key differs from its name is named by its key
+    "manifest-number": (lambda: RunConfig(manifest_path=7), "manifest"),
+    "traces-text": (lambda: RunConfig(trace_paths="t.csv"), "traces"),
+    "filter-number": (lambda: RunConfig(filter_kind=3), "filter"),
+    "startup-kind-number": (lambda: StartupRule(kind=3), "startup_kind"),
+    "estimator-kind-number": (lambda: EstimatorSpec(kind=3), "estimator_kind"),
+    "estimator-window-text": (lambda: EstimatorSpec(window="2"), "estimator_window"),
+    # each heat-map cell is read, not coerced
+    "heat-cell-fraction": (lambda: HeatMap(**{**_HEAT_TABLES, "heat": ((2.7,),)}, trace_count=3),
+                           re.escape("heat[0][0]")),
+    "heat-cell-nan": (lambda: HeatMap(**{**_HEAT_TABLES, "heat": ((float("nan"),),)},
+                                      trace_count=3), re.escape("heat[0][0]")),
+    "valid-cell-text": (lambda: HeatMap(**{**_HEAT_TABLES, "valid": (("no",),)}, trace_count=1),
+                        re.escape("valid[0][0]")),
 }
 
 
@@ -192,6 +207,11 @@ def test_python_built_objects_raise_a_typed_error(case):
     build, name = PYTHON_BUILT[case]
     with pytest.raises(ConfigError, match=f"^{name} must be "):
         build()
+
+
+def test_int_too_long_to_print_is_a_typed_error():
+    with pytest.raises(ControlError, match=r"^kp must be a finite number, got a value too long"):
+        PidParams(kp=10**5000)
 
 
 def test_python_built_values_are_stored_as_read():
@@ -321,3 +341,9 @@ def test_unknown_key_error_lists_every_key_in_order():
         "reference_level, include_oracle, grid.kp_values, grid.ki_values, out_dir, jobs, "
         "deterministic)"
     )
+
+
+def test_readme_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    named = set(re.findall(r"`(\w+)`", readme))
+    assert [key for key in _KEYS if key.rpartition(".")[2] not in named] == []
