@@ -424,8 +424,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config, manifest, traces = _job(args)
     if config.grid is None:
         raise ConfigError("sweep needs a gain grid in the config")
-    # the sweep tunes pia's gains; scheme_params fix the rest of its params
-    template = build_scheme("pia", config.scheme_params).params
+    # the sweep tunes pia's gains; scheme_params fix the rest of the scheme
+    template = build_scheme("pia", config.scheme_params)
     weights = config.weights if config.weights is not None else default_weights(manifest)
     heatmap = sweep_gains(
         config.grid, traces, manifest, template, weights, config.sim, jobs=config.jobs

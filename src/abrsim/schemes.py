@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .control import (
@@ -79,12 +79,6 @@ class AbrScheme:
 
     name = "base"
     last_u: float | None = None
-    _default_params = None  # the params dataclass of a scheme built from one
-
-    @classmethod
-    def from_params(cls, raw: dict):
-        """Build from a job's raw `scheme_params`."""
-        return cls(**raw)
 
     def reset(self, manifest: VideoManifest) -> None:
         """Drop per-session state and derive what the scheme needs from the
@@ -257,43 +251,26 @@ class RobustMpc(Mpc):
 _PID_KEYS = tuple(f.name for f in fields(PidParams))
 
 
-@dataclass
-class PiaParams:
-    """Lookahead shape for the PID-driven scheme."""
-
-    pid: PidParams = field(default_factory=lambda: PidParams(beta=0.2))
-    horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
-    eta: float = spec(1.0, float, lambda v: v >= 0, "eta must be >= 0")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
-
-
+@dataclass(eq=False)
 class _PidScheme(AbrScheme):
     """Buffer-driven PI controller shared by the PID schemes: the integral fed by
     `observe_interval` toward `_target`, the PI step with setpoint weighting and
-    anti-windup, and the rollout argmin. Subclasses supply `decide` and
-    `_default_params`, a factory for params with a `pid` field."""
+    anti-windup, and the rollout argmin. Subclasses supply `decide` and declare
+    their other parameters as spec'd fields."""
 
-    def __init__(self, params=None) -> None:
-        self.params = params if params is not None else self._default_params()
+    pid: PidParams = field(default_factory=PidParams)
+
+    def __post_init__(self) -> None:
+        check_fields(self, ConfigError)
         self.eval_count = 0
         self.pid_state = PidState()
-
-    @classmethod
-    def from_params(cls, raw):
-        """The scheme with its default params and `raw` applied; PidParams keys go to `pid`."""
-        rest = dict(raw)
-        pid_keys = {key: rest.pop(key) for key in _PID_KEYS if key in rest}
-        default = cls._default_params()
-        return cls(replace(default, pid=replace(default.pid, **pid_keys), **rest))
 
     def reset(self, manifest: VideoManifest) -> None:
         self.pid_state = PidState()
         self.last_u = None
 
     def _target(self, clock_s: float) -> float:
-        return self.params.pid.target_buffer
+        return self.pid.target_buffer
 
     def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
         # left-endpoint rule: integral += (target - x) * dt unless frozen
@@ -303,7 +280,7 @@ class _PidScheme(AbrScheme):
 
     def _control(self, ctx: DecisionContext, kp: float, xr: float) -> tuple[float, bool]:
         """PI output after anti-windup and whether it forces the top level; sets freeze, last_u."""
-        pid = self.params.pid
+        pid = self.pid
         u_raw = pid_output(pid, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator, kp)
         u, freeze, force_max = anti_windup(u_raw, pid)
         self.pid_state.freeze = freeze
@@ -324,7 +301,7 @@ class _PidScheme(AbrScheme):
         never read, so it is not computed. The step invariants are read once
         per call; `b if b > a else a` is what `max(a, b)` returns, signed zeros
         and NaN included, so the costs are the floats of the plain rollout."""
-        pid, horizon = self.params.pid, self.params.horizon
+        pid, horizon = self.pid, self.horizon
         ki, epsilon = pid.ki, pid.epsilon
         bxr = pid.beta * xr
         manifest = ctx.manifest
@@ -364,30 +341,37 @@ class _PidScheme(AbrScheme):
         return best_lvl
 
 
+@dataclass(eq=False)
 class Pia(_PidScheme):
     """PID controller on the buffer plus a short smoothing lookahead."""
 
     name = "pia"
-    _default_params = PiaParams
+
+    pid: PidParams = field(default_factory=lambda: PidParams(beta=0.2))
+    horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
+    eta: float = spec(1.0, float, lambda v: v >= 0, "eta must be >= 0")
 
     def _kp(self, clock_s: float) -> float:
-        return self.params.pid.kp
+        return self.pid.kp
 
     def decide(self, ctx: DecisionContext) -> int:
         kp, xr = self._kp(ctx.clock_s), self._target(ctx.clock_s)
         u, force_max = self._control(ctx, kp, xr)
         if force_max:
             return max(ctx.allowed_levels)
-        return self._argmin(ctx, u, kp, xr, 1.0, self.params.eta)
+        return self._argmin(ctx, u, kp, xr, 1.0, self.eta)
 
 
-@dataclass
-class PiaStartupParams(PiaParams):
-    """PiaParams plus the shape of the startup ramp; the ramp needs beta = 1."""
+@dataclass(eq=False)
+class PiaStartup(Pia):
+    """Pia with ramped gain and buffer target for a faster startup phase; the ramp
+    needs beta = 1, and `reset` builds it for the session manifest's chunk duration."""
+
+    name = "piae"
 
     pid: PidParams = field(default_factory=PidParams)
-    alpha: float = RampSchedule.alpha
-    tau: float = RampSchedule.tau
+    alpha: float = spec(RampSchedule.alpha, float)
+    tau: float = spec(RampSchedule.tau, float)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -395,19 +379,10 @@ class PiaStartupParams(PiaParams):
             raise ConfigError("piae requires beta = 1")
         RampSchedule(self.alpha, self.tau)  # the ramp's own checks on alpha and tau
 
-
-class PiaStartup(Pia):
-    """Pia with ramped gain and buffer target for a faster startup phase; `reset`
-    builds the ramp for the session manifest's chunk duration."""
-
-    name = "piae"
-    _default_params = PiaStartupParams
-
     def reset(self, manifest: VideoManifest) -> None:
         super().reset(manifest)
-        p = self.params
         self.schedule = RampSchedule(
-            p.alpha, p.tau, p.pid.kp, p.pid.target_buffer, manifest.chunk_duration_s
+            self.alpha, self.tau, self.pid.kp, self.pid.target_buffer, manifest.chunk_duration_s
         )
 
     def _target(self, clock_s: float) -> float:
@@ -417,11 +392,13 @@ class PiaStartup(Pia):
         return ramp_kp(self.schedule, clock_s)
 
 
-@dataclass
-class CavaParams:
-    """Windows and thresholds for the size-aware PID scheme."""
+@dataclass(eq=False)
+class Cava(_PidScheme):
+    """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets; `reset`
+    ranks the session manifest's positions into size quartiles."""
 
-    pid: PidParams = field(default_factory=PidParams)
+    name = "cava"
+
     horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
     inner_window: int = spec(10, int)
     outer_window: int = spec(10, int, lambda v: v >= 1, "outer window must be >= 1")
@@ -436,23 +413,15 @@ class CavaParams:
     reference_level: int | None = spec(None, int, lambda v: v >= 1, "reference_level must be >= 1")
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
+        super().__post_init__()
         if self.inner_window < self.horizon:
             raise ConfigError("inner window must cover the horizon")
 
-
-class Cava(_PidScheme):
-    """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets; `reset`
-    ranks the session manifest's positions into size quartiles."""
-
-    name = "cava"
-    _default_params = CavaParams
-
     def reset(self, manifest: VideoManifest) -> None:
         super().reset(manifest)
-        self._target_buffer = self.params.base_target_buffer_s
+        self._target_buffer = self.base_target_buffer_s
         n = manifest.n_levels
-        ref = self.params.reference_level or (n + 1) // 2  # the params refuse 0
+        ref = self.reference_level or (n + 1) // 2  # the spec refuses 0
         if ref > n:
             raise ConfigError(f"reference_level {ref} is above the manifest's top level {n}")
         # per position: is its reference-track chunk in the top size quartile
@@ -462,44 +431,45 @@ class Cava(_PidScheme):
         return self._target_buffer
 
     def _rollout_rate(self, ctx: DecisionContext, level: int) -> float:
-        return ctx.manifest.windowed_bitrate_kbps(level, ctx.chunk_index, self.params.inner_window)
+        return ctx.manifest.windowed_bitrate_kbps(level, ctx.chunk_index, self.inner_window)
 
     def decide(self, ctx: DecisionContext) -> int:
-        p = self.params
-        kp = p.pid.kp
+        kp = self.pid.kp
         xr = self._target_buffer = self._outer_target(ctx)
         u, force_max = self._control(ctx, kp, xr)
         if force_max:
             return max(ctx.allowed_levels)
         i = ctx.chunk_index
         is_q4 = self._q4[i]
-        alpha = p.alpha_q4 if is_q4 else p.alpha_q123
-        if is_q4 and p.q4_low_buffer_relief and ctx.buffer_s <= p.safe_buffer_s:
+        alpha = self.alpha_q4 if is_q4 else self.alpha_q123
+        if is_q4 and self.q4_low_buffer_relief and ctx.buffer_s <= self.safe_buffer_s:
             alpha = 1.0
         eta = 1.0
         if i > 0 and self._q4[i - 1] != is_q4:
             eta = 0.0  # class switch: do not penalize the level change
         level = self._argmin(ctx, u, kp, xr, alpha, eta)
-        if not is_q4 and level <= p.low_level_cutoff and ctx.buffer_s > p.safe_buffer_s:
+        if not is_q4 and level <= self.low_level_cutoff and ctx.buffer_s > self.safe_buffer_s:
             level = self._argmin(ctx, u, kp, xr, 1.0, eta)
         return level
 
     def _outer_target(self, ctx: DecisionContext) -> float:
-        p = self.params
         if ctx.last_level is None:
-            return p.base_target_buffer_s
+            return self.base_target_buffer_s
         manifest = ctx.manifest
         # the window range-checks the last level
-        upcoming = manifest.windowed_bitrate_kbps(ctx.last_level, ctx.chunk_index, p.outer_window)
+        upcoming = manifest.windowed_bitrate_kbps(ctx.last_level, ctx.chunk_index,
+                                                  self.outer_window)
         ratio = upcoming / max(manifest.avg_kbps[ctx.last_level - 1], _EST_FLOOR_KBPS)
-        return p.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
+        return self.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
 
 
-@dataclass
-class QuadParams:
-    """Quality-target weights for the quality-aware PID scheme."""
+@dataclass(eq=False)
+class Quad(_PidScheme):
+    """PID scheme that targets a quality value instead of maximal bitrate; it never
+    forces the top level, so at saturation it still weighs quality."""
 
-    pid: PidParams = field(default_factory=PidParams)
+    name = "quad"
+
     target_quality: float = spec(80.0, float, lambda v: 0.0 < v <= 100.0,
                                  "target quality must lie in (0, 100]")
     alpha: float = spec(1.0, float, lambda v: v >= 0, "alpha and eta must be >= 0")
@@ -508,28 +478,16 @@ class QuadParams:
     low_buffer_chunks: float = spec(4.0, float, lambda v: v > 0,
                                     "low buffer threshold must be positive")
 
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
-
-
-class Quad(_PidScheme):
-    """PID scheme that targets a quality value instead of maximal bitrate; it never
-    forces the top level, so at saturation it still weighs quality."""
-
-    name = "quad"
-    _default_params = QuadParams
-
     def decide(self, ctx: DecisionContext) -> int:
-        p = self.params
         quality = require_quality(ctx.manifest)
-        u, _ = self._control(ctx, p.pid.kp, p.pid.target_buffer)
+        u, _ = self._control(ctx, self.pid.kp, self.pid.target_buffer)
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
-        if ctx.buffer_s < p.low_buffer_chunks * ctx.manifest.chunk_duration_s:
-            want = min(p.fair_level, bitrate_from_u(u, est, ctx.allowed_pairs()))
+        if ctx.buffer_s < self.low_buffer_chunks * ctx.manifest.chunk_duration_s:
+            want = min(self.fair_level, bitrate_from_u(u, est, ctx.allowed_pairs()))
             fits = [lvl for lvl in ctx.allowed_levels if lvl <= want]
             return max(fits) if fits else min(ctx.allowed_levels)
         i = ctx.chunk_index
-        qr = p.target_quality
+        qr = self.target_quality
         manifest, last = ctx.manifest, ctx.last_level
         prev_q = None
         if last is not None:
@@ -543,9 +501,9 @@ class Quad(_PidScheme):
             rate = rows[lvl - 1][i]
             q = quality[lvl - 1][i]
             cost = (max(0.0, u * rate - est) / est) ** 2
-            cost += p.alpha * ((qr - q) / qr) ** 2
+            cost += self.alpha * ((qr - q) / qr) ** 2
             if prev_q is not None:
-                cost += p.eta * ((q - prev_q) / qr) ** 2
+                cost += self.eta * ((q - prev_q) / qr) ** 2
             if best is None or cost < best:
                 best, best_lvl = cost, lvl
         return best_lvl
@@ -629,13 +587,23 @@ def scheme_class(name: str) -> type[AbrScheme]:
 
 def build_scheme(name: str, raw: dict | None = None, *, target_quality: float | None = None,
                  reference_level: int | None = None) -> AbrScheme:
-    """A registered scheme built from a job's raw `scheme_params`; each job-level
-    value that is set reaches the schemes whose params declare it, and `raw` wins."""
+    """A registered scheme built from a job's raw `scheme_params`: its keys are the
+    class's fields, with the PidParams keys in place of `pid`. Each job-level
+    value that is set reaches the schemes that declare it, and `raw` wins."""
     cls = scheme_class(name)
-    declared = {f.name for f in fields(cls._default_params)} if cls._default_params else ()
+    own = [f.name for f in fields(cls) if f.init] if is_dataclass(cls) else []
+    keys = [key for key in own if key != "pid"] + (list(_PID_KEYS) if "pid" in own else [])
     job = {"target_quality": target_quality, "reference_level": reference_level}
-    job = {key: value for key, value in job.items() if key in declared and value is not None}
+    params = {key: value for key, value in job.items() if key in keys and value is not None}
+    params.update(raw or {})
     try:
-        return cls.from_params({**job, **(raw or {})})
-    except (TypeError, ConfigError, ControlError) as exc:
+        unknown = sorted(map(str, set(params) - set(keys)))
+        if unknown:
+            raise ConfigError(f"unknown keys {', '.join(unknown)} "
+                              f"(expected any of: {', '.join(keys) or 'none'})")
+        if "pid" in own:
+            gains = {key: params.pop(key) for key in _PID_KEYS if key in params}
+            params["pid"] = replace(cls().pid, **gains)
+        return cls(**params)
+    except (ConfigError, ControlError) as exc:
         raise ConfigError(f"bad parameters for scheme {name!r}: {exc}") from None

@@ -14,7 +14,7 @@ from .control import check_fields, is_valid_gain_pair, read_value, spec
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
-from .schemes import ConfigError, Pia, PiaParams
+from .schemes import ConfigError, Pia
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,8 @@ class GainGrid:
 class HeatMap:
     """Per-cell flag counts; invalid cells are masked, never silently zeroed."""
 
-    kp_values: tuple[float, ...]
-    ki_values: tuple[float, ...]
+    kp_values: tuple[float, ...] = spec(MISSING, [float])
+    ki_values: tuple[float, ...] = spec(MISSING, [float])
     valid: tuple[tuple[bool, ...], ...]
     heat: tuple[tuple[int, ...], ...]
     trace_count: int = spec(MISSING, int, lambda v: v >= 0, "trace count must be >= 0")
@@ -57,8 +57,8 @@ class HeatMap:
         check_fields(self, ConfigError)
         for name, kind in (("valid", bool), ("heat", int)):
             table = tuple(tuple(read_value(ConfigError, f"{name}[{i}][{j}]", v, kind)
-                                for j, v in enumerate(row))
-                          for i, row in enumerate(getattr(self, name)))
+                                for j, v in enumerate(_listed(f"{name}[{i}]", row)))
+                          for i, row in enumerate(_listed(name, getattr(self, name))))
             object.__setattr__(self, name, table)
             if len(table) != len(self.kp_values):
                 raise ConfigError(f"{name} must have one row per kp value")
@@ -75,6 +75,11 @@ class HeatMap:
             for j, ki in enumerate(self.ki_values):
                 lines.append(f"{kp!r},{ki!r},{int(self.valid[i][j])},{self.heat[i][j]}")
         return "\n".join(lines) + "\n"
+
+
+def _listed(name: str, value) -> list:
+    """`value` read as a list by `read_value`; a tuple is one too."""
+    return read_value(ConfigError, name, list(value) if isinstance(value, tuple) else value, list)
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:
@@ -95,8 +100,8 @@ def _trace_flags(task) -> tuple[int, ...]:
     pairs, trace, manifest, template, weights, config = task
     scores = []
     for kp, ki in pairs:
-        params = replace(template, pid=replace(template.pid, kp=kp, ki=ki))
-        log = simulate_session(Pia(params), trace, manifest, config)
+        scheme = replace(template, pid=replace(template.pid, kp=kp, ki=ki))
+        log = simulate_session(scheme, trace, manifest, config)
         scores.append(qoe_score(log, weights))
     best = max(scores)
     cutoff = best - 0.1 * abs(best)
@@ -107,7 +112,7 @@ def sweep_gains(
     grid: GainGrid,
     traces,
     manifest: VideoManifest,
-    template: PiaParams | None,
+    template: Pia | None,
     weights: QoeWeights,
     config: SimConfig | None = None,
     *,
@@ -115,11 +120,12 @@ def sweep_gains(
 ) -> HeatMap:
     """Heat map over the grid: per trace, flag cells within 10% of that trace's best.
 
-    The template fixes everything about the controller except the swept gains.
+    The template, a `Pia` (None is the default one), fixes everything about the
+    controller except the swept gains; each cell runs a copy with its kp and ki.
     """
     traces = list(traces)
     if template is None:
-        template = PiaParams()
+        template = Pia()
     if config is None:
         config = SimConfig()
     if not traces:

@@ -16,7 +16,6 @@ from abrsim import (
     BufferAwareRate,
     BufferBased,
     Cava,
-    CavaParams,
     Decision,
     DecisionContext,
     GainGrid,
@@ -325,7 +324,7 @@ def test_c08_complex_chunk_trend():
     wins = 0
     for seed in range(10):
         trace = noisy_bandwidth(1700.0, 600.0, 140, seed=seed)
-        cava = q4_mean_level(Cava(CavaParams(reference_level=2)))
+        cava = q4_mean_level(Cava(reference_level=2))
         wins += cava >= q4_mean_level(BufferAwareRate()) and cava >= q4_mean_level(BufferBased())
     assert wins >= 8
     _verdict(8, "complex-chunk level trend")

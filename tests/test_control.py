@@ -23,7 +23,7 @@ from abrsim.control import (
     ramp_xr,
     velocity_constant,
 )
-from abrsim.schemes import Pia, PiaParams
+from abrsim.schemes import Pia
 
 LADDER = ((1, 350.0), (2, 600.0), (3, 1000.0), (4, 2000.0), (5, 3000.0), (6, 5000.0))
 
@@ -258,7 +258,7 @@ class TestPidState:
     """The integral as the PID schemes' `observe_interval` feeds it."""
 
     def test_accumulates_left_endpoint(self):
-        scheme = Pia(PiaParams(pid=PidParams(target_buffer=60.0)))
+        scheme = Pia(pid=PidParams(target_buffer=60.0))
         scheme.observe_interval(clock_s=0.0, dt_s=2.0, buffer_s=10.0)
         assert scheme.pid_state.integral == 100.0
         scheme.observe_interval(clock_s=2.0, dt_s=1.0, buffer_s=70.0)

@@ -43,14 +43,11 @@ from abrsim.metrics import (
 from abrsim.control import PidParams
 from abrsim.schemes import (
     Cava,
-    CavaParams,
     DecisionContext,
     Mpc,
     Pia,
-    PiaParams,
     PiaStartup,
-    PiaStartupParams,
-    QuadParams,
+    Quad,
     RobustMpc,
 )
 
@@ -439,7 +436,7 @@ def test_dp_is_brute_force_within_its_bounds(config, instance):
 def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
     """The rollout argmin as first written: every invariant recomputed per step."""
     self = scheme
-    pid, horizon = self.params.pid, self.params.horizon
+    pid, horizon = self.pid, self.horizon
     manifest = ctx.manifest
     delta = manifest.chunk_duration_s
     est = max(ctx.est_kbps, 1e-9)
@@ -471,10 +468,10 @@ def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
 
 # The `pid` defaults of pia, piae, cava and quad, and two off-default gain sets.
 _PID_PARAMS = (
-    PiaParams().pid,
-    PiaStartupParams().pid,
-    CavaParams().pid,
-    QuadParams().pid,
+    Pia().pid,
+    PiaStartup().pid,
+    Cava().pid,
+    Quad().pid,
     PidParams(kp=0.05, ki=1e-3, beta=0.5, epsilon=0.25, target_buffer=8.0),
     PidParams(kp=1e-4, ki=1e-6, beta=1.0, epsilon=1e-10, target_buffer=120.0),
 )
@@ -487,10 +484,10 @@ _ARGMIN_MANIFESTS = (
 
 def _pid_scheme(kind, pid, horizon):
     if kind == "pia":
-        return Pia(PiaParams(pid=pid, horizon=horizon))
+        return Pia(pid=pid, horizon=horizon)
     if kind == "piae":
-        return PiaStartup(PiaStartupParams(pid=replace(pid, beta=1.0), horizon=horizon))
-    return Cava(CavaParams(pid=pid, horizon=horizon, inner_window=max(10, horizon)))
+        return PiaStartup(pid=replace(pid, beta=1.0), horizon=horizon)
+    return Cava(pid=pid, horizon=horizon, inner_window=max(10, horizon))
 
 
 @st.composite
@@ -516,7 +513,7 @@ def _argmin_cases(draw):
         manifest=manifest,
         playing_indicator=draw(st.sampled_from((0, 1))),
     )
-    pid = scheme.params.pid
+    pid = scheme.pid
     u = draw(st.sampled_from((pid.epsilon, 0.3, 1.0, 2.5)))
     kp = draw(st.sampled_from((pid.kp, 4.0 * pid.kp)))
     xr = draw(st.sampled_from((pid.target_buffer, 2.0 * delta, 30.0)))
@@ -565,6 +562,6 @@ def test_pid_argmin_matches_reference(case):
     want = _argmin_run(partial(_reference_argmin, scheme), scheme, ctx, *args)
     got = _argmin_run(scheme._argmin, scheme, ctx, *args)
     assert got == want
-    assert got[1] == scheme.params.horizon * len(ctx.allowed_levels)
+    assert got[1] == scheme.horizon * len(ctx.allowed_levels)
     assert len(got[2]) == (0 if ctx.last_level is None else len(ctx.allowed_levels))
     assert (scheme.pid_state.integral, scheme.pid_state.freeze) == state

@@ -337,7 +337,7 @@ GOLDEN_CLI_RUNS = {
 }
 # compare.csv for pia/piae/cava/quad on two traces, target_quality 75 in the config
 GOLDEN_CLI_COMPARE = "2d1cc5ff96930ca8268e27ea5f7334265932d115fb2887061028efc0ebeddde3"
-# heatmap.csv for a 3x3 gain grid on three traces with PiaParams from scheme_params
+# heatmap.csv for a 3x3 gain grid on three traces with pia's params from scheme_params
 GOLDEN_CLI_SWEEP = "6b1f1ad4c3c30c78d3efa50fef5a44711a6aad0b58f1697212cba6d769e33d3a"
 # metrics.json from `abrsim run` of pia with weights and a quality target, square7
 GOLDEN_CLI_METRICS = "3342fcca4cb3686672169296b4eba1e18eb21a44232e85c49920d68a63794a39"

@@ -26,16 +26,7 @@ from abrsim.control import ControlError, PidParams, RampSchedule
 from abrsim.engine import EstimatorSpec, SimConfig, StartupRule
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
-from abrsim.schemes import (
-    SCHEMES,
-    CavaParams,
-    ConfigError,
-    FilterSpec,
-    Mpc,
-    PiaParams,
-    QuadParams,
-    build_scheme,
-)
+from abrsim.schemes import SCHEMES, ConfigError, FilterSpec, Mpc, build_scheme
 from abrsim.tuning import GainGrid, HeatMap
 
 BAD_JSON = ("NaN", "Infinity", "1e400", "true", '"3"', "[1]", "{}", "-1", "0", "2.5", "101")
@@ -52,13 +43,12 @@ def _config_json(key: str, bad: str) -> str:
 
 
 def _scheme_keys(name: str) -> list[str]:
-    """Every `scheme_params` key the scheme takes: its params' fields with the
-    PID gains in place of `pid`, or its constructor's keywords."""
-    cls = SCHEMES[name]
-    if cls._default_params is None:
-        return [p for p in inspect.signature(cls.__init__).parameters if p != "self"]
-    own = [f.name for f in fields(cls._default_params) if f.name != "pid"]
-    return own + [f.name for f in fields(PidParams)]
+    """Every `scheme_params` key the scheme takes: its constructor's fields, with
+    the PID gains in place of `pid`."""
+    own = [f.name for f in fields(SCHEMES[name]) if f.init]
+    if "pid" not in own:
+        return own
+    return [key for key in own if key != "pid"] + [f.name for f in fields(PidParams)]
 
 
 def _outcome(build) -> str:
@@ -172,6 +162,30 @@ def test_whole_message_table_is_pinned(table):
     assert hashlib.sha256(text.encode()).hexdigest() == TABLE_SHA256
 
 
+# unknown `scheme_params` keys are refused with the keys the scheme takes
+UNKNOWN_SCHEME_KEYS = [
+    ("rb", {"foo": 1}, "bad parameters for scheme 'rb': unknown keys foo (expected any of: none)"),
+    ("rba", {"zeta": 1, "alpha": 2},
+     "bad parameters for scheme 'rba': unknown keys alpha, zeta (expected any of: none)"),
+    ("pia", {"foo": 1}, "bad parameters for scheme 'pia': unknown keys foo (expected any of: "
+                        "horizon, eta, kp, ki, beta, epsilon, target_buffer)"),
+    ("mpc", {"foo": 1}, "bad parameters for scheme 'mpc': unknown keys foo (expected any of: "
+                        "horizon, mu, lam, error_window)"),
+    ("pia", {"pid": {"kp": 0.01}, "kp": 0.01}, "bad parameters for scheme 'pia': unknown keys pid "
+     "(expected any of: horizon, eta, kp, ki, beta, epsilon, target_buffer)"),
+    ("mpc", {"eval_count": 1}, "bad parameters for scheme 'mpc': unknown keys eval_count "
+                               "(expected any of: horizon, mu, lam, error_window)"),
+]
+
+
+@pytest.mark.parametrize("name,raw,message", UNKNOWN_SCHEME_KEYS,
+                         ids=[f"{name}-{'-'.join(raw)}" for name, raw, _ in UNKNOWN_SCHEME_KEYS])
+def test_unknown_scheme_params_name_the_keys_taken(name, raw, message):
+    with pytest.raises(ConfigError) as info:
+        build_scheme(name, raw)
+    assert str(info.value) == message
+
+
 # -- objects built in Python ------------------------------------------------------
 
 _HEAT_TABLES = dict(kp_values=(0.001,), ki_values=(1e-5,), valid=((True,),), heat=((0,),))
@@ -199,6 +213,12 @@ PYTHON_BUILT = {
                                       trace_count=3), re.escape("heat[0][0]")),
     "valid-cell-text": (lambda: HeatMap(**{**_HEAT_TABLES, "valid": (("no",),)}, trace_count=1),
                         re.escape("valid[0][0]")),
+    # the axes are read like GainGrid's, and each table as a list before its cells
+    "heat-axis-text": (lambda: HeatMap(**{**_HEAT_TABLES, "kp_values": ("a",)}, trace_count=1),
+                       "each item of kp_values"),
+    "heat-axis-number": (lambda: HeatMap(**{**_HEAT_TABLES, "kp_values": 5}, trace_count=1),
+                         "kp_values"),
+    "valid-number": (lambda: HeatMap(**{**_HEAT_TABLES, "valid": 5}, trace_count=1), "valid"),
 }
 
 
@@ -218,6 +238,14 @@ def test_python_built_values_are_stored_as_read():
     assert repr(PidParams(kp=1).kp) == "1.0"
     assert RunConfig(schemes=["rb"], scheme_params={"kp": 0.01}).schemes == ("rb",)
     assert GainGrid(kp_values=[0.0088], ki_values=(3.6e-5,)).kp_values == (0.0088,)
+
+
+def test_piae_checks_every_kind_before_any_bound():
+    with pytest.raises(ConfigError, match=r"^bad parameters for scheme 'piae': alpha must be a "
+                                          r"finite number, got 'x'$"):
+        build_scheme("piae", {"horizon": 0, "alpha": "x"})
+    piae = build_scheme("piae", {"alpha": 3, "tau": 120})
+    assert (repr(piae.alpha), repr(piae.tau)) == ("3.0", "120.0")
 
 
 def test_mpc_checks_every_kind_before_any_bound():
@@ -265,9 +293,9 @@ def test_python_built_media_values_are_stored_as_read():
 
 # -- field specs ------------------------------------------------------------------
 
-SPEC_CLASSES = (PidParams, RampSchedule, EstimatorSpec, StartupRule, SimConfig, PiaParams,
-                CavaParams, QuadParams, FilterSpec, QoeWeights, OfflineObjective, GainGrid,
-                RunConfig, *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
+SPEC_CLASSES = (PidParams, RampSchedule, EstimatorSpec, StartupRule, SimConfig, FilterSpec,
+                QoeWeights, OfflineObjective, GainGrid, RunConfig,
+                *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
 # an annotation naming a number, str, bool, list (held as a tuple) or dict
 _PLAIN = re.compile(r"\b(float|int|str|bool|tuple|dict)\b")
 
@@ -276,20 +304,22 @@ _PLAIN = re.compile(r"\b(float|int|str|bool|tuple|dict)\b")
 def test_every_plain_field_carries_a_spec(cls):
     plain = [f for f in fields(cls) if f.init and _PLAIN.search(f.type)]
     assert plain and [f.name for f in plain if "spec" not in f.metadata] == []
-    source = inspect.getsource(cls.__post_init__)
-    assert "check_fields(self, " in source
-    assert "require_finite" not in source and "read_value" not in source
+    # each __post_init__ on the chain of super() calls, from the class's own
+    sources = []
+    for owner in cls.__mro__:
+        if "__post_init__" in vars(owner):
+            sources.append(inspect.getsource(owner.__post_init__))
+            if "super().__post_init__()" not in sources[-1]:
+                break
+    assert "check_fields(self, " in sources[-1]
+    assert not any("require_finite" in s or "read_value" in s for s in sources)
 
 
 def test_every_scheme_takes_its_parameters_through_specs():
-    """A registered scheme is a spec'd dataclass (checked above), is built from
-    `_default_params` of a spec'd params class, or takes no constructor arguments."""
-    unchecked = [
-        name for name, cls in SCHEMES.items()
-        if not (is_dataclass(cls)
-                or cls._default_params is not None and issubclass(cls._default_params, SPEC_CLASSES)
-                or cls.__init__ is object.__init__)
-    ]
+    """A registered scheme is a spec'd dataclass (checked above) or takes no
+    constructor arguments."""
+    unchecked = [name for name, cls in SCHEMES.items()
+                 if not (is_dataclass(cls) or cls.__init__ is object.__init__)]
     assert unchecked == []
 
 

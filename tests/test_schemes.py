@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -18,17 +19,13 @@ from abrsim.schemes import (
     BufferAwareRate,
     BufferBased,
     Cava,
-    CavaParams,
     ConfigError,
     DecisionContext,
     FilterSpec,
     Mpc,
     Pia,
-    PiaParams,
     PiaStartup,
-    PiaStartupParams,
     Quad,
-    QuadParams,
     RateBased,
     RobustMpc,
     allowed_from_filter,
@@ -289,7 +286,7 @@ def _mpc_oracle(ctx, horizon, mu, lam):
 # --------------------------------------------------------------------- pia
 
 def pia_beta1(horizon=1, eta=0.0):
-    return Pia(PiaParams(pid=PidParams(), horizon=horizon, eta=eta))
+    return Pia(pid=PidParams(), horizon=horizon, eta=eta)
 
 
 PIA_LADDER = cbr_manifest([500, 1000], n_chunks=8)
@@ -297,9 +294,9 @@ PIA_LADDER = cbr_manifest([500, 1000], n_chunks=8)
 
 class TestPia:
     def test_default_setpoint_weight(self):
-        assert Pia().params.pid.beta == 0.2
-        assert Pia().params.horizon == 5
-        assert Pia().params.eta == 1.0
+        assert Pia().pid.beta == 0.2
+        assert Pia().horizon == 5
+        assert Pia().eta == 1.0
 
     def test_unit_u_tracking_argmin(self):
         # x = x_r, zero integral, playing -> u = 1 exactly; (u*R - est)^2 picks 1000
@@ -383,9 +380,9 @@ class TestPia:
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):
-            PiaParams(horizon=0)
+            Pia(horizon=0)
         with pytest.raises(ConfigError):
-            PiaParams(eta=-1.0)
+            Pia(eta=-1.0)
 
     @given(
         buf=st.floats(min_value=0.0, max_value=150.0),
@@ -398,8 +395,7 @@ class TestPia:
     )
     @settings(max_examples=60)
     def test_matches_rollout_oracle(self, buf, integral, est, horizon, eta, last, playing):
-        params = PiaParams(pid=PidParams(), horizon=horizon, eta=eta)
-        scheme = Pia(params)
+        scheme = Pia(pid=PidParams(), horizon=horizon, eta=eta)
         scheme.pid_state.integral = integral
         idx = 1 if last is not None else 0
         ctx = ctx_for(
@@ -411,7 +407,7 @@ class TestPia:
             playing=playing,
         )
         got = scheme.decide(ctx)
-        assert got == _pia_oracle(ctx, params, integral)
+        assert got == _pia_oracle(ctx, scheme, integral)
         assert got in ctx.allowed_levels
 
 
@@ -452,11 +448,11 @@ def _pia_oracle(ctx, params, integral0, kp=None, xr=None):
 class TestPiaStartup:
     def test_requires_unit_beta(self):
         with pytest.raises(ConfigError):
-            PiaStartupParams(pid=PidParams(beta=0.2))
+            PiaStartup(pid=PidParams(beta=0.2))
 
     def test_defaults(self):
         scheme = PiaStartup()
-        assert scheme.params.pid.beta == 1.0
+        assert scheme.pid.beta == 1.0
         scheme.reset(PIA_LADDER)
         assert scheme.schedule is not None
         assert scheme.schedule.delta == 2.0
@@ -472,7 +468,7 @@ class TestPiaStartup:
 
     def test_start_targets_two_chunks(self):
         # t=0: x_r = 2*delta = 4, kp = 4*base; x = 4 -> u = 1 exactly
-        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
+        scheme = PiaStartup(horizon=1, eta=0.0)
         scheme.reset(PIA_LADDER)
         ctx = ctx_for(PIA_LADDER, clock_s=0.0, buffer_s=4.0, est_kbps=1000.0)
         assert scheme.decide(ctx) == 2
@@ -482,7 +478,7 @@ class TestPiaStartup:
         assert plain.decide(ctx) == 1
 
     def test_midpoint_ramp_values(self):
-        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
+        scheme = PiaStartup(horizon=1, eta=0.0)
         scheme.reset(PIA_LADDER)  # build schedule
         ctx = ctx_for(PIA_LADDER, clock_s=150.0, buffer_s=30.0, est_kbps=1000.0)
         scheme.decide(ctx)
@@ -492,14 +488,14 @@ class TestPiaStartup:
     def test_explicit_schedule_floor(self):
         # the floor follows the session manifest's chunk duration
         ladder = cbr_manifest([500, 1000], duration_s=5.0, n_chunks=4)
-        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
+        scheme = PiaStartup(horizon=1, eta=0.0)
         scheme.reset(ladder)
         ctx = ctx_for(ladder, clock_s=0.0, buffer_s=10.0, est_kbps=1000.0)
         scheme.decide(ctx)
         assert scheme.last_u == 1.0  # x_r(0) = 2*5 = 10 matches the buffer
 
     def test_integral_tracks_ramp_target(self):
-        scheme = PiaStartup(PiaStartupParams(horizon=1, eta=0.0))
+        scheme = PiaStartup(horizon=1, eta=0.0)
         scheme.reset(PIA_LADDER)
         scheme.observe_interval(0.0, 1.0, 0.0)
         assert scheme.pid_state.integral == 4.0  # target 2*delta at t=0
@@ -508,9 +504,9 @@ class TestPiaStartup:
 
     def test_matches_pia_after_ramp(self):
         for clock in (300.0 + 1e-9, 301.0, 1e4):
-            piae = PiaStartup(PiaStartupParams(horizon=3, eta=1.0))
+            piae = PiaStartup(horizon=3, eta=1.0)
             piae.reset(PIA_LADDER)
-            pia = Pia(PiaParams(pid=PidParams(), horizon=3, eta=1.0))
+            pia = Pia(pid=PidParams(), horizon=3, eta=1.0)
             piae.pid_state.integral = 1234.5
             pia.pid_state.integral = 1234.5
             ctx = ctx_for(
@@ -542,7 +538,7 @@ CAVA_M2 = cava_vbr([150000, 350000, 300000, 200000])
 
 def cava_for(manifest, **kw):
     """A cava reset for `manifest`, ranking positions by level 2's chunk sizes."""
-    scheme = Cava(CavaParams(reference_level=2, **kw))
+    scheme = Cava(reference_level=2, **kw)
     scheme.reset(manifest)
     return scheme
 
@@ -609,18 +605,17 @@ class TestCava:
         quartile_4 = {level: tuple(c == 4 for c in classify_chunks(m, level))
                       for level in (2, 3)}
         assert quartile_4[2] != quartile_4[3]
-        for params, level in ((CavaParams(), 2), (CavaParams(reference_level=3), 3)):
-            scheme = Cava(params)
+        for scheme, level in ((Cava(), 2), (Cava(reference_level=3), 3)):
             scheme.reset(m)
             assert scheme._q4 == quartile_4[level]
 
     @pytest.mark.parametrize("level", [0, -1, 1.5, True])
     def test_reference_level_must_be_a_level(self, level):
         with pytest.raises(ConfigError, match="reference_level"):
-            CavaParams(reference_level=level)
+            Cava(reference_level=level)
 
     def test_reference_level_above_the_ladder_is_refused_at_reset(self):
-        scheme = Cava(CavaParams(reference_level=4))
+        scheme = Cava(reference_level=4)
         with pytest.raises(ConfigError, match="reference_level 4"):
             scheme.reset(CAVA_M1)
 
@@ -677,13 +672,13 @@ class TestCava:
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):
-            CavaParams(horizon=5, inner_window=3)
+            Cava(horizon=5, inner_window=3)
         with pytest.raises(ConfigError):
-            CavaParams(alpha_q123=1.2)
+            Cava(alpha_q123=1.2)
         with pytest.raises(ConfigError):
-            CavaParams(alpha_q4=0.9)
+            Cava(alpha_q4=0.9)
         with pytest.raises(ConfigError):
-            CavaParams(base_target_buffer_s=0.0)
+            Cava(base_target_buffer_s=0.0)
 
     @given(
         buf=st.floats(min_value=0.0, max_value=80.0),
@@ -708,45 +703,45 @@ QUAD_M2 = cbr_manifest([800, 1200], n_chunks=4, vmafs=[70.0, 85.0])
 
 class TestQuad:
     def test_zero_cost_level_wins(self):
-        scheme = Quad(QuadParams(target_quality=80.0))
+        scheme = Quad(target_quality=80.0)
         ctx = ctx_for(QUAD_M, chunk_index=1, buffer_s=60.0, est_kbps=1500.0, last_level=2)
         assert scheme.decide(ctx) == 2
         assert scheme.last_u == 1.0
 
     def test_low_buffer_caps_at_fair_level(self):
-        scheme = Quad(QuadParams(target_quality=80.0))
+        scheme = Quad(target_quality=80.0)
         ctx = ctx_for(QUAD_M, buffer_s=6.0, est_kbps=1e9)  # 6 < 4*delta = 8
         assert scheme.decide(ctx) == 2
-        scheme = Quad(QuadParams(target_quality=80.0, fair_level=1))
+        scheme = Quad(target_quality=80.0, fair_level=1)
         assert scheme.decide(ctx) == 1
 
     def test_low_buffer_respects_rate_limit(self):
         # u*R must fit the estimate: at est 400 only the 500-level is plausible
-        scheme = Quad(QuadParams(target_quality=80.0))
+        scheme = Quad(target_quality=80.0)
         ctx = ctx_for(QUAD_M, buffer_s=6.0, est_kbps=400.0)
         assert scheme.decide(ctx) == 1
 
     def test_overshoot_vs_quality_tradeoff(self):
         # level 1: 10 under target, feasible -> (10/80)^2 = 0.015625
         # level 2: 20% over budget and 5 over target -> 0.04 + 0.00390625
-        scheme = Quad(QuadParams(target_quality=80.0))
+        scheme = Quad(target_quality=80.0)
         ctx = ctx_for(QUAD_M2, buffer_s=60.0, est_kbps=1000.0)
         assert scheme.decide(ctx) == 1
         # heavier quality weight flips the choice
-        scheme = Quad(QuadParams(target_quality=80.0, alpha=10.0))
+        scheme = Quad(target_quality=80.0, alpha=10.0)
         assert scheme.decide(ctx) == 2
 
     def test_change_penalty_pins_previous_quality(self):
         ctx = ctx_for(QUAD_M2, chunk_index=1, buffer_s=60.0, est_kbps=1000.0, last_level=1)
-        flip = Quad(QuadParams(target_quality=80.0, alpha=10.0, eta=0.0))
+        flip = Quad(target_quality=80.0, alpha=10.0, eta=0.0)
         assert flip.decide(ctx) == 2
-        hold = Quad(QuadParams(target_quality=80.0, alpha=10.0, eta=100.0))
+        hold = Quad(target_quality=80.0, alpha=10.0, eta=100.0)
         assert hold.decide(ctx) == 1
 
     def test_missing_quality_metadata(self):
         m = cbr_manifest([500, 1000], n_chunks=4)
         with pytest.raises(ConfigError):
-            Quad(QuadParams(target_quality=80.0)).decide(ctx_for(m, buffer_s=60.0))
+            Quad(target_quality=80.0).decide(ctx_for(m, buffer_s=60.0))
 
     def test_missing_quality_found_at_the_first_decision(self):
         # the low-buffer branch reads no quality value, yet the gap is reported
@@ -755,17 +750,17 @@ class TestQuad:
             vmafs_by_level=[[60.0] * 4, [80.0, 80.0, None, 80.0]],
         )
         with pytest.raises(ConfigError, match="chunk 2 of level 2"):
-            Quad(QuadParams(target_quality=80.0)).decide(ctx_for(m, buffer_s=0.0))
+            Quad(target_quality=80.0).decide(ctx_for(m, buffer_s=0.0))
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):
-            QuadParams(target_quality=0.0)
+            Quad(target_quality=0.0)
         with pytest.raises(ConfigError):
-            QuadParams(target_quality=101.0)
+            Quad(target_quality=101.0)
         with pytest.raises(ConfigError):
-            QuadParams(alpha=-1.0)
+            Quad(alpha=-1.0)
         with pytest.raises(ConfigError):
-            QuadParams(fair_level=0)
+            Quad(fair_level=0)
 
     @given(
         buf=st.floats(min_value=8.0, max_value=100.0),
@@ -775,12 +770,11 @@ class TestQuad:
     )
     @settings(max_examples=60)
     def test_matches_objective_oracle_and_scale_invariance(self, buf, est, scale, last):
-        params = QuadParams(target_quality=80.0)
-        scheme = Quad(params)
+        scheme = Quad(target_quality=80.0)
         idx = 1 if last is not None else 0
         ctx = ctx_for(QUAD_M, chunk_index=idx, buffer_s=buf, est_kbps=est, last_level=last)
         got = scheme.decide(ctx)
-        costs = _quad_costs(ctx, params, scheme.last_u)
+        costs = _quad_costs(ctx, scheme, scheme.last_u)
         assert got == min(costs, key=lambda lvl: (costs[lvl], lvl))
         scaled = {lvl: c * scale for lvl, c in costs.items()}
         assert got == min(scaled, key=lambda lvl: (scaled[lvl], lvl))
@@ -792,7 +786,7 @@ class TestQuad:
     )
     @settings(max_examples=40)
     def test_decides_within_allowed(self, buf, est, allowed):
-        scheme = Quad(QuadParams(target_quality=80.0))
+        scheme = Quad(target_quality=80.0)
         ctx = ctx_for(QUAD_M, buffer_s=buf, est_kbps=est, allowed=allowed)
         assert scheme.decide(ctx) in allowed
 
@@ -937,7 +931,7 @@ class TestRegistry:
 
     def test_make_scheme_passes_params(self):
         scheme = build_scheme("pia", {"horizon": 3})
-        assert scheme.params.horizon == 3
+        assert scheme.horizon == 3
 
 
 # ------------------------------------------------------- building from params
@@ -950,17 +944,17 @@ class TestNonFiniteParams:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: PiaParams(eta=NAN),
-            lambda: PiaParams(eta=INF),
-            lambda: CavaParams(alpha_q4=INF),
-            lambda: CavaParams(alpha_q123=NAN),
-            lambda: CavaParams(safe_buffer_s=NAN),
-            lambda: CavaParams(safe_buffer_s=INF),
-            lambda: CavaParams(base_target_buffer_s=INF),
-            lambda: QuadParams(target_quality=NAN),
-            lambda: QuadParams(alpha=NAN),
-            lambda: QuadParams(eta=INF),
-            lambda: QuadParams(low_buffer_chunks=NAN),
+            lambda: Pia(eta=NAN),
+            lambda: Pia(eta=INF),
+            lambda: Cava(alpha_q4=INF),
+            lambda: Cava(alpha_q123=NAN),
+            lambda: Cava(safe_buffer_s=NAN),
+            lambda: Cava(safe_buffer_s=INF),
+            lambda: Cava(base_target_buffer_s=INF),
+            lambda: Quad(target_quality=NAN),
+            lambda: Quad(alpha=NAN),
+            lambda: Quad(eta=INF),
+            lambda: Quad(low_buffer_chunks=NAN),
             lambda: BufferBased(theta_low_s=NAN),
             lambda: BufferBased(theta_high_s=INF),
             lambda: Mpc(mu=NAN),
@@ -984,13 +978,13 @@ class TestWholeNumberParams:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: PiaParams(horizon=2.5),
-            lambda: PiaParams(horizon=True),
-            lambda: CavaParams(horizon=2.5),
-            lambda: CavaParams(inner_window=5.5),
-            lambda: CavaParams(outer_window=2.5),
-            lambda: CavaParams(low_level_cutoff=1.5),
-            lambda: QuadParams(fair_level=2.5),
+            lambda: Pia(horizon=2.5),
+            lambda: Pia(horizon=True),
+            lambda: Cava(horizon=2.5),
+            lambda: Cava(inner_window=5.5),
+            lambda: Cava(outer_window=2.5),
+            lambda: Cava(low_level_cutoff=1.5),
+            lambda: Quad(fair_level=2.5),
             lambda: Mpc(horizon=2.5),
             lambda: Mpc(horizon=True),
             lambda: Mpc(error_window=2.5),
@@ -1009,11 +1003,11 @@ class TestWholeNumberParams:
     def test_integral_floats_become_ints(self):
         mpc = Mpc(horizon=3.0, error_window=4.0)
         assert (mpc.horizon, mpc.error_window) == (3, 4) and type(mpc.horizon) is int
-        assert type(CavaParams(inner_window=8.0).inner_window) is int
+        assert type(Cava(inner_window=8.0).inner_window) is int
 
     def test_flags_take_only_bools(self):
         with pytest.raises(ConfigError, match="q4_low_buffer_relief"):
-            CavaParams(q4_low_buffer_relief="no")
+            Cava(q4_low_buffer_relief="no")
 
 
 class TestParamRanges:
@@ -1021,10 +1015,10 @@ class TestParamRanges:
         "build,message",
         [
             (lambda: Mpc(error_window=0), "error window must be >= 1"),
-            (lambda: CavaParams(horizon=0), "horizon must be >= 1"),
-            (lambda: CavaParams(outer_window=0), "outer window must be >= 1"),
-            (lambda: CavaParams(low_level_cutoff=0), "low level cutoff must be >= 1"),
-            (lambda: QuadParams(low_buffer_chunks=0), "low buffer threshold must be positive"),
+            (lambda: Cava(horizon=0), "horizon must be >= 1"),
+            (lambda: Cava(outer_window=0), "outer window must be >= 1"),
+            (lambda: Cava(low_level_cutoff=0), "low level cutoff must be >= 1"),
+            (lambda: Quad(low_buffer_chunks=0), "low buffer threshold must be positive"),
         ],
         ids=["mpc-error-window", "cava-horizon", "cava-outer-window", "cava-cutoff",
              "quad-low-buffer"],
@@ -1034,14 +1028,19 @@ class TestParamRanges:
             build()
 
 
+def _params(scheme) -> dict:
+    """A scheme's parameter fields by name."""
+    return {f.name: getattr(scheme, f.name) for f in fields(scheme)}
+
+
 class TestBuildScheme:
     def test_pid_keys_apply_over_the_schemes_own_default(self):
         pia = build_scheme("pia", {"kp": 0.006, "horizon": 3})
-        assert pia.params == PiaParams(pid=PidParams(kp=0.006, beta=0.2), horizon=3)
+        assert _params(pia) == _params(Pia(pid=PidParams(kp=0.006, beta=0.2), horizon=3))
         piae = build_scheme("piae", {"ki": 2e-05})
-        assert piae.params.pid == PidParams(ki=2e-05)
+        assert piae.pid == PidParams(ki=2e-05)
         cava = build_scheme("cava", {"beta": 0.5, "outer_window": 4})
-        assert cava.params == CavaParams(pid=PidParams(beta=0.5), outer_window=4)
+        assert _params(cava) == _params(Cava(pid=PidParams(beta=0.5), outer_window=4))
 
     def test_piae_ramp_comes_from_params_and_manifest(self):
         m = cbr_manifest([500, 1000], duration_s=4.0, n_chunks=6)
@@ -1052,16 +1051,16 @@ class TestBuildScheme:
         )
 
     def test_quad_falls_back_to_the_config_target(self):
-        assert build_scheme("quad", target_quality=70.0).params.target_quality == 70.0
+        assert build_scheme("quad", target_quality=70.0).target_quality == 70.0
         own = build_scheme("quad", {"target_quality": 90.0}, target_quality=70.0)
-        assert own.params.target_quality == 90.0
-        assert build_scheme("quad").params == QuadParams()
+        assert own.target_quality == 90.0
+        assert _params(build_scheme("quad")) == _params(Quad())
 
     def test_job_values_reach_only_the_schemes_that_declare_them(self):
-        assert build_scheme("cava", reference_level=3).params.reference_level == 3
+        assert build_scheme("cava", reference_level=3).reference_level == 3
         own = build_scheme("cava", {"reference_level": 1}, reference_level=3)
-        assert own.params.reference_level == 1
-        assert build_scheme("cava").params.reference_level is None
+        assert own.reference_level == 1
+        assert build_scheme("cava").reference_level is None
         # ignored where undeclared, as target_quality is for rb
         for name in ("rb", "pia", "piae", "quad"):
             assert build_scheme(name, reference_level=0).name == name
