@@ -318,15 +318,15 @@ def _job(args: argparse.Namespace, one_trace: bool = False):
     return config, manifest, traces
 
 
-def _write(config: RunConfig, name: str, text: str) -> Path:
-    """Write one output file under the job's `out_dir`, made if absent; returns its path."""
-    out = Path(config.out_dir)
+def _write(out_dir: str, name: str, text: str) -> Path:
+    """Write one output file under `out_dir`, made if absent; returns its path."""
+    out = Path(out_dir)
+    path = out / name
     try:
         out.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
     except ValueError as exc:  # a NUL or an unencodable character in the path
-        raise ConfigError(f"cannot use out_dir {config.out_dir!r}: {exc}") from None
-    path = out / name
-    path.write_text(text)
+        raise ConfigError(f"cannot write {str(path)!r} under out_dir: {exc}") from None
     return path
 
 
@@ -358,8 +358,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                           reference_level=config.reference_level)
     log, report = _session(scheme, trace, manifest, config, allowed)
     echo = allowed if allowed is not None else (manifest.levels,) * manifest.n_chunks
-    path = _write(config, "decisions.csv", _decisions_csv(log, echo))
-    _write(config, "metrics.json", report.to_json() + "\n")
+    path = _write(config.out_dir, "decisions.csv", _decisions_csv(log, echo))
+    _write(config.out_dir, "metrics.json", report.to_json() + "\n")
     print(
         f"{log.scheme_name} on {trace.name}: qoe={report.qoe:.4f} Mbps, "
         f"stall={report.total_stall_s:.2f} s -> {path}"
@@ -415,7 +415,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cells = map_tasks(_compare_cell, tasks, config.jobs)
     header = f"scheme,trace,{cells[0][1]}"
     rows = [row for row, _ in cells]
-    path = _write(config, "compare.csv", "\n".join([header] + rows) + "\n")
+    path = _write(config.out_dir, "compare.csv", "\n".join([header] + rows) + "\n")
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
@@ -430,7 +430,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     heatmap = sweep_gains(
         config.grid, traces, manifest, template, weights, config.sim, jobs=config.jobs
     )
-    path = _write(config, "heatmap.csv", heatmap.to_csv())
+    path = _write(config.out_dir, "heatmap.csv", heatmap.to_csv())
     region = extract_region(heatmap)
     if region is None:
         print(f"wrote {path}; no region met the heat threshold")
@@ -455,7 +455,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "sequence": list(levels),
         "objective": value,
     }
-    path = _write(config, "oracle.json", json.dumps(payload, indent=2) + "\n")
+    path = _write(config.out_dir, "oracle.json", json.dumps(payload, indent=2) + "\n")
     print(f"offline optimal objective {value!r} over {len(levels)} chunks -> {path}")
     return 0
 
@@ -471,11 +471,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
         trace = square_wave(args.low, args.high, args.period, seconds, seed=args.seed, name=args.name)
     else:
         trace = noisy_bandwidth(args.mean, args.spread, seconds, seed=args.seed, name=args.name)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{trace.name}.csv"
-    path.write_text(trace.to_csv())
-    print(f"wrote {path}")
+    print(f"wrote {_write(args.out, f'{trace.name}.csv', trace.to_csv())}")
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Pure control math shared by the PID-family schemes: control law, analytics, ramps."""
+"""The PID-family schemes' control law and analytics, and the field reader
+(`read_value`, `spec`, `check_fields`) every parameter class checks its fields with."""
 
 from __future__ import annotations
 
@@ -123,14 +124,6 @@ class PidParams:
         check_fields(self, ControlError)
 
 
-@dataclass
-class PidState:
-    """Caller-owned integral of (target - buffer); freeze suspends accumulation."""
-
-    integral: float = 0.0
-    freeze: bool = False
-
-
 def pid_output(
     params: PidParams,
     x: float,
@@ -189,42 +182,6 @@ def natural_frequency(ki: float) -> float:
 def is_valid_gain_pair(kp: float, ki: float) -> bool:
     """True iff the damping ratio falls in the closed band [0.6, 0.8]."""
     return VALID_ZETA_LOW <= damping_ratio(kp, ki) <= VALID_ZETA_HIGH
-
-
-@dataclass(frozen=True)
-class RampSchedule:
-    """Startup ramp for kp and the buffer target over the first tau seconds."""
-
-    alpha: float = spec(4.0, float, lambda v: v > 1, "alpha must exceed 1")
-    tau: float = spec(300.0, float, lambda v: v > 0, "tau must be positive")
-    base_kp: float = spec(DEFAULT_KP, float, lambda v: v > 0,
-                          "base_kp, base_xr, delta must be positive")
-    base_xr: float = spec(DEFAULT_TARGET_BUFFER_S, float, lambda v: v > 0,
-                          "base_kp, base_xr, delta must be positive")
-    delta: float = spec(2.0, float, lambda v: v > 0, "base_kp, base_xr, delta must be positive")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ControlError)
-
-
-def ramp_kp(schedule: RampSchedule, t: float) -> float:
-    """Gain decaying linearly from alpha*base_kp at t=0 to base_kp at t=tau."""
-    if t < 0:
-        raise ControlError("t must be >= 0")
-    if t > schedule.tau:
-        return schedule.base_kp
-    top = schedule.alpha * schedule.base_kp
-    # Anchored at base_kp so the t=tau endpoint equals the base gain exactly.
-    return schedule.base_kp + (top - schedule.base_kp) * (1.0 - t / schedule.tau)
-
-
-def ramp_xr(schedule: RampSchedule, t: float) -> float:
-    """Buffer target rising linearly to base_xr at t=tau, floored at two chunks."""
-    if t < 0:
-        raise ControlError("t must be >= 0")
-    if t > schedule.tau:
-        return schedule.base_xr
-    return max(2.0 * schedule.delta, schedule.base_xr * t / schedule.tau)
 
 
 def velocity_constant(params: PidParams) -> float:

@@ -459,40 +459,44 @@ class _Session:
 
 
 def _normalize_allowed(manifest: VideoManifest, allowed_levels) -> tuple[tuple[int, ...], ...]:
+    """Per position, the sorted allowed levels: `allowed_levels` is one collection
+    of int levels for every position or one per position, and None allows all."""
     n = manifest.n_chunks
     all_levels = manifest.levels
     if allowed_levels is None:
         return (all_levels,) * n
-    seq = tuple(allowed_levels)
+    seq = _read_levels(allowed_levels, "allowed_levels")
     if seq and isinstance(seq[0], int):
-        per_position = (tuple(sorted(seq)),) * n
-    else:
-        # A filter repeats a few tuples over every position, so each distinct
-        # tuple is sorted and checked once. The memo keys on identity (the
-        # positions keep every set alive), so no level is ever hashed.
-        sorted_by_id = {}
-        rows = []
-        for s in seq:
-            levels = sorted_by_id.get(id(s))
-            if levels is None:
-                levels = tuple(sorted(s))
-                if type(s) is tuple:  # an iterator may not be read twice
-                    sorted_by_id[id(s)] = levels
-            rows.append(levels)
-        per_position = tuple(rows)
-    if len(per_position) != n:
+        seq = (seq,) * n
+    if len(seq) != n:
         raise ConfigError("allowed_levels must cover every chunk position")
-    checked = set()
-    for pos, levels in enumerate(per_position):
-        if id(levels) in checked:
-            continue
-        if not levels:
-            raise ConfigError(f"no allowed levels for chunk {pos}")
-        for lvl in levels:
-            if lvl not in all_levels:
-                raise ConfigError(f"allowed level {lvl} not in manifest at chunk {pos}")
-        checked.add(id(levels))
-    return per_position
+    # A filter repeats a few tuples over every position, so each distinct
+    # tuple is read, checked and sorted once. The memo keys on identity (the
+    # positions keep every set alive), so no level is ever hashed.
+    sorted_by_id = {}
+    rows = []
+    for pos, s in enumerate(seq):
+        levels = sorted_by_id.get(id(s))
+        if levels is None:
+            levels = _read_levels(s, f"allowed levels for chunk {pos}")
+            if not levels:
+                raise ConfigError(f"no allowed levels for chunk {pos}")
+            for lvl in levels:
+                if type(lvl) is not int or lvl not in all_levels:
+                    raise ConfigError(f"allowed level {lvl!r} not in manifest at chunk {pos}")
+            levels = tuple(sorted(levels))
+            if type(s) is tuple:  # an iterator may not be read twice
+                sorted_by_id[id(s)] = levels
+        rows.append(levels)
+    return tuple(rows)
+
+
+def _read_levels(levels, name: str) -> tuple:
+    """`levels` as a tuple; ConfigError naming `name` if it cannot be iterated."""
+    try:
+        return tuple(levels)
+    except TypeError:
+        raise ConfigError(f"{name} must be a collection, got {type(levels).__name__}") from None
 
 
 def simulate_session(

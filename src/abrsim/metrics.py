@@ -263,8 +263,8 @@ def score_sequence(
     if len(levels) != manifest.n_chunks:
         raise ConfigError("level sequence must cover every chunk")
     for level in levels:
-        if level not in manifest.levels:
-            raise ConfigError(f"level {level} not in manifest")
+        if type(level) is not int or level not in manifest.levels:
+            raise ConfigError(f"level {level!r} not in manifest")
     quality = require_quality(manifest)
     total = 0.0
     prev: int | None = None

@@ -8,14 +8,10 @@ from typing import TYPE_CHECKING, NamedTuple
 from .control import (
     ControlError,
     PidParams,
-    PidState,
-    RampSchedule,
     anti_windup,
     bitrate_from_u,
     check_fields,
     pid_output,
-    ramp_kp,
-    ramp_xr,
     spec,
 )
 from .media import VideoManifest, classify_chunks
@@ -254,19 +250,21 @@ _PID_KEYS = tuple(f.name for f in fields(PidParams))
 @dataclass(eq=False)
 class _PidScheme(AbrScheme):
     """Buffer-driven PI controller shared by the PID schemes: the integral fed by
-    `observe_interval` toward `_target`, the PI step with setpoint weighting and
-    anti-windup, and the rollout argmin. Subclasses supply `decide` and declare
-    their other parameters as spec'd fields."""
+    `observe_interval` toward `_target` (`freeze` suspends it), the PI step with
+    setpoint weighting and anti-windup, and the rollout argmin. Subclasses supply
+    `decide` and declare their other parameters as spec'd fields."""
 
     pid: PidParams = field(default_factory=PidParams)
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+        if not isinstance(self.pid, PidParams):
+            raise ConfigError(f"pid must be a PidParams, got {type(self.pid).__name__}")
         self.eval_count = 0
-        self.pid_state = PidState()
+        self.integral, self.freeze = 0.0, False
 
     def reset(self, manifest: VideoManifest) -> None:
-        self.pid_state = PidState()
+        self.integral, self.freeze = 0.0, False
         self.last_u = None
 
     def _target(self, clock_s: float) -> float:
@@ -274,16 +272,14 @@ class _PidScheme(AbrScheme):
 
     def observe_interval(self, clock_s: float, dt_s: float, buffer_s: float) -> None:
         # left-endpoint rule: integral += (target - x) * dt unless frozen
-        state = self.pid_state
-        if not state.freeze:
-            state.integral += (self._target(clock_s) - buffer_s) * dt_s
+        if not self.freeze:
+            self.integral += (self._target(clock_s) - buffer_s) * dt_s
 
     def _control(self, ctx: DecisionContext, kp: float, xr: float) -> tuple[float, bool]:
         """PI output after anti-windup and whether it forces the top level; sets freeze, last_u."""
         pid = self.pid
-        u_raw = pid_output(pid, ctx.buffer_s, self.pid_state.integral, xr, ctx.playing_indicator, kp)
-        u, freeze, force_max = anti_windup(u_raw, pid)
-        self.pid_state.freeze = freeze
+        u_raw = pid_output(pid, ctx.buffer_s, self.integral, xr, ctx.playing_indicator, kp)
+        u, self.freeze, force_max = anti_windup(u_raw, pid)
         self.last_u = u
         return u, force_max
 
@@ -308,7 +304,7 @@ class _PidScheme(AbrScheme):
         delta = manifest.chunk_duration_s
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
         target = alpha * est
-        x0, integral0 = ctx.buffer_s, self.pid_state.integral
+        x0, integral0 = ctx.buffer_s, self.integral
         ind0 = float(ctx.playing_indicator)
         avg = manifest.avg_kbps
         prev_rate = None
@@ -364,32 +360,41 @@ class Pia(_PidScheme):
 
 @dataclass(eq=False)
 class PiaStartup(Pia):
-    """Pia with ramped gain and buffer target for a faster startup phase; the ramp
-    needs beta = 1, and `reset` builds it for the session manifest's chunk duration."""
+    """Pia with ramped gain and buffer target for a faster startup phase: over the
+    first tau seconds kp falls linearly from alpha*kp to kp and the target rises
+    linearly to target_buffer, floored at two chunks of the session manifest,
+    which `reset` reads. The ramp needs beta = 1."""
 
     name = "piae"
 
     pid: PidParams = field(default_factory=PidParams)
-    alpha: float = spec(RampSchedule.alpha, float)
-    tau: float = spec(RampSchedule.tau, float)
+    alpha: float = spec(4.0, float, lambda v: v > 1, "alpha must exceed 1")
+    tau: float = spec(300.0, float, lambda v: v > 0, "tau must be positive")
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if self.pid.beta != 1.0:
             raise ConfigError("piae requires beta = 1")
-        RampSchedule(self.alpha, self.tau)  # the ramp's own checks on alpha and tau
 
     def reset(self, manifest: VideoManifest) -> None:
         super().reset(manifest)
-        self.schedule = RampSchedule(
-            self.alpha, self.tau, self.pid.kp, self.pid.target_buffer, manifest.chunk_duration_s
-        )
+        self._floor = 2.0 * manifest.chunk_duration_s
 
     def _target(self, clock_s: float) -> float:
-        return ramp_xr(self.schedule, clock_s)
+        if clock_s < 0:
+            raise ControlError("t must be >= 0")
+        if clock_s > self.tau:
+            return self.pid.target_buffer
+        return max(self._floor, self.pid.target_buffer * clock_s / self.tau)
 
     def _kp(self, clock_s: float) -> float:
-        return ramp_kp(self.schedule, clock_s)
+        if clock_s < 0:
+            raise ControlError("t must be >= 0")
+        kp = self.pid.kp
+        if clock_s > self.tau:
+            return kp
+        # anchored at kp so the t=tau endpoint equals the base gain exactly
+        return kp + (self.alpha * kp - kp) * (1.0 - clock_s / self.tau)
 
 
 @dataclass(eq=False)

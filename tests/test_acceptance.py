@@ -126,16 +126,16 @@ def test_c03_anti_windup_freeze():
             manifest=manifest,
             playing_indicator=1,
         )
-        before = struct.pack("<d", scheme.pid_state.integral)
+        before = struct.pack("<d", scheme.integral)
         level = scheme.decide(ctx)
-        assert struct.pack("<d", scheme.pid_state.integral) == before
+        assert struct.pack("<d", scheme.integral) == before
         if scheme.last_u <= 1e-10:
             saturated = True
             assert level == max(allowed)
-            frozen = struct.pack("<d", scheme.pid_state.integral)
+            frozen = struct.pack("<d", scheme.integral)
             for k in range(4):
                 scheme.observe_interval(2.0 * i + k, 1.0, 120.0)
-            assert struct.pack("<d", scheme.pid_state.integral) == frozen
+            assert struct.pack("<d", scheme.integral) == frozen
             break
         scheme.observe_interval(2.0 * i, 1.0, 120.0)
         scheme.observe_interval(2.0 * i + 1.0, 1.0, 120.0)

@@ -480,7 +480,7 @@ def test_bad_input_file_exits_2_without_traceback(workdir, capsys, command, case
     assert not (tmp / "out").exists()
 
 
-@pytest.mark.parametrize("case", ["manifest-nul", "trace-nul", "trace-dir-nul"])
+@pytest.mark.parametrize("case", ["manifest-nul", "trace-nul", "out-dir-nul", "trace-dir-nul"])
 def test_nul_in_a_path_never_reaches_stderr(workdir, capsysbinary, case):
     tmp, manifest, trace = workdir
     config = _bad_input_config(tmp, manifest, trace, case)
@@ -1073,6 +1073,17 @@ def test_gen_trace_non_finite_values_exit_2(tmp_path, capsys, args, name):
     err = capsys.readouterr().err
     assert name in err and "finite" in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,value", [("--out", "tr\0x"), ("--name", "a\0b")],
+                         ids=["out", "name"])
+def test_gen_trace_nul_in_the_output_path_exits_2(tmp_path, monkeypatch, capsysbinary, flag,
+                                                   value):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen-trace", "--kind", "constant", "--seconds", "5", flag, value]) == 2
+    err = capsysbinary.readouterr().err
+    assert err.startswith(b"error: cannot write ") and b"embedded null byte" in err
+    assert b"Traceback" not in err and b"\0" not in err
 
 
 def test_gen_trace_refuses_more_than_a_week(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Control-core tests: PID law, saturation guard, analytics, ramp schedules."""
+"""Control-core tests: PID law, saturation guard, analytics, PIA-E's startup ramp."""
 
 from __future__ import annotations
 
@@ -11,19 +11,16 @@ from hypothesis import strategies as st
 from abrsim.control import (
     ControlError,
     PidParams,
-    PidState,
-    RampSchedule,
     anti_windup,
     bitrate_from_u,
     damping_ratio,
     is_valid_gain_pair,
     natural_frequency,
     pid_output,
-    ramp_kp,
-    ramp_xr,
     velocity_constant,
 )
-from abrsim.schemes import Pia
+from abrsim.media import MediaError, VideoManifest
+from abrsim.schemes import ConfigError, Pia, PiaStartup
 
 LADDER = ((1, 350.0), (2, 600.0), (3, 1000.0), (4, 2000.0), (5, 3000.0), (6, 5000.0))
 
@@ -151,46 +148,60 @@ class TestAnalytics:
         assert natural_frequency(a.ki) == natural_frequency(b.ki)
 
 
+def ramp(alpha=4.0, tau=300.0, base_kp=8.8e-3, base_xr=60.0, delta=2.0) -> PiaStartup:
+    """A PiaStartup ramping from `base_kp` and `base_xr`, reset on a two-level ladder of
+    `delta` s chunks."""
+    scheme = PiaStartup(pid=PidParams(kp=base_kp, target_buffer=base_xr), alpha=alpha, tau=tau)
+    sizes = [[125_000] * 3, [250_000] * 3]
+    scheme.reset(VideoManifest("ramp", delta, False, [500.0, 1000.0], sizes, [[None] * 3] * 2))
+    return scheme
+
+
+# each ramp input is checked where it is declared
+_RAMP_INPUT_ERRORS = {"alpha": ConfigError, "tau": ConfigError, "base_kp": ControlError,
+                      "base_xr": ControlError, "delta": MediaError}
+
+
 class TestRamps:
-    SCHED = RampSchedule(alpha=4.0, tau=300.0, base_kp=8.8e-3, base_xr=60.0, delta=2.0)
+    RAMP = ramp()
 
     def test_kp_start_mid_end(self):
-        assert ramp_kp(self.SCHED, 0.0) == 0.0352
-        assert ramp_kp(self.SCHED, 150.0) == 0.022
-        assert ramp_kp(self.SCHED, 300.0) == 8.8e-3
+        assert self.RAMP._kp(0.0) == 0.0352
+        assert self.RAMP._kp(150.0) == 0.022
+        assert self.RAMP._kp(300.0) == 8.8e-3
 
     def test_kp_after_tau_is_base(self):
-        assert ramp_kp(self.SCHED, 300.0000001) == 8.8e-3
-        assert ramp_kp(self.SCHED, 1e6) == 8.8e-3
+        assert self.RAMP._kp(300.0000001) == 8.8e-3
+        assert self.RAMP._kp(1e6) == 8.8e-3
 
     def test_xr_start_floor_and_end(self):
-        assert ramp_xr(self.SCHED, 0.0) == 4.0
-        assert ramp_xr(self.SCHED, 20.0) == 4.0
-        assert ramp_xr(self.SCHED, 300.0) == 60.0
-        assert ramp_xr(self.SCHED, 400.0) == 60.0
+        assert self.RAMP._target(0.0) == 4.0
+        assert self.RAMP._target(20.0) == 4.0
+        assert self.RAMP._target(300.0) == 60.0
+        assert self.RAMP._target(400.0) == 60.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(ControlError):
-            ramp_kp(self.SCHED, -1.0)
+            self.RAMP._kp(-1.0)
         with pytest.raises(ControlError):
-            ramp_xr(self.SCHED, -1.0)
+            self.RAMP._target(-1.0)
 
     @given(st.floats(min_value=0.0, max_value=300.0), st.floats(min_value=0.0, max_value=300.0))
     def test_monotone_on_ramp(self, t1, t2):
         lo, hi = sorted((t1, t2))
-        assert ramp_kp(self.SCHED, lo) >= ramp_kp(self.SCHED, hi)
-        assert ramp_xr(self.SCHED, lo) <= ramp_xr(self.SCHED, hi)
+        assert self.RAMP._kp(lo) >= self.RAMP._kp(hi)
+        assert self.RAMP._target(lo) <= self.RAMP._target(hi)
 
     def test_continuous_at_tau(self):
         eps = 1e-9
-        assert ramp_kp(self.SCHED, 300.0 - eps) == pytest.approx(8.8e-3, rel=1e-6)
-        assert ramp_xr(self.SCHED, 300.0 - eps) == pytest.approx(60.0, rel=1e-6)
+        assert self.RAMP._kp(300.0 - eps) == pytest.approx(8.8e-3, rel=1e-6)
+        assert self.RAMP._target(300.0 - eps) == pytest.approx(60.0, rel=1e-6)
 
     def test_schedule_validation(self):
-        with pytest.raises(ControlError):
-            RampSchedule(alpha=1.0)
-        with pytest.raises(ControlError):
-            RampSchedule(tau=0.0)
+        with pytest.raises(ConfigError, match="^alpha must exceed 1$"):
+            PiaStartup(alpha=1.0)
+        with pytest.raises(ConfigError, match="^tau must be positive$"):
+            PiaStartup(tau=0.0)
 
     @pytest.mark.parametrize(
         "kw",
@@ -206,14 +217,23 @@ class TestRamps:
         ],
     )
     def test_schedule_rejects_non_finite(self, kw):
-        with pytest.raises(ControlError, match="finite"):
-            RampSchedule(**kw)
+        [name] = kw
+        with pytest.raises(_RAMP_INPUT_ERRORS[name], match="finite"):
+            ramp(**kw)
 
-    @pytest.mark.parametrize("kw", [dict(base_kp=0.0), dict(base_xr=0.0), dict(delta=0.0)],
-                             ids=["base_kp", "base_xr", "delta"])
-    def test_schedule_rejects_zero_bases(self, kw):
-        with pytest.raises(ControlError, match="base_kp, base_xr, delta must be positive"):
-            RampSchedule(**kw)
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            (dict(base_kp=0.0), "kp and ki must be positive"),
+            (dict(base_xr=0.0), "target buffer must be positive"),
+            (dict(delta=0.0), "chunk duration must be positive"),
+        ],
+        ids=["base_kp", "base_xr", "delta"],
+    )
+    def test_schedule_rejects_zero_bases(self, kw, message):
+        [name] = kw
+        with pytest.raises(_RAMP_INPUT_ERRORS[name], match=f"^{message}$"):
+            ramp(**kw)
 
 
 class TestVelocityConstant:
@@ -254,21 +274,21 @@ class TestPidParamsValidation:
             params(**kw)
 
 
-class TestPidState:
+class TestPidIntegral:
     """The integral as the PID schemes' `observe_interval` feeds it."""
 
     def test_accumulates_left_endpoint(self):
         scheme = Pia(pid=PidParams(target_buffer=60.0))
         scheme.observe_interval(clock_s=0.0, dt_s=2.0, buffer_s=10.0)
-        assert scheme.pid_state.integral == 100.0
+        assert scheme.integral == 100.0
         scheme.observe_interval(clock_s=2.0, dt_s=1.0, buffer_s=70.0)
-        assert scheme.pid_state.integral == 90.0
+        assert scheme.integral == 90.0
 
     def test_freeze_suspends(self):
         scheme = Pia()
-        scheme.pid_state = PidState(integral=5.0, freeze=True)
+        scheme.integral, scheme.freeze = 5.0, True
         scheme.observe_interval(0.0, 10.0, 0.0)
-        assert scheme.pid_state.integral == 5.0
+        assert scheme.integral == 5.0
 
 
 def _closed_loop_rk4(kp, ki, beta, x_r, t_end, dt):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -468,6 +470,23 @@ class TestConfigValidation:
     def test_non_finite_values_rejected(self, build):
         with pytest.raises(ConfigError, match="finite"):
             build()
+
+    @pytest.mark.parametrize(
+        "allowed,message",
+        [
+            ((1.0, 2.0), "allowed levels for chunk 0 must be a collection, got float"),
+            (5, "allowed_levels must be a collection, got int"),
+            ((None,) * 2, "allowed levels for chunk 0 must be a collection, got NoneType"),
+            (((1.0,),) * 2, "allowed level 1.0 not in manifest at chunk 0"),
+            ((True,), "allowed level True not in manifest at chunk 0"),
+        ],
+        ids=["float-levels", "number", "none-positions", "float-positions", "bool-level"],
+    )
+    def test_malformed_allowed_levels_are_config_errors(self, allowed, message):
+        manifest = cbr_manifest([500, 1000], n_chunks=2)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            simulate_session(RateBased(), constant_trace(2000, 10), manifest, fast_config(),
+                             allowed_levels=allowed)
 
     def test_simulate_validation(self):
         manifest = cbr_manifest([500, 1000], duration_s=2.0, n_chunks=3)

@@ -519,36 +519,37 @@ def test_startup_at_the_gate_example_starts_playback_in_the_precheck():
 
 
 def _reference_normalize_allowed(manifest, allowed_levels):
-    """`_normalize_allowed` as first written: every position sorted and checked."""
+    """`_normalize_allowed` without its memo: every position read, checked and sorted."""
     n = manifest.n_chunks
     all_levels = manifest.levels
     if allowed_levels is None:
         return (all_levels,) * n
     seq = tuple(allowed_levels)
     if seq and isinstance(seq[0], int):
-        per_position = (tuple(sorted(seq)),) * n
-    else:
-        per_position = tuple(tuple(sorted(s)) for s in seq)
-    if len(per_position) != n:
+        seq = (seq,) * n
+    if len(seq) != n:
         raise ConfigError("allowed_levels must cover every chunk position")
-    for pos, levels in enumerate(per_position):
+    per_position = []
+    for pos, s in enumerate(seq):
+        levels = tuple(s)
         if not levels:
             raise ConfigError(f"no allowed levels for chunk {pos}")
         for lvl in levels:
-            if lvl not in all_levels:
-                raise ConfigError(f"allowed level {lvl} not in manifest at chunk {pos}")
-    return per_position
+            if type(lvl) is not int or lvl not in all_levels:
+                raise ConfigError(f"allowed level {lvl!r} not in manifest at chunk {pos}")
+        per_position.append(tuple(sorted(levels)))
+    return tuple(per_position)
 
 
 def _normalized(normalize, manifest, allowed):
     try:
         return normalize(manifest, allowed)
-    except Exception as exc:  # both must fail alike, TypeError from sorting included
+    except Exception as exc:  # both must fail alike
         return type(exc), str(exc)
 
 
 # shared tuples, as a filter repeats them, plus sets that fail each check
-_SHARED_SETS = ((1,), (2, 1), (1, 2, 3), (3, 2.0), (), (1, 4), (0,), ([1],), (1, "a"))
+_SHARED_SETS = ((1,), (2, 1), (1, 2, 3), (3, 2.0), (), (1, 4), (0,), ([1],), (1, "a"), (True,))
 # a position holds a shared tuple itself, an equal fresh tuple or an equal list
 _COPIES = {"shared": lambda s: s, "fresh": lambda s: tuple(list(s)), "list": list}
 

@@ -449,7 +449,7 @@ def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
         rate = self._rollout_rate(ctx, lvl)
         d = rate * delta / est
         cost = 0.0
-        x, integral, uk = ctx.buffer_s, self.pid_state.integral, u
+        x, integral, uk = ctx.buffer_s, self.integral, u
         ind = float(ctx.playing_indicator)
         for _ in range(horizon):
             cost += (uk * rate - target) ** 2
@@ -499,8 +499,8 @@ def _argmin_cases(draw):
         draw(st.sampled_from(_PID_PARAMS)),
         draw(st.integers(1, 6)),
     )
-    scheme.pid_state.integral = draw(st.sampled_from((0.0, -250.0, 1234.5)))
-    scheme.pid_state.freeze = draw(st.booleans())
+    scheme.integral = draw(st.sampled_from((0.0, -250.0, 1234.5)))
+    scheme.freeze = draw(st.booleans())
     chunk_index = draw(st.integers(0, manifest.n_chunks - 1))
     allowed = draw(st.lists(st.sampled_from(manifest.levels), min_size=1, unique=True))
     ctx = DecisionContext(
@@ -558,10 +558,10 @@ def _argmin_run(argmin, scheme, ctx, u, kp, xr, alpha, eta):
 @given(case=_argmin_cases())
 def test_pid_argmin_matches_reference(case):
     scheme, ctx, args = case
-    state = (scheme.pid_state.integral, scheme.pid_state.freeze)
+    state = (scheme.integral, scheme.freeze)
     want = _argmin_run(partial(_reference_argmin, scheme), scheme, ctx, *args)
     got = _argmin_run(scheme._argmin, scheme, ctx, *args)
     assert got == want
     assert got[1] == scheme.horizon * len(ctx.allowed_levels)
     assert len(got[2]) == (0 if ctx.last_level is None else len(ctx.allowed_levels))
-    assert (scheme.pid_state.integral, scheme.pid_state.freeze) == state
+    assert (scheme.integral, scheme.freeze) == state

@@ -21,12 +21,14 @@ from pathlib import Path
 
 import pytest
 
+import abrsim
+import abrsim.cli
 from abrsim.cli import _KEYS, RunConfig, _kind
-from abrsim.control import ControlError, PidParams, RampSchedule
+from abrsim.control import ControlError, PidParams
 from abrsim.engine import EstimatorSpec, SimConfig, StartupRule
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
-from abrsim.schemes import SCHEMES, ConfigError, FilterSpec, Mpc, build_scheme
+from abrsim.schemes import SCHEMES, ConfigError, FilterSpec, Mpc, Pia, PiaStartup, build_scheme
 from abrsim.tuning import GainGrid, HeatMap
 
 BAD_JSON = ("NaN", "Infinity", "1e400", "true", '"3"', "[1]", "{}", "-1", "0", "2.5", "101")
@@ -219,6 +221,9 @@ PYTHON_BUILT = {
     "heat-axis-number": (lambda: HeatMap(**{**_HEAT_TABLES, "kp_values": 5}, trace_count=1),
                          "kp_values"),
     "valid-number": (lambda: HeatMap(**{**_HEAT_TABLES, "valid": 5}, trace_count=1), "valid"),
+    # a PID scheme's gains are one PidParams, checked before the scheme reads them
+    "pia-pid-number": (lambda: Pia(pid=5), "pid"),
+    "piae-pid-number": (lambda: PiaStartup(pid=5), "pid"),
 }
 
 
@@ -293,7 +298,7 @@ def test_python_built_media_values_are_stored_as_read():
 
 # -- field specs ------------------------------------------------------------------
 
-SPEC_CLASSES = (PidParams, RampSchedule, EstimatorSpec, StartupRule, SimConfig, FilterSpec,
+SPEC_CLASSES = (PidParams, EstimatorSpec, StartupRule, SimConfig, FilterSpec,
                 QoeWeights, OfflineObjective, GainGrid, RunConfig,
                 *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
 # an annotation naming a number, str, bool, list (held as a tuple) or dict
@@ -373,7 +378,19 @@ def test_unknown_key_error_lists_every_key_in_order():
     )
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_names_every_config_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    named = set(re.findall(r"`(\w+)`", readme))
+    named = set(re.findall(r"`(\w+)`", README.read_text()))
     assert [key for key in _KEYS if key.rpartition(".")[2] not in named] == []
+
+
+def test_readme_names_only_classes_that_exist():
+    # a backticked span that opens with a CamelCase name, bare or under `abrsim.`:
+    # `SimConfig`, `StartupRule(kind=3)`, `abrsim.control.PidParams`
+    named = set(re.findall(r"`(?:abrsim\.(?:\w+\.)?)?([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)\b",
+                           README.read_text()))
+    assert "SimConfig" in named
+    assert sorted(name for name in named if not hasattr(abrsim, name)
+                  and not hasattr(abrsim.cli, name)) == []

@@ -89,6 +89,11 @@ def test_score_sequence_validation():
         score_sequence(FAST, TWO_LEVEL, objective, SimConfig(), (1,))
     with pytest.raises(ConfigError):
         score_sequence(FAST, TWO_LEVEL, objective, SimConfig(), (1, 99))
+    # True and 1.0 equal level 1, but a level is an int
+    with pytest.raises(ConfigError, match="^level True not in manifest$"):
+        score_sequence(FAST, TWO_LEVEL, objective, SimConfig(), (True, 1))
+    with pytest.raises(ConfigError, match=r"^level 1\.0 not in manifest$"):
+        score_sequence(FAST, TWO_LEVEL, objective, SimConfig(), (1.0, 1))
 
 
 def test_brute_force_budget_refusal():

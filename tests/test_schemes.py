@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
 from abrsim.cli import noisy_bandwidth
-from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams, RampSchedule
+from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams
 from abrsim.engine import DownloadHistory, SimConfig, StartupRule, simulate_session
 from abrsim.media import MediaError, classify_chunks
 from abrsim.schemes import (
@@ -314,37 +314,37 @@ class TestPia:
 
     def test_antiwindup_forces_max_and_freezes(self):
         scheme = pia_beta1()
-        scheme.pid_state.integral = 50.0
+        scheme.integral = 50.0
         ctx = ctx_for(PIA_LADDER, buffer_s=200.0)
         assert scheme.decide(ctx) == 2
         assert scheme.last_u == EPS
-        assert scheme.pid_state.freeze is True
+        assert scheme.freeze is True
         scheme.observe_interval(0.0, 5.0, 200.0)
-        assert scheme.pid_state.integral == 50.0
+        assert scheme.integral == 50.0
 
     def test_antiwindup_liveness_over_many_decisions(self):
         scheme = pia_beta1()
-        scheme.pid_state.integral = 50.0
+        scheme.integral = 50.0
         ctx = ctx_for(PIA_LADDER, buffer_s=200.0)
         for k in range(100):
             assert scheme.decide(ctx) == 2
             assert scheme.last_u == EPS
             scheme.observe_interval(2.0 * k, 2.0, 200.0)
-            assert scheme.pid_state.integral == 50.0
+            assert scheme.integral == 50.0
 
     def test_recovers_after_saturation(self):
         scheme = pia_beta1()
         scheme.decide(ctx_for(PIA_LADDER, buffer_s=200.0))
-        assert scheme.pid_state.freeze is True
+        assert scheme.freeze is True
         scheme.decide(ctx_for(PIA_LADDER, buffer_s=30.0))
-        assert scheme.pid_state.freeze is False
+        assert scheme.freeze is False
         scheme.observe_interval(0.0, 1.0, 30.0)
-        assert scheme.pid_state.integral == 30.0
+        assert scheme.integral == 30.0
 
     def test_integral_accumulates_between_decisions(self):
         scheme = pia_beta1()
         scheme.observe_interval(0.0, 2.0, 10.0)
-        assert scheme.pid_state.integral == 100.0
+        assert scheme.integral == 100.0
 
     def test_evaluation_count_is_levels_times_horizon(self):
         scheme = pia_beta1(horizon=5, eta=1.0)
@@ -396,7 +396,7 @@ class TestPia:
     @settings(max_examples=60)
     def test_matches_rollout_oracle(self, buf, integral, est, horizon, eta, last, playing):
         scheme = Pia(pid=PidParams(), horizon=horizon, eta=eta)
-        scheme.pid_state.integral = integral
+        scheme.integral = integral
         idx = 1 if last is not None else 0
         ctx = ctx_for(
             PIA_LADDER,
@@ -454,10 +454,9 @@ class TestPiaStartup:
         scheme = PiaStartup()
         assert scheme.pid.beta == 1.0
         scheme.reset(PIA_LADDER)
-        assert scheme.schedule is not None
-        assert scheme.schedule.delta == 2.0
-        assert scheme.schedule.alpha == 4.0
-        assert scheme.schedule.tau == 300.0
+        assert scheme._target(0.0) == 2 * 2.0
+        assert scheme.alpha == 4.0
+        assert scheme.tau == 300.0
 
     @pytest.mark.parametrize("scheme", [PiaStartup, Cava])
     def test_decides_only_after_reset(self, scheme):
@@ -479,7 +478,7 @@ class TestPiaStartup:
 
     def test_midpoint_ramp_values(self):
         scheme = PiaStartup(horizon=1, eta=0.0)
-        scheme.reset(PIA_LADDER)  # build schedule
+        scheme.reset(PIA_LADDER)  # the ramp's floor
         ctx = ctx_for(PIA_LADDER, clock_s=150.0, buffer_s=30.0, est_kbps=1000.0)
         scheme.decide(ctx)
         # x_r(150) = 30, kp(150)*(30-30) = 0 -> u = ki*I + 1 with I = 0
@@ -498,17 +497,17 @@ class TestPiaStartup:
         scheme = PiaStartup(horizon=1, eta=0.0)
         scheme.reset(PIA_LADDER)
         scheme.observe_interval(0.0, 1.0, 0.0)
-        assert scheme.pid_state.integral == 4.0  # target 2*delta at t=0
+        assert scheme.integral == 4.0  # target 2*delta at t=0
         scheme.observe_interval(150.0, 1.0, 0.0)
-        assert scheme.pid_state.integral == 34.0  # target 30 at t=150
+        assert scheme.integral == 34.0  # target 30 at t=150
 
     def test_matches_pia_after_ramp(self):
         for clock in (300.0 + 1e-9, 301.0, 1e4):
             piae = PiaStartup(horizon=3, eta=1.0)
             piae.reset(PIA_LADDER)
             pia = Pia(pid=PidParams(), horizon=3, eta=1.0)
-            piae.pid_state.integral = 1234.5
-            pia.pid_state.integral = 1234.5
+            piae.integral = 1234.5
+            pia.integral = 1234.5
             ctx = ctx_for(
                 PIA_LADDER,
                 chunk_index=2,
@@ -558,25 +557,25 @@ class TestCava:
         # Q4 inflates (alpha 1.1 -> target 990); per-chunk rates 700/600|1400/1000
         i0 = integral_for_unit_u(8.0)
         q1 = cava_n1(CAVA_M1)
-        q1.pid_state.integral = i0
+        q1.integral = i0
         ctx = ctx_for(CAVA_M1, chunk_index=0, buffer_s=8.0, est_kbps=900.0)
         assert q1.decide(ctx) == 1
         q4 = cava_n1(CAVA_M1)
-        q4.pid_state.integral = i0
+        q4.integral = i0
         ctx = ctx_for(CAVA_M1, chunk_index=3, buffer_s=8.0, est_kbps=900.0)
         assert q4.decide(ctx) == 3
 
     def test_antiwindup_forces_top_allowed_level_and_freezes(self):
         # buffer 200 s against the 30 s base target: u = 0.0088 * -170 + 1 + 0.0018 < 0
         scheme = cava_for(CAVA_M1)
-        scheme.pid_state.integral = 50.0
+        scheme.integral = 50.0
         ctx = ctx_for(CAVA_M1, chunk_index=1, buffer_s=200.0, est_kbps=900.0, allowed=(1, 2))
         assert scheme.decide(ctx) == 2
         assert scheme.last_u == EPS
-        assert scheme.pid_state.freeze is True
+        assert scheme.freeze is True
         assert scheme.eval_count == 0
         scheme.observe_interval(2.0, 5.0, 200.0)
-        assert scheme.pid_state.integral == 50.0
+        assert scheme.integral == 50.0
 
     def test_low_level_exception_reinflates(self):
         # Q1 argmin under deflation is level 1, buffer 30 > 10 -> redo with alpha=1
@@ -590,11 +589,11 @@ class TestCava:
         # only the previous position's class differs (Q2 vs Q4)
         i0 = integral_for_unit_u(8.0)
         on = cava_n1(CAVA_M1)
-        on.pid_state.integral = i0
+        on.integral = i0
         ctx = ctx_for(CAVA_M1, chunk_index=2, buffer_s=8.0, est_kbps=900.0, last_level=3)
         assert on.decide(ctx) == 3  # change penalty active, keep the 1000 kbps track
         off = cava_n1(CAVA_M2)
-        off.pid_state.integral = i0
+        off.integral = i0
         ctx = ctx_for(CAVA_M2, chunk_index=2, buffer_s=8.0, est_kbps=900.0, last_level=3)
         assert off.decide(ctx) == 1  # penalty off, pure tracking wins
 
@@ -626,10 +625,10 @@ class TestCava:
         i0 = integral_for_unit_u(8.0)
         ctx = ctx_for(m, chunk_index=3, buffer_s=8.0, est_kbps=900.0)
         off = cava_n1(m)
-        off.pid_state.integral = i0
+        off.integral = i0
         assert off.decide(ctx) == 3  # target 990 -> 1010-rate track
         relief = cava_n1(m, q4_low_buffer_relief=True)
-        relief.pid_state.integral = i0
+        relief.integral = i0
         assert relief.decide(ctx) == 1  # target 900 -> 920-rate track
 
     def test_outer_target_follows_upcoming_window(self):
@@ -663,12 +662,12 @@ class TestCava:
     def test_integral_tracks_current_target(self):
         scheme = cava_n1(CAVA_M1, outer_window=2)
         scheme.observe_interval(0.0, 1.0, 10.0)
-        assert scheme.pid_state.integral == 20.0  # base target 30 before any decide
+        assert scheme.integral == 20.0  # base target 30 before any decide
         ctx = ctx_for(CAVA_M1, chunk_index=2, buffer_s=39.0, est_kbps=900.0, last_level=2)
         scheme.decide(ctx)
-        before = scheme.pid_state.integral
+        before = scheme.integral
         scheme.observe_interval(1.0, 1.0, 10.0)
-        assert scheme.pid_state.integral == pytest.approx(before + 29.0)  # target 39
+        assert scheme.integral == pytest.approx(before + 29.0)  # target 39
 
     def test_params_validation(self):
         with pytest.raises(ConfigError):
@@ -1046,9 +1045,9 @@ class TestBuildScheme:
         m = cbr_manifest([500, 1000], duration_s=4.0, n_chunks=6)
         scheme = build_scheme("piae", {"alpha": 3.0, "tau": 120.0, "target_buffer": 40.0})
         scheme.reset(m)
-        assert scheme.schedule == RampSchedule(
-            alpha=3.0, tau=120.0, base_kp=DEFAULT_KP, base_xr=40.0, delta=4.0
-        )
+        assert (scheme.alpha, scheme.tau) == (3.0, 120.0)
+        assert (scheme.pid.kp, scheme.pid.target_buffer) == (DEFAULT_KP, 40.0)
+        assert scheme._target(0.0) == 2 * 4.0
 
     def test_quad_falls_back_to_the_config_target(self):
         assert build_scheme("quad", target_quality=70.0).target_quality == 70.0
@@ -1085,7 +1084,7 @@ class TestBuildScheme:
             ("pia", {"horizon": "abc"}),
             ("rb", {"horizon": 3}),
             ("cava", {"reference_level": 0}),
-            # PidParams and RampSchedule raise ControlError; build_scheme wraps it too
+            # PidParams raises ControlError and the schemes ConfigError; build_scheme wraps both
             ("pia", {"kp": -1.0}),
             ("piae", {"alpha": 0.5}),
             ("piae", {"alpha": "abc"}),
@@ -1158,7 +1157,7 @@ class TestEngineIntegration:
         for delta in (2.0, 4.0):
             m = cbr_manifest(rates, duration_s=delta, n_chunks=60)
             got = simulate_session(scheme, trace, m, SimConfig())
-            assert scheme.schedule.delta == delta
+            assert scheme._target(0.0) == 2 * delta
             assert got == simulate_session(PiaStartup(), trace, m, SimConfig())
 
     def test_reused_cava_classifies_each_sessions_manifest(self):
