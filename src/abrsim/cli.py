@@ -323,6 +323,8 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     out = Path(out_dir)
     path = out / name
     try:
+        if "\0" in name:  # refused before out_dir is made, so none is left behind
+            raise ValueError("embedded null byte")
         out.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except ValueError as exc:  # a NUL or an unencodable character in the path

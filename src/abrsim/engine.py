@@ -273,43 +273,42 @@ class _Session:
 
     # -- the event walk -----------------------------------------------------------
 
-    def _walk(self, leg: str, amount: float, rate_kbps: float = 0.0) -> None:
+    def _walk(self, leg: str, amount: float, rate_kbps: float = 0.0, rtt_s: float = 0.0) -> float:
         """Advance the session through one leg, one interval at a time.
 
-        A leg is "idle" (`amount` seconds pass with no bytes flowing: the
-        request's RTT), "gate" (the buffer drains to `amount`, the resume level)
-        or "download" (`amount` kilobits of a `rate_kbps` chunk arrive over the
-        trace and fill the buffer fluidly). Each interval runs to the nearest
-        event: the next trace second, the leg's end, the startup time or the
-        buffer reaching one chunk. Over it the buffer slope, play rate and
-        stall rate are constant; `observe_interval` sees its left endpoint.
-        Clock, buffer and played time live in locals until the leg ends.
+        A leg is "gate" (the buffer drains to `amount`, the resume level) or
+        "fetch" (`rtt_s` seconds pass with no bytes flowing, then `amount`
+        kilobits of a `rate_kbps` chunk arrive over the trace and fill the
+        buffer fluidly; returns the clock at which data began). Each interval
+        runs to the nearest event: the next trace second, the end of the RTT or
+        leg, the startup time or the buffer reaching one chunk. Over it the
+        buffer slope, play rate and stall rate are constant; `observe_interval`
+        sees its left endpoint. Clock, buffer and played time live in locals.
         """
         delta = self.delta
         upper, lower = delta + _TINY, delta - _TINY
         samples, period = self.samples, self.period
         observe = self.scheme.observe_interval
         add_sample = self.history.add_second_sample
-        download, idle = leg == "download", leg == "idle"
-        end = self.clock + amount
+        idle = leg == "fetch" and rtt_s > 0.0
+        download = leg == "fetch" and not idle
+        data_start, end = self.clock, self.clock + rtt_s
         clock, due = self._start_if_due(self.clock)
         x, played = self.buffer, self.play_accum
         playing = self.startup_latency is not None
         remaining, dry = amount, 0.0
-        while True:
-            if download:
-                if not remaining > 0.0:
-                    break
-            elif not idle and not x > amount + _TINY:
-                break
+        # run while data is due, the RTT runs (it ends below) or the gate drains
+        while remaining > 0.0 if download else idle or x > amount + _TINY:
             if due is not None:
                 clock, due = self._start_if_due(clock)
                 playing = due is None
             if idle:
                 left = end - clock
                 if left <= _TINY:
-                    clock = end
-                    break
+                    # data flows from the RTT's end; the startup check above runs there next
+                    clock = data_start = end
+                    idle, download = False, True
+                    continue
             sec = math.floor(clock + _TINY)
             c = fill = 0.0
             if download:
@@ -383,6 +382,7 @@ class _Session:
             elif c > 0.0:
                 remaining -= c * h
         self.clock, self.buffer, self.play_accum = clock, x, played
+        return data_start
 
     # -- chunk lifecycle --------------------------------------------------
 
@@ -432,12 +432,9 @@ class _Session:
         vmaf = manifest.vmaf_rows[level - 1][i]
         self.chunk_stall = 0.0
         dl_start = self.clock
-        if self.config.rtt_s > 0:
-            self._walk("idle", self.config.rtt_s)
-        data_start = self.clock
         kilobits = size * 8.0 / 1000.0
         _check_download_span(self.trace, kilobits)
-        self._walk("download", kilobits, bitrate)
+        data_start = self._walk("fetch", kilobits, bitrate, self.config.rtt_s)
         dl_end = self.clock
         if dl_end == data_start:  # shorter than the clock's float resolution
             raise SimulationError(f"link too fast: chunk {i} of scheme {self.scheme.name!r} on "

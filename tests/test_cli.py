@@ -1086,6 +1086,13 @@ def test_gen_trace_nul_in_the_output_path_exits_2(tmp_path, monkeypatch, capsysb
     assert b"Traceback" not in err and b"\0" not in err
 
 
+def test_gen_trace_nul_in_the_name_leaves_no_out_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["gen-trace", "--kind", "constant", "--seconds", "5", "--name", "a\0b", "--out", "d"]
+    assert main(args) == 2
+    assert not (tmp_path / "d").exists()
+
+
 def test_gen_trace_refuses_more_than_a_week(tmp_path, capsys):
     args = ["gen-trace", "--kind", "constant", "--seconds", "1000000000000", "--out", str(tmp_path)]
     assert main(args) == 2

@@ -6,9 +6,10 @@ event; the estimator summing reciprocals on every call), kept here as the
 reference. On small finite traces (zeros included), 2-8 chunk CBR and VBR
 manifests and configs that reach every startup rule, RTT and request-gate
 branch, `simulate_session` must return a `SessionLog` equal to the
-reference's, or raise the same `SimulationError`. `_reference_normalize_allowed`
-is the allowed-set check as first written, one sort and check per position;
-the engine's memoized check must return or raise the same.
+reference's after the same `observe_interval` calls, or raise the same
+`SimulationError`. `_reference_normalize_allowed` is the allowed-set check as
+first written, one sort and check per position; the engine's memoized check
+must return or raise the same.
 """
 
 from __future__ import annotations
@@ -459,12 +460,15 @@ def _sessions(draw):
 
 
 def _outcome(run, name, trace, manifest, config, allowed):
+    """The run's log or its `SimulationError`, and its `observe_interval` calls in order."""
     raw = {"horizon": 3} if "mpc" in name else {}
     scheme = build_scheme(name, raw, target_quality=80.0, reference_level=1)
+    calls, observe = [], scheme.observe_interval
+    scheme.observe_interval = lambda *args: calls.append(args) or observe(*args)
     try:
-        return run(scheme, trace, manifest, config, allowed)
+        return run(scheme, trace, manifest, config, allowed), calls
     except SimulationError as exc:
-        return SimulationError, str(exc)
+        return (SimulationError, str(exc)), calls
 
 
 # Startup at 0.5 s falls inside the first download's last trace second: the
@@ -492,13 +496,54 @@ _STARTUP_AT_THE_GATE = (
 )
 
 
+# Chunk 1's RTT runs from 0.9 s to 1.4 s across the trace's second boundary:
+# the boundary splits the RTT, and its data then flows at second 1's rate.
+_RTT_ACROSS_A_SECOND = (
+    "rb",
+    BandwidthTrace("two", (2000.0, 1000.0)),
+    cbr_manifest((800, 1600), duration_s=1.0, n_chunks=2),
+    SimConfig(startup=StartupRule("latency", 0.0), rtt_s=0.5),
+    None,
+)
+
+
+# The 1.5 s latency startup falls inside chunk 1's RTT (1.3 s to 1.8 s), with
+# one chunk buffered: the startup event splits the RTT, and playback begins.
+_STARTUP_MID_RTT = (
+    "rb",
+    BandwidthTrace("one", (1000.0,)),
+    cbr_manifest((800, 1600), duration_s=1.0, n_chunks=3),
+    SimConfig(startup=StartupRule("latency", 1.5), rtt_s=0.5),
+    None,
+)
+
+
+# Chunk 1's 0.07 s RTT starts at 0.9299999999999999 s and ends at exactly 1.0 s,
+# tied with the trace second: the RTT's end wins, and data flows from second 1.
+_RTT_ENDS_ON_A_SECOND = (
+    "rb",
+    BandwidthTrace("one", (1000.0,)),
+    cbr_manifest((860, 1720), duration_s=1.0, n_chunks=2),
+    SimConfig(startup=StartupRule("latency", 0.0), rtt_s=0.07),
+    None,
+)
+
+
 @settings(max_examples=200, deadline=None)
 @example(session=_STARTUP_MID_DOWNLOAD)
 @example(session=_STARTUP_AT_THE_GATE)
+@example(session=_RTT_ACROSS_A_SECOND)
+@example(session=_STARTUP_MID_RTT)
+@example(session=_RTT_ENDS_ON_A_SECOND)
 @given(session=_sessions())
 def test_walk_matches_reference_walk(session):
-    got = _outcome(simulate_session, *session)
-    assert got == _outcome(_reference_simulate, *session)
+    got, calls = _outcome(simulate_session, *session)
+    want, want_calls = _outcome(_reference_simulate, *session)
+    assert got == want
+    if isinstance(got, SessionLog):
+        # the scheme saw the same intervals; a failed session's calls may differ,
+        # since the engine refuses a too-slow download before walking its RTT
+        assert calls == want_calls
 
 
 def test_startup_at_the_gate_example_starts_playback_in_the_precheck():
