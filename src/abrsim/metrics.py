@@ -1,18 +1,17 @@
 """QoE scoring, per-session metric reports, and an offline-optimal reference solver.
 
-The offline solver shares one idealized request model between the dynamic
-program, the brute-force cross-check, and sequence re-scoring: per chunk the
-session drains to the resume level if it hit the buffer cap after playback
-started, idles one RTT, downloads over the zero-order-hold trace, and credits
-one chunk duration on completion. Playback consumes buffer once the startup rule enables it, mid-leg
-for latency rules, and any deficit is stalled time charged to the pending
-chunk. Buffer and clock snap to 0.1 s bins after every chunk so prefixes that
-reach the same state merge exactly.
+The DP, the brute-force cross-check and sequence scoring share one idealized
+request model: per chunk the session drains to the resume level if it hit the
+buffer cap after playback started, idles one RTT, downloads over the
+zero-order-hold trace, and credits one chunk duration on arrival. Playback
+uses buffer wherever the startup rule allows it, mid-leg for latency rules;
+any deficit is stalled time charged to the pending chunk. Buffer and clock
+snap to 0.1 s bins after every chunk so prefixes reaching one state merge.
 
 `offline_optimal` is that DP pruned by two exact bounds: below, the least pair
-cost of the remaining chunks with stalls left out; above, the re-scored value
-of a sequence found by a narrow beam pass of the same DP. Among tied optima it
-returns the lexicographically smallest sequence, as `brute_force_optimal` does.
+cost of the remaining chunks with stalls left out; above, the value a narrow
+beam pass of the same DP reaches. Among tied optima it returns the
+lexicographically smallest sequence, as `brute_force_optimal` does.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import json
 import math
 from dataclasses import MISSING, asdict, dataclass
 
-from .engine import SessionLog, SimConfig, advance_download
+from .engine import SessionLog, SimConfig, _read_levels, advance_download
 from .media import BandwidthTrace, VideoManifest
 from .control import check_fields, spec
 from .schemes import ConfigError, require_quality
@@ -161,79 +160,48 @@ def _bin(value: float) -> int:
     return int(round(value * _BINS_PER_S))
 
 
-def _started(config: SimConfig, clock: float, completed: int) -> bool:
-    rule = config.startup
-    if rule.kind == "latency":
-        return clock >= rule.value
-    return completed >= int(rule.value)
-
-
-def _playback_window(config: SimConfig, t0: float, span: float, completed: int) -> float:
-    """Seconds of [t0, t0+span) during which the startup rule permits playback."""
+def _play(
+    config: SimConfig, completed: int, x: float, t0: float, span: float
+) -> tuple[float, float]:
+    """Play buffer `x` over [t0, t0 + span) where the startup rule allows, `completed`
+    chunks having arrived: (buffer left, stall_s)."""
+    end = t0 + span
     rule = config.startup
     if rule.kind == "latency":
         play_from = max(t0, rule.value)
     elif completed >= int(rule.value):
         play_from = t0
     else:
-        play_from = t0 + span
-    return max(0.0, t0 + span - play_from)
-
-
-def _drain(x: float, play_s: float) -> tuple[float, float]:
-    """Consume play_s of buffered content; deficit is stalled time."""
-    return max(x - play_s, 0.0), max(play_s - x, 0.0)
+        play_from = end
+    play = max(0.0, end - play_from)
+    return max(x - play, 0.0), max(play - x, 0.0)
 
 
 def _request_start(
     manifest: VideoManifest, config: SimConfig, chunk_index: int, x_key: int, t_key: int
 ) -> tuple[float, float, float]:
     """Gate drain and RTT from a binned state: (buffer, clock, stall_s) when data starts."""
-    delta = manifest.chunk_duration_s
-    x = x_key / _BINS_PER_S
-    t = t_key / _BINS_PER_S
-    stall = 0.0
-    if x >= config.max_buffer_s and _started(config, t, chunk_index):
+    x, t = x_key / _BINS_PER_S, t_key / _BINS_PER_S
+    rule = config.startup
+    if x >= config.max_buffer_s and (
+        t >= rule.value if rule.kind == "latency" else chunk_index >= int(rule.value)
+    ):
         # Request gate: drain at play rate down to the resume level.
-        resume = config.resume_level(delta)
+        resume = config.resume_level(manifest.chunk_duration_s)
         t += x - resume
         x = resume
-    if config.rtt_s > 0.0:
-        x, s = _drain(x, _playback_window(config, t, config.rtt_s, chunk_index))
-        stall += s
-        t += config.rtt_s
-    return x, t, stall
+    # At rtt_s 0 this plays nothing and stalls 0.0: x and t stay as they are.
+    x, stall = _play(config, chunk_index, x, t, config.rtt_s)
+    return x, t + config.rtt_s, stall
 
 
 def _arrive(
-    manifest: VideoManifest,
-    config: SimConfig,
-    chunk_index: int,
-    x: float,
-    t: float,
-    stall: float,
-    end: float,
+    manifest: VideoManifest, config: SimConfig, chunk_index: int,
+    x: float, t: float, stall: float, end: float,
 ) -> tuple[int, int, float]:
-    """Drain over the download [t, end), credit the chunk and bin: (x_key', t_key', stall_s)."""
-    x, s = _drain(x, _playback_window(config, t, end - t, chunk_index))
-    stall += s
-    return _bin(x + manifest.chunk_duration_s), _bin(end), stall
-
-
-def _transition(
-    trace: BandwidthTrace,
-    manifest: VideoManifest,
-    config: SimConfig,
-    chunk_index: int,
-    level: int,
-    x_key: int,
-    t_key: int,
-) -> tuple[int, int, float]:
-    """One chunk request from a binned state; returns (x_key', t_key', stall_s).
-    `score_sequence` has range-checked `level`."""
-    x, t, stall = _request_start(manifest, config, chunk_index, x_key, t_key)
-    end = advance_download(trace, t, manifest.size_rows[level - 1][chunk_index])
-    return _arrive(manifest, config, chunk_index, x, t, stall, end)
+    """Play over the download [t, end), credit the chunk and bin: (x_key', t_key', stall_s)."""
+    x, s = _play(config, chunk_index, x, t, end - t)
+    return _bin(x + manifest.chunk_duration_s), _bin(end), stall + s
 
 
 def _pair_cost(
@@ -259,7 +227,7 @@ def score_sequence(
     levels,
 ) -> float:
     """Objective value of a fixed level sequence under the shared request model."""
-    levels = tuple(levels)
+    levels = _read_levels(levels, "levels")
     if len(levels) != manifest.n_chunks:
         raise ConfigError("level sequence must cover every chunk")
     for level in levels:
@@ -270,9 +238,10 @@ def score_sequence(
     prev: int | None = None
     x_key = t_key = 0
     for i, level in enumerate(levels):
-        x_key, t_key, stall = _transition(trace, manifest, config, i, level, x_key, t_key)
-        pair = _pair_cost(quality, objective, i, level, prev)
-        total += pair + objective.gamma * stall
+        x, t, stall = _request_start(manifest, config, i, x_key, t_key)
+        end = advance_download(trace, t, manifest.size_rows[level - 1][i])
+        x_key, t_key, stall = _arrive(manifest, config, i, x, t, stall, end)
+        total += _pair_cost(quality, objective, i, level, prev) + objective.gamma * stall
         prev = level
     return total
 
@@ -382,9 +351,9 @@ def offline_optimal(
 
     - `LB[i][prev]`, a backward DP over levels summing only `_pair_cost`, is
       at most the cost of any completion from chunk i after `prev`;
-    - `UB` is the `score_sequence` value of the sequence a beam pass of the
-      same DP finds when it keeps the best `_BEAM_WIDTH` states per chunk,
-      ranked by cost plus `LB`.
+    - `UB` is the value a beam pass of the same DP reaches keeping the best
+      `_BEAM_WIDTH` states per chunk, ranked by cost plus `LB`: the running
+      sum along its sequence's path, the float `score_sequence` gives it.
 
     A relaxation whose cost plus `LB` of the rest exceeds `UB` (with a
     relative slack of 1e-9 for summation order) cannot lead to an optimum and
@@ -395,8 +364,7 @@ def offline_optimal(
     returns, wherever equal prefixes sum to bit-equal costs.
     """
     lower = _lower_bounds(manifest, objective)
-    guess, _ = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
-    upper = score_sequence(trace, manifest, objective, config, guess)
+    _, upper = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
     bound = upper + 1e-9 * abs(upper)
     return _search(trace, manifest, objective, config, lower, bound, None)
 

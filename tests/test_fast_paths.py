@@ -30,12 +30,11 @@ from abrsim.media import BandwidthTrace, MediaError
 from abrsim.metrics import (
     _BEAM_WIDTH,
     OfflineObjective,
+    _arrive,
     _bin,
-    _drain,
     _lower_bounds,
-    _playback_window,
+    _request_start,
     _search,
-    _started,
     brute_force_optimal,
     offline_optimal,
     score_sequence,
@@ -247,8 +246,33 @@ def test_mpc_walk_all_sequences_tied():
 # -- offline-optimal DP ---------------------------------------------------------
 
 
+def _started(config, clock, completed):
+    rule = config.startup
+    if rule.kind == "latency":
+        return clock >= rule.value
+    return completed >= int(rule.value)
+
+
+def _playback_window(config, t0, span, completed):
+    """Seconds of [t0, t0+span) during which the startup rule permits playback."""
+    rule = config.startup
+    if rule.kind == "latency":
+        play_from = max(t0, rule.value)
+    elif completed >= int(rule.value):
+        play_from = t0
+    else:
+        play_from = t0 + span
+    return max(0.0, t0 + span - play_from)
+
+
+def _drain(x, play_s):
+    """Consume play_s of buffered content; deficit is stalled time."""
+    return max(x - play_s, 0.0), max(play_s - x, 0.0)
+
+
 def _reference_transition(trace, manifest, config, chunk_index, level, x_key, t_key):
-    """One chunk request from a binned state, computed whole for every call."""
+    """One chunk request from a binned state, computed whole for every call. The
+    arriving chunk is credited in full, past the cap too, as the engine does."""
     delta = manifest.chunk_duration_s
     cap = config.max_buffer_s
     margin = config.resume_margin_s if config.resume_margin_s is not None else delta
@@ -266,8 +290,7 @@ def _reference_transition(trace, manifest, config, chunk_index, level, x_key, t_
     end = advance_download(trace, t, manifest.size_rows[level - 1][chunk_index])
     x, s = _drain(x, _playback_window(config, t, end - t, chunk_index))
     stall += s
-    x = min(x + delta, cap)
-    return _bin(x), _bin(end), stall
+    return _bin(x + delta), _bin(end), stall
 
 
 def windowed_avg_bitrate(manifest, level: int, start: int, window: int) -> float:
@@ -390,6 +413,33 @@ def test_dp_matches_reference_dp_on_tied_levels(config, same_sizes):
         )
 
 
+def _model_transition(trace, manifest, config, chunk_index, level, x_key, t_key):
+    x, t, stall = _request_start(manifest, config, chunk_index, x_key, t_key)
+    end = advance_download(trace, t, manifest.size_rows[level - 1][chunk_index])
+    return _arrive(manifest, config, chunk_index, x, t, stall, end)
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("seed", range(4))
+def test_model_matches_reference_on_every_reachable_move(seed, config):
+    # Equal optima do not show that the two models agree; compare every move
+    # from every (buffer, clock) state the model reaches, chunk by chunk.
+    trace, manifest, _ = _oracle_instance(seed)
+    states = {(0, 0)}
+    wrong = []
+    for i in range(manifest.n_chunks):
+        reached = set()
+        for x_key, t_key in sorted(states):
+            for level in manifest.levels:
+                args = (trace, manifest, config, i, level, x_key, t_key)
+                move = _model_transition(*args)
+                if move != _reference_transition(*args):
+                    wrong.append(args[3:])
+                reached.add(move[:2])
+        states = reached
+    assert wrong == []
+
+
 def test_dp_matches_reference_dp_on_a_longer_instance():
     rng = random.Random(5)
     manifest = _rated_vbr(rng, 5, n_levels=4, n_chunks=9)
@@ -425,8 +475,9 @@ def test_dp_is_brute_force_within_its_bounds(config, instance):
     levels, value = offline_optimal(trace, manifest, objective, config)
     assert (levels, value) == brute_force_optimal(trace, manifest, objective, config)
     lower = _lower_bounds(manifest, objective)
-    guess, _ = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
-    upper = score_sequence(trace, manifest, objective, config, guess)
+    guess, upper = _search(trace, manifest, objective, config, lower, math.inf, _BEAM_WIDTH)
+    # `offline_optimal` prunes with the beam's own value as its upper bound.
+    assert upper == score_sequence(trace, manifest, objective, config, guess)
     assert lower[0][None] <= value <= upper
 
 

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
-from abrsim.engine import SimConfig, StartupRule, simulate_session
+from abrsim.engine import SimConfig, StartupRule, advance_download, simulate_session
 from abrsim.media import BandwidthTrace
 from abrsim.metrics import (
     OfflineObjective,
-    _transition,
+    _arrive,
+    _request_start,
     brute_force_optimal,
     offline_optimal,
     score_sequence,
@@ -94,6 +95,11 @@ def test_score_sequence_validation():
         score_sequence(FAST, TWO_LEVEL, objective, SimConfig(), (True, 1))
     with pytest.raises(ConfigError, match=r"^level 1\.0 not in manifest$"):
         score_sequence(FAST, TWO_LEVEL, objective, SimConfig(), (1.0, 1))
+
+
+def test_score_sequence_refuses_levels_it_cannot_iterate():
+    with pytest.raises(ConfigError, match="^levels must be a collection, got int$"):
+        score_sequence(FAST, TWO_LEVEL, OfflineObjective(80.0), SimConfig(), 5)
 
 
 def test_brute_force_budget_refusal():
@@ -229,7 +235,9 @@ def test_model_keeps_content_past_the_cap_as_the_engine_does():
     x_key = t_key = 0
     stall = 0.0
     for i in range(n):
-        x_key, t_key, s = _transition(trace, manifest, config, i, 1, x_key, t_key)
+        x, t, s = _request_start(manifest, config, i, x_key, t_key)
+        end = advance_download(trace, t, manifest.size_rows[0][i])
+        x_key, t_key, s = _arrive(manifest, config, i, x, t, s, end)
         stall += s
     log = simulate_session(_Lowest(), trace, manifest, config)
     assert max(d.buffer_s for d in log.decisions) > config.max_buffer_s - 2.0
