@@ -16,14 +16,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from .control import ControlError, check_fields, read_json, read_value, require_finite, spec
-from .engine import (
-    EstimatorSpec,
-    SessionLog,
-    SimConfig,
-    SimulationError,
-    StartupRule,
-    simulate_session,
-)
+from .engine import SessionLog, SimConfig, SimulationError, simulate_session
 from .media import (
     BandwidthTrace,
     MediaError,
@@ -148,47 +141,38 @@ def noisy_bandwidth(
 
 # ------------------------------------------------------------------ job config
 
-# attribute paths that hold an object, built from the values under them
-_OBJECTS = {
-    "weights": QoeWeights,
-    "sim": SimConfig,
-    "sim.startup": StartupRule,
-    "sim.estimator": EstimatorSpec,
-    "grid": GainGrid,
-}
+# the RunConfig attributes that hold an object, built from the values under them
+_OBJECTS = {"weights": QoeWeights, "sim": SimConfig, "grid": GainGrid}
 
 
-def _arguments(values: dict, prefix: str = "") -> dict:
-    """Keyword arguments at `prefix` from {attribute path: value}; each object in
+def _arguments(values: dict) -> dict:
+    """RunConfig keyword arguments from {attribute path: value}; each object in
     `_OBJECTS` that any value falls under is built from its own arguments, and
     one with no default (weights, grid) needs every one of them."""
-    def here(path):
-        return path.startswith(prefix) and "." not in path[len(prefix):]
-
-    args = {path[len(prefix):]: value for path, value in values.items() if here(path)}
-    for path, cls in _OBJECTS.items():
-        if here(path) and any(p.startswith(path + ".") for p in values):
-            inner = _arguments(values, path + ".")
+    args = {path: value for path, value in values.items() if "." not in path}
+    for group, cls in _OBJECTS.items():
+        inner = {path[len(group) + 1:]: value for path, value in values.items()
+                 if path.startswith(group + ".")}
+        if inner:
             missing = [f.name for f in fields(cls) if f.name not in inner
                        and f.default is MISSING and f.default_factory is MISSING]
             if missing:
-                raise ConfigError(f"{path} needs {' and '.join(missing)}")
-            args[path[len(prefix):]] = cls(**inner)
+                raise ConfigError(f"{group} needs {' and '.join(missing)}")
+            args[group] = cls(**inner)
     return args
 
 
-def _spec_fields(cls, path: str = ""):
-    """(key, attribute path, kind) of each spec field of `cls`, found at RunConfig
-    attribute path `path`, in field order; each object in `_OBJECTS` is walked in
-    its place. A key is the spec's name, else the field's, under its top-level group."""
-    group = path.partition(".")[0]
+def _spec_fields(cls, group: str = ""):
+    """(key, attribute path, kind) of each spec field of `cls`, the RunConfig
+    attribute `group` if given, in field order; each object in `_OBJECTS` is
+    walked in its place. A key is the spec's name, else the field's, under its group."""
     for f in fields(cls):
-        at = f"{path}.{f.name}" if path else f.name
-        if at in _OBJECTS:
-            yield from _spec_fields(_OBJECTS[at], at)
+        if not group and f.name in _OBJECTS:
+            yield from _spec_fields(_OBJECTS[f.name], f.name)
         elif "spec" in f.metadata:
             kind, _, _, name = f.metadata["spec"]
             key = name or f.name
+            at = f"{group}.{f.name}" if group else f.name
             yield (f"{group}.{key}" if group else key), at, kind
 
 
@@ -204,7 +188,8 @@ class RunConfig:
     schemes: tuple[str, ...] = spec((), [str])
     filter_kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}",
                             name="filter")
-    target_quality: float | None = spec(None, float)
+    target_quality: float | None = spec(None, float, lambda v: 0 < v <= 100,
+                                        "target quality must lie in (0, 100]")
     weights: QoeWeights | None = None
     sim: SimConfig = field(default_factory=SimConfig)
     gamma: float = spec(10000.0, float)

@@ -19,48 +19,32 @@ class SimulationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EstimatorSpec:
-    """Harmonic-mean estimator over per-second samples or per-chunk throughputs."""
-
-    kind: str = spec("harmonic_seconds", str,
-                     lambda v: v in ("harmonic_seconds", "harmonic_chunks"),
-                     "unknown estimator kind {!r}", name="estimator_kind")
-    window: int = spec(20, int, lambda v: v >= 1, "estimator window must be >= 1",
-                       name="estimator_window")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
-
-
-@dataclass(frozen=True)
-class StartupRule:
-    """Playback enablement: fixed latency in seconds, or k chunks fully buffered."""
-
-    kind: str = spec("latency", str, lambda v: v in ("latency", "chunks_buffered"),
-                     "unknown startup rule {!r}", name="startup_kind")
-    value: float = spec(5.0, float, name="startup_value")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
-        if self.kind == "latency" and self.value < 0:
-            raise ConfigError("startup delay must be >= 0")
-        if self.kind == "chunks_buffered" and (self.value < 1 or self.value != int(self.value)):
-            raise ConfigError("chunks_buffered needs a whole count >= 1")
-
-
-@dataclass(frozen=True)
 class SimConfig:
-    """Session-level knobs; resume_margin_s of None means one chunk duration."""
+    """Session-level knobs. Playback starts after a fixed latency of
+    `startup_value` seconds, or once `startup_value` chunks are fully buffered.
+    The estimator is a harmonic mean over the last `estimator_window` per-second
+    samples or per-chunk throughputs. resume_margin_s of None means one chunk
+    duration."""
 
-    startup: StartupRule = StartupRule()
+    startup_kind: str = spec("latency", str, lambda v: v in ("latency", "chunks_buffered"),
+                             "unknown startup rule {!r}")
+    startup_value: float = spec(5.0, float)
     max_buffer_s: float = spec(120.0, float, lambda v: v > 0, "max buffer must be positive")
     resume_margin_s: float | None = spec(None, float)
     rtt_s: float = spec(0.07, float, lambda v: v >= 0, "rtt must be >= 0")
-    estimator: EstimatorSpec = EstimatorSpec()
+    estimator_kind: str = spec("harmonic_seconds", str,
+                               lambda v: v in ("harmonic_seconds", "harmonic_chunks"),
+                               "unknown estimator kind {!r}")
+    estimator_window: int = spec(20, int, lambda v: v >= 1, "estimator window must be >= 1")
     first_chunk_level: int | None = spec(None, int)
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+        kind, value = self.startup_kind, self.startup_value
+        if kind == "latency" and value < 0:
+            raise ConfigError("startup delay must be >= 0")
+        if kind == "chunks_buffered" and (value < 1 or value != int(value)):
+            raise ConfigError("chunks_buffered needs a whole count >= 1")
         if self.resume_margin_s is not None and not 0 < self.resume_margin_s < self.max_buffer_s:
             raise ConfigError("resume margin must lie in (0, max_buffer)")
 
@@ -106,19 +90,20 @@ def _recip(kbps: float) -> float:
     return 1.0 / kbps if kbps else math.inf
 
 
-def estimate_bandwidth(history: DownloadHistory, spec: EstimatorSpec) -> float:
-    """Harmonic mean of the most recent `window` samples; any non-positive sample -> 0."""
-    if spec.kind == "harmonic_seconds":
+def estimate_bandwidth(history: DownloadHistory, kind: str, window: int) -> float:
+    """Harmonic mean of the most recent `window` samples of the `kind` estimator's
+    list; any non-positive sample -> 0."""
+    if kind == "harmonic_seconds":
         samples, recips = history.second_samples, history._second_recips
     else:
         samples, recips = history.chunk_samples, history._chunk_recips
     if not samples:
         raise SimulationError("no throughput history yet; caller must bootstrap")
-    window = samples[-spec.window :]
-    if min(window) <= 0.0:
+    recent = samples[-window:]
+    if min(recent) <= 0.0:
         return 0.0
-    # the reciprocals of `window`, summed in the same order
-    return len(window) / sum(recips[-spec.window :])
+    # the reciprocals of `recent`, summed in the same order
+    return len(recent) / sum(recips[-window:])
 
 
 # Passes over its repeating trace that one download, or one request's RTT, may
@@ -131,9 +116,13 @@ _MAX_DOWNLOAD_PERIODS = 1000
 def _check_download_span(trace: BandwidthTrace, kilobits: float) -> None:
     """Refuse a download that needs more than _MAX_DOWNLOAD_PERIODS passes over
     the trace, so a vanishing link fails at once instead of being walked second
-    by second; an all-zero trace is left to the dry-spell guards."""
+    by second. An all-zero trace carries nothing, so it is refused before any
+    second is walked; any other trace carries data within each pass, so no walk
+    meets a run of zero samples longer than one period."""
     per_period = trace.kilobits_per_period
-    if 0.0 < per_period and per_period * _MAX_DOWNLOAD_PERIODS < kilobits:
+    if per_period == 0.0:
+        raise SimulationError("zero bandwidth over a full trace period")
+    if per_period * _MAX_DOWNLOAD_PERIODS < kilobits:
         raise SimulationError(
             f"link too slow: a {kilobits:g} kbit download needs over {_MAX_DOWNLOAD_PERIODS} "
             f"passes over trace {trace.name!r}, which carries {per_period:g} kbit per pass"
@@ -148,7 +137,6 @@ def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int)
     remaining = size_bytes * 8.0 / 1000.0
     _check_download_span(trace, remaining)
     t = float(start_clock)
-    dry = 0.0
     n = trace.duration_s
     while True:
         # A clock a hair under an integer counts as that second (float dust).
@@ -156,14 +144,9 @@ def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int)
         c = trace.samples[sec % n]
         span = float(sec + 1) - t
         if c > 0.0:
-            dry = 0.0
             if c * span >= remaining:
                 return t + remaining / c
             remaining -= c * span
-        else:
-            dry += span
-            if dry > n:
-                raise SimulationError("zero bandwidth over a full trace period")
         t = float(sec + 1)
 
 
@@ -257,13 +240,14 @@ class _Session:
         """Apply the latency startup rule at `clock`, within float dust of its due
         time. Returns the clock, raised to the due time if playback started
         there, and the due time while playback still waits for it."""
-        rule = self.config.startup
-        if self.startup_latency is not None or rule.kind != "latency":
+        config = self.config
+        if self.startup_latency is not None or config.startup_kind != "latency":
             return clock, None
-        if clock < rule.value - _TINY:
-            return clock, rule.value
-        self.startup_latency = rule.value
-        return max(clock, rule.value), None
+        due = config.startup_value
+        if clock < due - _TINY:
+            return clock, due
+        self.startup_latency = due
+        return max(clock, due), None
 
     def _close_stall(self) -> None:
         if self._stall_start is not None:
@@ -296,7 +280,7 @@ class _Session:
         clock, due = self._start_if_due(self.clock)
         x, played = self.buffer, self.play_accum
         playing = self.startup_latency is not None
-        remaining, dry = amount, 0.0
+        remaining = amount
         # run while data is due, the RTT runs (it ends below) or the gate drains
         while remaining > 0.0 if download else idle or x > amount + _TINY:
             if due is not None:
@@ -352,14 +336,8 @@ class _Session:
                 hd = (delta - x) / slope
                 if hd < h:
                     h, snap, done = hd, delta, False
-            if download and h > 0.0:
-                if c > 0.0:
-                    add_sample(sec, c)
-                    dry = 0.0
-                else:
-                    dry += h
-                    if dry > period + 1.0:
-                        raise SimulationError("zero bandwidth over a full trace period")
+            if download and h > 0.0 and c > 0.0:
+                add_sample(sec, c)
             # advance over [clock, clock + h)
             if h < 0:
                 raise SimulationError("negative interval")
@@ -388,9 +366,10 @@ class _Session:
 
     def _estimate(self) -> float:
         """The configured estimate; before any sample, the lowest track's average."""
-        spec, history = self.config.estimator, self.history
-        if (history.second_samples if spec.kind == "harmonic_seconds" else history.chunk_samples):
-            return estimate_bandwidth(history, spec)
+        config, history = self.config, self.history
+        kind = config.estimator_kind
+        if (history.second_samples if kind == "harmonic_seconds" else history.chunk_samples):
+            return estimate_bandwidth(history, kind, config.estimator_window)
         return self.manifest.avg_kbps[0]
 
     def run_chunk(self, i: int) -> None:
@@ -445,8 +424,8 @@ class _Session:
         self.scheme.observe_chunk(i, level, throughput)
         self.bytes_downloaded += size
         self.last_level = level
-        rule = self.config.startup
-        if rule.kind == "chunks_buffered" and i + 1 == int(rule.value):
+        config = self.config
+        if config.startup_kind == "chunks_buffered" and i + 1 == int(config.startup_value):
             self.startup_latency = dl_end
         # positional, in field order: chunk, level, bitrate_kbps, vmaf, dl_start_s,
         # dl_end_s, buffer_s, est_kbps, u, stall_s
@@ -512,7 +491,7 @@ def simulate_session(
     delta = manifest.chunk_duration_s
     if config.max_buffer_s <= delta:
         raise ConfigError("max buffer must exceed one chunk duration")
-    if config.startup.kind == "chunks_buffered" and int(config.startup.value) > manifest.n_chunks:
+    if config.startup_kind == "chunks_buffered" and int(config.startup_value) > manifest.n_chunks:
         raise ConfigError("chunks_buffered exceeds the video's chunk count")
     if config.first_chunk_level is not None and not 1 <= config.first_chunk_level <= manifest.n_levels:
         raise ConfigError("first_chunk_level outside manifest levels")

@@ -166,10 +166,9 @@ def _play(
     """Play buffer `x` over [t0, t0 + span) where the startup rule allows, `completed`
     chunks having arrived: (buffer left, stall_s)."""
     end = t0 + span
-    rule = config.startup
-    if rule.kind == "latency":
-        play_from = max(t0, rule.value)
-    elif completed >= int(rule.value):
+    if config.startup_kind == "latency":
+        play_from = max(t0, config.startup_value)
+    elif completed >= int(config.startup_value):
         play_from = t0
     else:
         play_from = end
@@ -182,9 +181,9 @@ def _request_start(
 ) -> tuple[float, float, float]:
     """Gate drain and RTT from a binned state: (buffer, clock, stall_s) when data starts."""
     x, t = x_key / _BINS_PER_S, t_key / _BINS_PER_S
-    rule = config.startup
+    kind, value = config.startup_kind, config.startup_value
     if x >= config.max_buffer_s and (
-        t >= rule.value if rule.kind == "latency" else chunk_index >= int(rule.value)
+        t >= value if kind == "latency" else chunk_index >= int(value)
     ):
         # Request gate: drain at play rate down to the resume level.
         resume = config.resume_level(manifest.chunk_duration_s)

@@ -28,7 +28,6 @@ from abrsim import (
     RateBased,
     SessionLog,
     SimConfig,
-    StartupRule,
     brute_force_optimal,
     build_scheme,
     cbf_filter,
@@ -180,11 +179,7 @@ def test_c04_cbf_dominance():
 
 def test_c05_oracle_equivalence():
     rng = random.Random(20260816)
-    startups = [
-        StartupRule("latency", 5.0),
-        StartupRule("latency", 0.0),
-        StartupRule("chunks_buffered", 1.0),
-    ]
+    startups = [("latency", 5.0), ("latency", 0.0), ("chunks_buffered", 1.0)]
     names = ["rb", "bba0", "rba", "mpc", "robustmpc", "pia", "piae", "quad", "cava"]
     started = time.perf_counter()
     dominance_checks = 0
@@ -203,7 +198,8 @@ def test_c05_oracle_equivalence():
             f"t{k}", tuple(rng.uniform(100.0, 6000.0) for _ in range(rng.randrange(3, 13)))
         )
         objective = OfflineObjective(80.0, rng.choice((0.0, 100.0, 10000.0)))
-        config = SimConfig(startup=startups[k % 3])
+        kind, value = startups[k % 3]
+        config = SimConfig(startup_kind=kind, startup_value=value)
 
         dp_levels, dp_value = offline_optimal(trace, manifest, objective, config)
         bf_levels, bf_value = brute_force_optimal(trace, manifest, objective, config)
@@ -283,7 +279,7 @@ def test_c06_complexity_contract():
 
 def test_c07_ramped_startup_trend():
     manifest = cbr_manifest((300, 750, 1200, 1850, 2850, 4300), n_chunks=200)
-    config = SimConfig(startup=StartupRule("latency", 10.0))
+    config = SimConfig(startup_kind="latency", startup_value=10.0)
 
     def early_mean_kbps(log: SessionLog) -> float:
         rows = [d.bitrate_kbps for d in log.decisions if d.dl_start_s < 120.0]

@@ -235,6 +235,19 @@ def test_run_cbf_filter_echoes_allowed_levels(workdir):
         assert row.split(",")[-1] == "|".join(str(l) for l in caps[i])
 
 
+@pytest.mark.parametrize("target", ["150", "-5", "0"])
+def test_run_impossible_target_quality_exits_2(workdir, capsys, target):
+    tmp, manifest, trace = workdir
+    out = tmp / "out"
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], scheme="rb",
+        out_dir=str(out),
+    )
+    assert main(["run", "--config", str(config), "--target-quality", target]) == 2
+    assert "target quality must lie in (0, 100]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_infinite_trace_sample_exits_2(workdir, capsys):
     tmp, manifest, _ = workdir
     trace = tmp / "inf.csv"

@@ -13,10 +13,8 @@ from abrsim.engine import (
     ConfigError,
     DownloadHistory,
     _MAX_DOWNLOAD_PERIODS,
-    EstimatorSpec,
     SimConfig,
     SimulationError,
-    StartupRule,
     advance_download,
     estimate_bandwidth,
     simulate_session,
@@ -48,10 +46,10 @@ class CycleScheme(AbrScheme):
 
 def fast_config(**kw) -> SimConfig:
     base = dict(
-        startup=StartupRule("latency", 0.0),
+        startup_kind="latency", startup_value=0.0,
         max_buffer_s=1e9,
         rtt_s=0.0,
-        estimator=EstimatorSpec("harmonic_seconds", 20),
+        estimator_kind="harmonic_seconds", estimator_window=20,
     )
     base.update(kw)
     return SimConfig(**base)
@@ -107,34 +105,34 @@ class TestAdvanceDownload:
 class TestEstimateBandwidth:
     def test_constant_series(self):
         hist = DownloadHistory(second_samples=[1000.0, 1000.0, 1000.0])
-        assert estimate_bandwidth(hist, EstimatorSpec("harmonic_seconds", 20)) == 1000.0
+        assert estimate_bandwidth(hist, "harmonic_seconds", 20) == 1000.0
 
     def test_harmonic_mean_two_values(self):
         hist = DownloadHistory(second_samples=[1000.0, 4000.0])
-        got = estimate_bandwidth(hist, EstimatorSpec("harmonic_seconds", 20))
+        got = estimate_bandwidth(hist, "harmonic_seconds", 20)
         assert got == pytest.approx(1600.0, rel=1e-12)
 
     def test_window_takes_most_recent(self):
         hist = DownloadHistory(second_samples=[99999.0, 1000.0, 4000.0])
-        got = estimate_bandwidth(hist, EstimatorSpec("harmonic_seconds", 2))
+        got = estimate_bandwidth(hist, "harmonic_seconds", 2)
         assert got == pytest.approx(1600.0, rel=1e-12)
 
     def test_chunks_mode(self):
         hist = DownloadHistory(chunk_samples=[2000.0] * 5)
-        assert estimate_bandwidth(hist, EstimatorSpec("harmonic_chunks", 5)) == 2000.0
+        assert estimate_bandwidth(hist, "harmonic_chunks", 5) == 2000.0
 
     def test_zero_sample_gives_zero(self):
         hist = DownloadHistory(second_samples=[1000.0, 0.0])
-        assert estimate_bandwidth(hist, EstimatorSpec("harmonic_seconds", 20)) == 0.0
+        assert estimate_bandwidth(hist, "harmonic_seconds", 20) == 0.0
 
     def test_empty_history_raises(self):
         with pytest.raises(SimulationError):
-            estimate_bandwidth(DownloadHistory(), EstimatorSpec("harmonic_seconds", 20))
+            estimate_bandwidth(DownloadHistory(), "harmonic_seconds", 20)
 
     @given(st.lists(st.floats(min_value=1.0, max_value=1e6), min_size=1, max_size=30))
     def test_harmonic_at_most_arithmetic(self, samples):
         hist = DownloadHistory(second_samples=list(samples))
-        got = estimate_bandwidth(hist, EstimatorSpec("harmonic_seconds", len(samples)))
+        got = estimate_bandwidth(hist, "harmonic_seconds", len(samples))
         assert got <= sum(samples) / len(samples) + 1e-9
 
 
@@ -179,7 +177,7 @@ class TestBufferDynamics:
 
     def test_rtt_delays_data_not_accounting(self):
         manifest = cbr_manifest([500, 1000], duration_s=2.0, n_chunks=2)
-        config = fast_config(startup=StartupRule("latency", 5.0), rtt_s=0.07)
+        config = fast_config(startup_kind="latency", startup_value=5.0, rtt_s=0.07)
         log = simulate_session(FixedScheme(2), constant_trace(8000, 10), manifest, config)
         d0, d1 = log.decisions
         assert d0.dl_start_s == 0.0
@@ -194,14 +192,14 @@ class TestBufferDynamics:
 
     def test_startup_latency_mid_fill_counts_stall(self):
         manifest = cbr_manifest([500, 1000], duration_s=2.0, n_chunks=3)
-        config = fast_config(startup=StartupRule("latency", 1.0))
+        config = fast_config(startup_kind="latency", startup_value=1.0)
         log = simulate_session(FixedScheme(1), constant_trace(500, 30), manifest, config)
         assert log.startup_latency_s == 1.0
         assert log.stalls == ((1.0, pytest.approx(1.0)),)
 
     def test_chunks_buffered_startup(self):
         manifest = cbr_manifest([500, 1000], duration_s=2.0, n_chunks=4)
-        config = fast_config(startup=StartupRule("chunks_buffered", 2))
+        config = fast_config(startup_kind="chunks_buffered", startup_value=2)
         log = simulate_session(FixedScheme(2), constant_trace(8000, 10), manifest, config)
         assert log.startup_latency_s == pytest.approx(0.5)
         assert log.stalls == ()
@@ -239,18 +237,18 @@ class TestBufferCap:
         return simulate_session(RateBased(), constant_trace(3000.0, 60), manifest, SimConfig(**config))
 
     def test_latency_startup_after_the_cap_fills(self):
-        log = self.cap_fill_session(startup=StartupRule("latency", 30.0), max_buffer_s=10.0)
+        log = self.cap_fill_session(startup_kind="latency", startup_value=30.0, max_buffer_s=10.0)
         assert log.final_buffer_s == 16.0
         assert log.play_time_s == 0.0 and log.stall_total_s == 0.0
         # The last chunk arrives at 4.56 s, before the 30 s startup, and a
         # session that never starts playing reports its end clock, exactly as
         # one whose cap is never reached does.
         assert log.startup_latency_s == log.end_clock_s == pytest.approx(4.56)
-        uncapped = self.cap_fill_session(startup=StartupRule("latency", 30.0))
+        uncapped = self.cap_fill_session(startup_kind="latency", startup_value=30.0)
         assert log.decisions == uncapped.decisions
 
     def test_chunk_count_startup_past_the_cap(self):
-        log = self.cap_fill_session(startup=StartupRule("chunks_buffered", 6.0), max_buffer_s=10.0)
+        log = self.cap_fill_session(startup_kind="chunks_buffered", startup_value=6.0, max_buffer_s=10.0)
         buffers = [d.buffer_s for d in log.decisions]
         # 12 s are buffered when the sixth chunk starts playback; the gate then
         # drains to the resume level (cap minus one chunk) before chunk 6.
@@ -357,13 +355,13 @@ class TestEstimatorIntegration:
     def test_chunks_mode_uses_chunk_throughput(self):
         manifest = self.make()
         trace = BandwidthTrace("ramp", (1000.0,) + (4000.0,) * 40)
-        config = fast_config(estimator=EstimatorSpec("harmonic_chunks", 5))
+        config = fast_config(estimator_kind="harmonic_chunks", estimator_window=5)
         log = simulate_session(FixedScheme(2), trace, manifest, config)
         assert log.decisions[1].est_kbps == pytest.approx(2000.0)  # 3000 kb / 1.5 s
 
     def test_rtt_excluded_from_chunk_throughput(self):
         manifest = self.make()
-        config = fast_config(estimator=EstimatorSpec("harmonic_chunks", 5), rtt_s=0.5)
+        config = fast_config(estimator_kind="harmonic_chunks", estimator_window=5, rtt_s=0.5)
         log = simulate_session(FixedScheme(2), constant_trace(3000, 60), manifest, config)
         assert log.decisions[1].est_kbps == pytest.approx(3000.0)
 
@@ -422,21 +420,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(rtt_s=-0.1)
         with pytest.raises(ConfigError):
-            EstimatorSpec("median", 5)
+            SimConfig(estimator_kind="median", estimator_window=5)
         with pytest.raises(ConfigError):
-            EstimatorSpec("harmonic_seconds", 0)
+            SimConfig(estimator_kind="harmonic_seconds", estimator_window=0)
         with pytest.raises(ConfigError):
-            StartupRule("latency", -1.0)
+            SimConfig(startup_kind="latency", startup_value=-1.0)
         with pytest.raises(ConfigError):
-            StartupRule("chunks_buffered", 0)
+            SimConfig(startup_kind="chunks_buffered", startup_value=0)
         with pytest.raises(ConfigError):
-            StartupRule("warp", 1.0)
+            SimConfig(startup_kind="warp", startup_value=1.0)
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: EstimatorSpec("harmonic_seconds", 2.5),
-            lambda: EstimatorSpec("harmonic_seconds", True),
+            lambda: SimConfig(estimator_kind="harmonic_seconds", estimator_window=2.5),
+            lambda: SimConfig(estimator_kind="harmonic_seconds", estimator_window=True),
             lambda: SimConfig(first_chunk_level=1.5),
             lambda: SimConfig(first_chunk_level=True),
         ],
@@ -453,9 +451,9 @@ class TestConfigValidation:
             lambda: SimConfig(max_buffer_s=float("inf")),
             lambda: SimConfig(rtt_s=float("nan")),
             lambda: SimConfig(rtt_s=float("inf")),
-            lambda: StartupRule("latency", float("nan")),
-            lambda: StartupRule("latency", float("inf")),
-            lambda: StartupRule("chunks_buffered", float("nan")),
+            lambda: SimConfig(startup_kind="latency", startup_value=float("nan")),
+            lambda: SimConfig(startup_kind="latency", startup_value=float("inf")),
+            lambda: SimConfig(startup_kind="chunks_buffered", startup_value=float("nan")),
         ],
         ids=[
             "max_buffer-nan",
@@ -495,7 +493,7 @@ class TestConfigValidation:
             simulate_session(FixedScheme(1), trace, manifest, fast_config(max_buffer_s=1.0))
         with pytest.raises(ConfigError, match="chunk count"):
             simulate_session(
-                FixedScheme(1), trace, manifest, fast_config(startup=StartupRule("chunks_buffered", 5))
+                FixedScheme(1), trace, manifest, fast_config(startup_kind="chunks_buffered", startup_value=5)
             )
         with pytest.raises(ConfigError, match="first_chunk_level"):
             simulate_session(FixedScheme(1), trace, manifest, fast_config(first_chunk_level=9))
@@ -536,7 +534,7 @@ class TestNoStallWithAmpleBandwidth:
         bitrates = sorted(bitrates)
         manifest = cbr_manifest(bitrates, duration_s=delta, n_chunks=n_chunks)
         trace = constant_trace(max(bitrates) * headroom, 10)
-        config = fast_config(startup=StartupRule("chunks_buffered", 1))
+        config = fast_config(startup_kind="chunks_buffered", startup_value=1)
         log = simulate_session(CycleScheme(), trace, manifest, config)
         assert log.stall_total_s == 0.0
         assert log.stalls == ()

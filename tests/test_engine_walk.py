@@ -25,11 +25,9 @@ from abrsim.engine import (
     _TINY,
     ConfigError,
     Decision,
-    EstimatorSpec,
     SessionLog,
     SimConfig,
     SimulationError,
-    StartupRule,
     _normalize_allowed,
     _Session,
     simulate_session,
@@ -57,14 +55,14 @@ class _ReferenceHistory:
         self.estimates.append(kbps)
 
 
-def _reference_estimate(history: _ReferenceHistory, spec: EstimatorSpec) -> float:
-    if spec.kind == "harmonic_seconds":
+def _reference_estimate(history: _ReferenceHistory, kind: str, window_size: int) -> float:
+    if kind == "harmonic_seconds":
         samples = history.second_samples
     else:
         samples = history.chunk_samples
     if not samples:
         raise SimulationError("no throughput history yet; caller must bootstrap")
-    window = samples[-spec.window :]
+    window = samples[-window_size:]
     if min(window) <= 0.0:
         return 0.0
     return len(window) / sum(1.0 / v for v in window)
@@ -105,7 +103,7 @@ class _ReferenceSession:
         self._stall_acc = 0.0
         self.startup_latency: float | None = None
         self.decisions: list[Decision] = []
-        if config.startup.kind == "latency" and config.startup.value == 0.0:
+        if config.startup_kind == "latency" and config.startup_value == 0.0:
             self._enable_playback(0.0)
 
     # -- playback/stall regime ------------------------------------------------
@@ -116,9 +114,9 @@ class _ReferenceSession:
             self.startup_latency = clock
 
     def _startup_pending_at(self) -> float | None:
-        if self.st.playing or self.config.startup.kind != "latency":
+        if self.st.playing or self.config.startup_kind != "latency":
             return None
-        return self.config.startup.value
+        return self.config.startup_value
 
     def _regime(self, fill: float) -> tuple[float, float, float]:
         """(buffer slope, play rate, stall rate) for the current state and fill rate."""
@@ -249,13 +247,15 @@ class _ReferenceSession:
     # -- chunk lifecycle --------------------------------------------------
 
     def _estimate(self) -> float:
-        if self.config.estimator.kind == "harmonic_seconds":
+        if self.config.estimator_kind == "harmonic_seconds":
             have = bool(self.history.second_samples)
         else:
             have = bool(self.history.chunk_samples)
         if not have:
             return self.manifest.avg_kbps[0]
-        return _reference_estimate(self.history, self.config.estimator)
+        return _reference_estimate(
+            self.history, self.config.estimator_kind, self.config.estimator_window
+        )
 
     def _clamp_to_allowed(self, level: int, allowed: tuple[int, ...]) -> int:
         below = [lvl for lvl in allowed if lvl <= level]
@@ -310,8 +310,9 @@ class _ReferenceSession:
         self.scheme.observe_chunk(i, level, throughput)
         self.st.bytes_downloaded += size
         self.st.last_level = level
-        rule = self.config.startup
-        if rule.kind == "chunks_buffered" and not self.st.playing and i + 1 >= int(rule.value):
+        config = self.config
+        if (config.startup_kind == "chunks_buffered" and not self.st.playing
+                and i + 1 >= int(config.startup_value)):
             self._enable_playback(self.st.clock)
         self.decisions.append(
             Decision(
@@ -340,7 +341,7 @@ def _reference_simulate(
     delta = manifest.chunk_duration_s
     if config.max_buffer_s <= delta:
         raise ConfigError("max buffer must exceed one chunk duration")
-    if config.startup.kind == "chunks_buffered" and int(config.startup.value) > manifest.n_chunks:
+    if config.startup_kind == "chunks_buffered" and int(config.startup_value) > manifest.n_chunks:
         raise ConfigError("chunks_buffered exceeds the video's chunk count")
     if config.first_chunk_level is not None and not 1 <= config.first_chunk_level <= manifest.n_levels:
         raise ConfigError("first_chunk_level outside manifest levels")
@@ -419,9 +420,9 @@ def _manifests(draw):
 def _configs(draw, manifest):
     delta = manifest.chunk_duration_s
     if draw(st.booleans()):
-        startup = StartupRule("latency", draw(st.sampled_from((0.0, 0.5, 3.0, 9.0))))
+        startup = ("latency", draw(st.sampled_from((0.0, 0.5, 3.0, 9.0))))
     else:
-        startup = StartupRule("chunks_buffered", float(draw(st.integers(1, manifest.n_chunks))))
+        startup = ("chunks_buffered", float(draw(st.integers(1, manifest.n_chunks))))
     margin = None
     if draw(st.booleans()):
         cap = draw(st.sampled_from((1.5, 2.5, 4.0))) * delta
@@ -430,14 +431,13 @@ def _configs(draw, manifest):
     else:
         cap = 120.0
     return SimConfig(
-        startup=startup,
+        startup_kind=startup[0],
+        startup_value=startup[1],
         max_buffer_s=cap,
         resume_margin_s=margin,
         rtt_s=draw(st.sampled_from((0.0, 0.07, 0.5, 1.0))),
-        estimator=EstimatorSpec(
-            draw(st.sampled_from(("harmonic_seconds", "harmonic_chunks"))),
-            draw(st.integers(1, 6)),
-        ),
+        estimator_kind=draw(st.sampled_from(("harmonic_seconds", "harmonic_chunks"))),
+        estimator_window=draw(st.integers(1, 6)),
         first_chunk_level=draw(st.none() | st.sampled_from(manifest.levels)),
     )
 
@@ -477,7 +477,7 @@ _STARTUP_MID_DOWNLOAD = (
     "rb",
     BandwidthTrace("one", (1000.0,)),
     cbr_manifest((800, 1600), duration_s=1.0, n_chunks=2),
-    SimConfig(startup=StartupRule("latency", 0.5), rtt_s=0.0),
+    SimConfig(startup_kind="latency", startup_value=0.5, rtt_s=0.0),
     None,
 )
 
@@ -490,7 +490,7 @@ _STARTUP_AT_THE_GATE = (
     BandwidthTrace("one", (1000.0,)),
     cbr_manifest((500, 1000), duration_s=1.0, n_chunks=4),
     SimConfig(
-        startup=StartupRule("latency", 2.0), max_buffer_s=1.5, rtt_s=0.0, first_chunk_level=2
+        startup_kind="latency", startup_value=2.0, max_buffer_s=1.5, rtt_s=0.0, first_chunk_level=2
     ),
     None,
 )
@@ -502,7 +502,7 @@ _RTT_ACROSS_A_SECOND = (
     "rb",
     BandwidthTrace("two", (2000.0, 1000.0)),
     cbr_manifest((800, 1600), duration_s=1.0, n_chunks=2),
-    SimConfig(startup=StartupRule("latency", 0.0), rtt_s=0.5),
+    SimConfig(startup_kind="latency", startup_value=0.0, rtt_s=0.5),
     None,
 )
 
@@ -513,7 +513,7 @@ _STARTUP_MID_RTT = (
     "rb",
     BandwidthTrace("one", (1000.0,)),
     cbr_manifest((800, 1600), duration_s=1.0, n_chunks=3),
-    SimConfig(startup=StartupRule("latency", 1.5), rtt_s=0.5),
+    SimConfig(startup_kind="latency", startup_value=1.5, rtt_s=0.5),
     None,
 )
 
@@ -524,7 +524,7 @@ _RTT_ENDS_ON_A_SECOND = (
     "rb",
     BandwidthTrace("one", (1000.0,)),
     cbr_manifest((860, 1720), duration_s=1.0, n_chunks=2),
-    SimConfig(startup=StartupRule("latency", 0.0), rtt_s=0.07),
+    SimConfig(startup_kind="latency", startup_value=0.0, rtt_s=0.07),
     None,
 )
 
@@ -558,6 +558,34 @@ def test_startup_at_the_gate_example_starts_playback_in_the_precheck():
     session.run_chunk(2)
     assert session.startup_latency == 2.0
     assert session.decisions[2].dl_start_s == 3.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(session=_sessions())
+def test_session_work_is_bounded_by_its_clock_and_chunks(session):
+    """A completed session makes at most 2·(⌈end⌉ + 1) + 6·n + 1 interval calls.
+
+    Every interval has positive length and ends at one event: a trace second, a
+    leg's own end, the latency startup, or the buffer reaching one chunk. Clock
+    only advances, so each whole second up to ⌈end⌉ ends at most one interval.
+    Each of the n chunks has at most three leg ends (gate, RTT, download), and
+    startup happens at most once: at most ⌈end⌉ + 3n + 1 of these other events.
+    Between two of them the fill rate and the regime are fixed, so the buffer
+    meets one chunk at most once: having met it, it stays there or moves away
+    from it. So at most other + 1 intervals end there, and the total is at most
+    2·(⌈end⌉ + 3n + 1) + 1.
+    """
+    got, calls = _outcome(simulate_session, *session)
+    if isinstance(got, SessionLog):
+        n_chunks = session[2].n_chunks
+        assert len(calls) <= 2 * (math.ceil(got.end_clock_s) + 1) + 6 * n_chunks + 1
+
+
+def test_all_zero_trace_is_refused_before_any_interval():
+    got, calls = _outcome(simulate_session, "pia", BandwidthTrace("dead", (0.0,) * 5),
+                          cbr_manifest((300, 800), n_chunks=4), SimConfig(), None)
+    assert got == (SimulationError, "zero bandwidth over a full trace period")
+    assert calls == []
 
 
 # -- allowed-level sets -------------------------------------------------------------

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, vbr_manifest
-from abrsim.engine import DownloadHistory, SimConfig, StartupRule, advance_download
+from abrsim.engine import DownloadHistory, SimConfig, advance_download
 from abrsim.media import BandwidthTrace, MediaError
 from abrsim.metrics import (
     _BEAM_WIDTH,
@@ -247,18 +247,16 @@ def test_mpc_walk_all_sequences_tied():
 
 
 def _started(config, clock, completed):
-    rule = config.startup
-    if rule.kind == "latency":
-        return clock >= rule.value
-    return completed >= int(rule.value)
+    if config.startup_kind == "latency":
+        return clock >= config.startup_value
+    return completed >= int(config.startup_value)
 
 
 def _playback_window(config, t0, span, completed):
     """Seconds of [t0, t0+span) during which the startup rule permits playback."""
-    rule = config.startup
-    if rule.kind == "latency":
-        play_from = max(t0, rule.value)
-    elif completed >= int(rule.value):
+    if config.startup_kind == "latency":
+        play_from = max(t0, config.startup_value)
+    elif completed >= int(config.startup_value):
         play_from = t0
     else:
         play_from = t0 + span
@@ -364,16 +362,16 @@ def _oracle_instance(seed):
 CONFIGS = {
     "default": SimConfig(),
     "rtt0": SimConfig(rtt_s=0.0),
-    "latency0": SimConfig(startup=StartupRule("latency", 0.0)),
-    "latency0-rtt0": SimConfig(startup=StartupRule("latency", 0.0), rtt_s=0.0),
-    "chunks1": SimConfig(startup=StartupRule("chunks_buffered", 1.0)),
-    "chunks2-rtt0": SimConfig(startup=StartupRule("chunks_buffered", 2.0), rtt_s=0.0),
+    "latency0": SimConfig(startup_kind="latency", startup_value=0.0),
+    "latency0-rtt0": SimConfig(startup_kind="latency", startup_value=0.0, rtt_s=0.0),
+    "chunks1": SimConfig(startup_kind="chunks_buffered", startup_value=1.0),
+    "chunks2-rtt0": SimConfig(startup_kind="chunks_buffered", startup_value=2.0, rtt_s=0.0),
     "gate": SimConfig(max_buffer_s=5.0, resume_margin_s=1.5, rtt_s=0.3),
     "gate-latency0": SimConfig(
-        startup=StartupRule("latency", 0.0), max_buffer_s=6.0, resume_margin_s=3.0
+        startup_kind="latency", startup_value=0.0, max_buffer_s=6.0, resume_margin_s=3.0
     ),
     "gate-chunks1-rtt0": SimConfig(
-        startup=StartupRule("chunks_buffered", 1.0), max_buffer_s=4.5, resume_margin_s=0.5,
+        startup_kind="chunks_buffered", startup_value=1.0, max_buffer_s=4.5, resume_margin_s=0.5,
         rtt_s=0.0,
     ),
 }

@@ -25,7 +25,7 @@ import abrsim
 import abrsim.cli
 from abrsim.cli import _KEYS, RunConfig, _kind
 from abrsim.control import ControlError, PidParams
-from abrsim.engine import EstimatorSpec, SimConfig, StartupRule
+from abrsim.engine import SimConfig
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
 from abrsim.schemes import SCHEMES, ConfigError, FilterSpec, Mpc, Pia, PiaStartup, build_scheme
@@ -100,6 +100,7 @@ PINNED_CASES = {
     "config grid.ki_values=[1]": "ConfigError: grid has no valid gain pair",
     "config jobs=0": "ConfigError: jobs must be >= 1",
     "config filter=\"3\"": "ConfigError: unknown filter kind '3'",
+    "config target_quality=101": "ConfigError: target quality must lie in (0, 100]",
     "config scheme=\"3\"": "ConfigError: unknown scheme '3'; choose from "
                            "bba0, cava, mpc, pia, piae, quad, rb, rba, robustmpc",
     "config deterministic=true": "ok",
@@ -141,7 +142,7 @@ PINNED_CASES = {
     "mpc lam=-1": "ConfigError: bad parameters for scheme 'mpc': lam must be >= 0",
 }
 # sha256 of the sorted "case\toutcome" lines of the whole table
-TABLE_SHA256 = "55f3db9f12ef9ca00a7ca93b1518752d07dd702d264cc12578172dcd3a94cd43"
+TABLE_SHA256 = "6b640e59ba963751de3012d33ab5010db89b1c86e5d9f2f42c3e12789bded7ad"
 
 
 @pytest.fixture(scope="module")
@@ -205,9 +206,9 @@ PYTHON_BUILT = {
     "manifest-number": (lambda: RunConfig(manifest_path=7), "manifest"),
     "traces-text": (lambda: RunConfig(trace_paths="t.csv"), "traces"),
     "filter-number": (lambda: RunConfig(filter_kind=3), "filter"),
-    "startup-kind-number": (lambda: StartupRule(kind=3), "startup_kind"),
-    "estimator-kind-number": (lambda: EstimatorSpec(kind=3), "estimator_kind"),
-    "estimator-window-text": (lambda: EstimatorSpec(window="2"), "estimator_window"),
+    "startup-kind-number": (lambda: SimConfig(startup_kind=3), "startup_kind"),
+    "estimator-kind-number": (lambda: SimConfig(estimator_kind=3), "estimator_kind"),
+    "estimator-window-text": (lambda: SimConfig(estimator_window="2"), "estimator_window"),
     # each heat-map cell is read, not coerced
     "heat-cell-fraction": (lambda: HeatMap(**{**_HEAT_TABLES, "heat": ((2.7,),)}, trace_count=3),
                            re.escape("heat[0][0]")),
@@ -298,7 +299,7 @@ def test_python_built_media_values_are_stored_as_read():
 
 # -- field specs ------------------------------------------------------------------
 
-SPEC_CLASSES = (PidParams, EstimatorSpec, StartupRule, SimConfig, FilterSpec,
+SPEC_CLASSES = (PidParams, SimConfig, FilterSpec,
                 QoeWeights, OfflineObjective, GainGrid, RunConfig,
                 *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
 # an annotation naming a number, str, bool, list (held as a tuple) or dict
@@ -350,10 +351,10 @@ KEYS_PINNED = [
     ("scheme", "scheme"), ("scheme_params", "scheme_params"), ("schemes", "schemes"),
     ("filter", "filter_kind"), ("target_quality", "target_quality"),
     ("weights.mu", "weights.mu"), ("weights.lam", "weights.lam"),
-    ("sim.startup_kind", "sim.startup.kind"), ("sim.startup_value", "sim.startup.value"),
+    ("sim.startup_kind", "sim.startup_kind"), ("sim.startup_value", "sim.startup_value"),
     ("sim.max_buffer_s", "sim.max_buffer_s"), ("sim.resume_margin_s", "sim.resume_margin_s"),
-    ("sim.rtt_s", "sim.rtt_s"), ("sim.estimator_kind", "sim.estimator.kind"),
-    ("sim.estimator_window", "sim.estimator.window"),
+    ("sim.rtt_s", "sim.rtt_s"), ("sim.estimator_kind", "sim.estimator_kind"),
+    ("sim.estimator_window", "sim.estimator_window"),
     ("sim.first_chunk_level", "sim.first_chunk_level"), ("gamma", "gamma"),
     ("reference_level", "reference_level"), ("include_oracle", "include_oracle"),
     ("grid.kp_values", "grid.kp_values"), ("grid.ki_values", "grid.ki_values"),
@@ -388,7 +389,7 @@ def test_readme_names_every_config_key():
 
 def test_readme_names_only_classes_that_exist():
     # a backticked span that opens with a CamelCase name, bare or under `abrsim.`:
-    # `SimConfig`, `StartupRule(kind=3)`, `abrsim.control.PidParams`
+    # `SimConfig`, `SimConfig(startup_kind=3)`, `abrsim.control.PidParams`
     named = set(re.findall(r"`(?:abrsim\.(?:\w+\.)?)?([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)\b",
                            README.read_text()))
     assert "SimConfig" in named

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace
-from abrsim.engine import Decision, SessionLog, SimConfig, StartupRule, simulate_session
+from abrsim.engine import Decision, SessionLog, SimConfig, simulate_session
 from abrsim.metrics import (
     LOW_QUALITY_VMAF,
     MetricsReport,
@@ -276,7 +276,7 @@ def test_chunk_stalls_reconcile_with_session_total():
     # to the session accumulator.
     manifest = cbr_manifest([400, 800], n_chunks=8)
     trace = constant_trace(300.0, 30)
-    config = SimConfig(startup=StartupRule(kind="latency", value=1.0))
+    config = SimConfig(startup_kind="latency", startup_value=1.0)
     log = simulate_session(RateBased(), trace, manifest, config)
     assert log.stall_total_s > 0.0
     chunk_sum = sum(d.stall_s for d in log.decisions)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
-from abrsim.engine import SimConfig, StartupRule, advance_download, simulate_session
+from abrsim.engine import SimConfig, advance_download, simulate_session
 from abrsim.media import BandwidthTrace
 from abrsim.metrics import (
     OfflineObjective,
@@ -140,14 +140,8 @@ def _random_instance(rng):
         target_quality=rng.choice([70.0, 80.0, 90.0]),
         gamma=rng.choice([0.0, 100.0, 10000.0]),
     )
-    startup = rng.choice(
-        [
-            StartupRule(kind="latency", value=5.0),
-            StartupRule(kind="latency", value=0.0),
-            StartupRule(kind="chunks_buffered", value=1.0),
-        ]
-    )
-    config = SimConfig(startup=startup)
+    kind, value = rng.choice([("latency", 5.0), ("latency", 0.0), ("chunks_buffered", 1.0)])
+    config = SimConfig(startup_kind=kind, startup_value=value)
     return trace, manifest, objective, config
 
 
@@ -183,7 +177,7 @@ def test_dp_matches_brute_force_with_tight_buffer_cap():
     # Small cap exercises the request gate: the session drains to the resume
     # level before each new request once the cap is hit.
     manifest = cbr_manifest([500, 1000], n_chunks=5, vmafs=[70.0, 90.0])
-    config = SimConfig(startup=StartupRule(kind="latency", value=0.5), max_buffer_s=6.0)
+    config = SimConfig(startup_kind="latency", startup_value=0.5, max_buffer_s=6.0)
     objective = OfflineObjective(80.0, gamma=100.0)
     dp_seq, dp_value = offline_optimal(FAST, manifest, objective, config)
     bf_seq, bf_value = brute_force_optimal(FAST, manifest, objective, config, limit=10**6)
@@ -231,7 +225,7 @@ def test_model_keeps_content_past_the_cap_as_the_engine_does():
     n = 20
     trace = constant_trace(3000.0, 60)
     manifest = cbr_manifest([400, 800], n_chunks=n, vmafs=[70.0, 90.0])
-    config = SimConfig(startup=StartupRule("latency", 0.0), max_buffer_s=9.0)
+    config = SimConfig(startup_kind="latency", startup_value=0.0, max_buffer_s=9.0)
     x_key = t_key = 0
     stall = 0.0
     for i in range(n):

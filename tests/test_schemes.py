@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from _builders import cbr_manifest, constant_trace, vbr_manifest
 from abrsim.cli import noisy_bandwidth
 from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams
-from abrsim.engine import DownloadHistory, SimConfig, StartupRule, simulate_session
+from abrsim.engine import DownloadHistory, SimConfig, simulate_session
 from abrsim.media import MediaError, classify_chunks
 from abrsim.schemes import (
     SCHEMES,
@@ -1112,7 +1112,7 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_every_scheme_completes_a_session(self, name):
         trace = constant_trace(3000.0, 60)
-        config = SimConfig(startup=StartupRule("latency", 0.0))
+        config = SimConfig(startup_kind="latency", startup_value=0.0)
         log = simulate_session(build_scheme(name, reference_level=2), trace, SMOKE_M, config)
         assert len(log.decisions) == 5
         assert all(1 <= d.level <= 3 for d in log.decisions)
@@ -1121,7 +1121,7 @@ class TestEngineIntegration:
     def test_pia_session_reports_u_and_integral(self):
         trace = constant_trace(3000.0, 60)
         log = simulate_session(
-            Pia(), trace, SMOKE_M, SimConfig(startup=StartupRule("latency", 0.0))
+            Pia(), trace, SMOKE_M, SimConfig(startup_kind="latency", startup_value=0.0)
         )
         assert all(d.u is not None for d in log.decisions)
 
@@ -1131,7 +1131,7 @@ class TestEngineIntegration:
     @pytest.mark.parametrize("name", ["pia", "piae", "cava", "quad"])
     def test_reused_instance_starts_each_session_fresh(self, name, first_level):
         trace = constant_trace(900.0, 60)
-        config = SimConfig(startup=StartupRule("latency", 0.0), first_chunk_level=first_level)
+        config = SimConfig(startup_kind="latency", startup_value=0.0, first_chunk_level=first_level)
         scheme = build_scheme(name, reference_level=2)
         first = simulate_session(scheme, trace, SMOKE_M, config)
         evals = scheme.eval_count
@@ -1177,7 +1177,7 @@ class TestEngineIntegration:
         allowed = allowed_from_filter(FilterSpec("cbf", 75.0), SMOKE_M)
         log = simulate_session(
             RateBased(), trace, SMOKE_M,
-            SimConfig(startup=StartupRule("latency", 0.0)),
+            SimConfig(startup_kind="latency", startup_value=0.0),
             allowed_levels=allowed,
         )
         caps = [max(levels) for levels in allowed]
