@@ -35,7 +35,6 @@ from .schemes import (
     FILTER_KINDS,
     AbrScheme,
     ConfigError,
-    FilterSpec,
     allowed_from_filter,
     build_scheme,
     require_quality,
@@ -317,12 +316,6 @@ def _write(out_dir: str, name: str, text: str) -> Path:
     return path
 
 
-def _allowed(config: RunConfig, manifest: VideoManifest):
-    """The config's prefilter applied to the manifest: allowed levels per chunk, or None."""
-    spec = FilterSpec(kind=config.filter_kind, target_quality=config.target_quality)
-    return allowed_from_filter(spec, manifest)
-
-
 def _session(scheme, trace, manifest, config: RunConfig, allowed):
     """(log, report) for one scheme on one trace."""
     log = simulate_session(scheme, trace, manifest, config.sim, allowed_levels=allowed)
@@ -340,7 +333,7 @@ def _decisions_csv(log: SessionLog, allowed) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, manifest, (trace,) = _job(args, one_trace=True)
-    allowed = _allowed(config, manifest)
+    allowed = allowed_from_filter(manifest, config.filter_kind, config.target_quality)
     scheme = build_scheme(config.scheme, config.scheme_params, target_quality=config.target_quality,
                           reference_level=config.reference_level)
     log, report = _session(scheme, trace, manifest, config, allowed)
@@ -393,7 +386,7 @@ def _compare_cell(task):
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config, manifest, traces = _job(args)
-    allowed = _allowed(config, manifest)
+    allowed = allowed_from_filter(manifest, config.filter_kind, config.target_quality)
     tasks = [(name, trace, manifest, config, allowed)
              for name in config.schemes or (config.scheme,) for trace in traces]
     if config.include_oracle:  # the oracle row is unfiltered

@@ -12,6 +12,7 @@ from .control import (
     bitrate_from_u,
     check_fields,
     pid_output,
+    read_value,
     spec,
 )
 from .media import VideoManifest, classify_chunks
@@ -22,9 +23,23 @@ if TYPE_CHECKING:
 # floor for bandwidth estimates inside objectives, so divisions stay finite
 _EST_FLOOR_KBPS = 1e-9
 
+# The most rollout evaluations one decision may make: MPC scores |L|^min(h, N)
+# sequences, a PID argmin h*|L| steps. MPC horizon 6 on 6 levels (46,656) is
+# admitted; a 600-chunk session takes about 18 s (2-core Xeon VM, Python 3.11).
+MAX_ROLLOUT_EVALS = 50_000
+
 
 class ConfigError(ValueError):
     """Invalid simulation, scheme, or filter configuration."""
+
+
+def _check_rollouts(scheme, evals: int) -> None:
+    """Refuse a horizon that costs a decision over MAX_ROLLOUT_EVALS evaluations.
+    `evals` is not printed: MPC's count on a long manifest can pass the
+    interpreter's limit on int-to-string digits."""
+    if evals > MAX_ROLLOUT_EVALS:
+        raise ConfigError(f"{scheme.name} horizon {scheme.horizon} needs more than "
+                          f"{MAX_ROLLOUT_EVALS} rollout evaluations per decision")
 
 
 def require_quality(manifest: VideoManifest) -> tuple[tuple[float, ...], ...]:
@@ -172,6 +187,9 @@ class Mpc(AbrScheme):
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
+
+    def reset(self, manifest: VideoManifest) -> None:
+        _check_rollouts(self, manifest.n_levels ** min(self.horizon, manifest.n_chunks))
 
     def decide(self, ctx: DecisionContext) -> int:
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
@@ -347,6 +365,10 @@ class Pia(_PidScheme):
     horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
     eta: float = spec(1.0, float, lambda v: v >= 0, "eta must be >= 0")
 
+    def reset(self, manifest: VideoManifest) -> None:
+        super().reset(manifest)
+        _check_rollouts(self, self.horizon * manifest.n_levels)
+
     def _kp(self, clock_s: float) -> float:
         return self.pid.kp
 
@@ -424,6 +446,7 @@ class Cava(_PidScheme):
 
     def reset(self, manifest: VideoManifest) -> None:
         super().reset(manifest)
+        _check_rollouts(self, 2 * self.horizon * manifest.n_levels)  # the argmin may run twice
         self._target_buffer = self.base_target_buffer_s
         n = manifest.n_levels
         ref = self.reference_level or (n + 1) // 2  # the spec refuses 0
@@ -519,20 +542,6 @@ class Quad(_PidScheme):
 FILTER_KINDS = ("none", "cbf", "tbf-", "tbf+")
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Quality prefilter selection: none, per-chunk cap, or track cap."""
-
-    kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}")
-    target_quality: float | None = spec(None, float)
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
-        q = self.target_quality
-        if self.kind != "none" and (q is None or not 0.0 < q <= 100.0):
-            raise ConfigError("filter needs a target quality in (0, 100]")
-
-
 def cbf_filter(manifest: VideoManifest, target_quality: float) -> tuple[tuple[int, ...], ...]:
     """Per-position allowed sets {1..cap} where cap's quality is closest to target."""
     quality = require_quality(manifest)
@@ -564,14 +573,21 @@ def tbf_filter(manifest: VideoManifest, target_quality: float, variant: str) -> 
     return min(max(below) + 1, manifest.n_levels)
 
 
-def allowed_from_filter(spec: FilterSpec, manifest: VideoManifest):
-    """Per-position allowed level sets for a filter spec; None when unfiltered."""
-    if spec.kind == "none":
+def allowed_from_filter(manifest: VideoManifest, kind: str, target_quality: float | None):
+    """Per-position allowed level sets for the prefilter `kind` (one of
+    FILTER_KINDS); None when unfiltered. A filter needs a target in (0, 100]."""
+    kind = read_value(ConfigError, "kind", kind, str)
+    if target_quality is not None:
+        target_quality = read_value(ConfigError, "target_quality", target_quality, float)
+    if kind not in FILTER_KINDS:
+        raise ConfigError(f"unknown filter kind {kind!r}")
+    if kind == "none":
         return None
-    if spec.kind == "cbf":
-        return cbf_filter(manifest, spec.target_quality)
-    variant = "minus" if spec.kind == "tbf-" else "plus"
-    cap = tbf_filter(manifest, spec.target_quality, variant)
+    if target_quality is None or not 0.0 < target_quality <= 100.0:
+        raise ConfigError("filter needs a target quality in (0, 100]")
+    if kind == "cbf":
+        return cbf_filter(manifest, target_quality)
+    cap = tbf_filter(manifest, target_quality, "minus" if kind == "tbf-" else "plus")
     return (tuple(range(1, cap + 1)),) * manifest.n_chunks
 
 

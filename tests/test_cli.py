@@ -248,6 +248,19 @@ def test_run_impossible_target_quality_exits_2(workdir, capsys, target):
     assert not out.exists()
 
 
+def test_run_horizon_over_the_rollout_limit_exits_2(workdir, capsys):
+    tmp, _, trace = workdir
+    manifest = write_manifest(tmp / "long.json", n=12)  # 3^12 sequences per decision
+    out = tmp / "out"
+    config = write_config(
+        tmp / "cfg.json", manifest=str(manifest), traces=[str(trace)], scheme="mpc",
+        scheme_params={"horizon": 12}, out_dir=str(out),
+    )
+    assert main(["run", "--config", str(config)]) == 2
+    assert "mpc horizon 12 needs more than 50000 rollout evaluations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_infinite_trace_sample_exits_2(workdir, capsys):
     tmp, manifest, _ = workdir
     trace = tmp / "inf.csv"

@@ -576,6 +576,7 @@ def test_session_work_is_bounded_by_its_clock_and_chunks(session):
     2·(⌈end⌉ + 3n + 1) + 1.
     """
     got, calls = _outcome(simulate_session, *session)
+    assert all(dt > 0.0 for _, dt, _ in calls)
     if isinstance(got, SessionLog):
         n_chunks = session[2].n_chunks
         assert len(calls) <= 2 * (math.ceil(got.end_clock_s) + 1) + 6 * n_chunks + 1

@@ -28,7 +28,15 @@ from abrsim.control import ControlError, PidParams
 from abrsim.engine import SimConfig
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
-from abrsim.schemes import SCHEMES, ConfigError, FilterSpec, Mpc, Pia, PiaStartup, build_scheme
+from abrsim.schemes import (
+    SCHEMES,
+    ConfigError,
+    Mpc,
+    Pia,
+    PiaStartup,
+    allowed_from_filter,
+    build_scheme,
+)
 from abrsim.tuning import GainGrid, HeatMap
 
 BAD_JSON = ("NaN", "Infinity", "1e400", "true", '"3"', "[1]", "{}", "-1", "0", "2.5", "101")
@@ -195,8 +203,8 @@ _HEAT_TABLES = dict(kp_values=(0.001,), ki_values=(1e-5,), valid=((True,),), hea
 PYTHON_BUILT = {
     "sim-margin-text": (lambda: SimConfig(resume_margin_s="1"), "resume_margin_s"),
     "sim-margin-bool": (lambda: SimConfig(resume_margin_s=True), "resume_margin_s"),
-    "filter-target-text": (lambda: FilterSpec("cbf", "80"), "target_quality"),
-    "filter-target-bool": (lambda: FilterSpec("cbf", True), "target_quality"),
+    "filter-target-text": (lambda: allowed_from_filter(None, "cbf", "80"), "target_quality"),
+    "filter-target-bool": (lambda: allowed_from_filter(None, "cbf", True), "target_quality"),
     "jobs-text": (lambda: RunConfig(jobs="2"), "jobs"),
     "jobs-fraction": (lambda: RunConfig(jobs=2.5), "jobs"),
     "oracle-text": (lambda: RunConfig(include_oracle="yes"), "include_oracle"),
@@ -299,7 +307,7 @@ def test_python_built_media_values_are_stored_as_read():
 
 # -- field specs ------------------------------------------------------------------
 
-SPEC_CLASSES = (PidParams, SimConfig, FilterSpec,
+SPEC_CLASSES = (PidParams, SimConfig,
                 QoeWeights, OfflineObjective, GainGrid, RunConfig,
                 *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
 # an annotation naming a number, str, bool, list (held as a tuple) or dict

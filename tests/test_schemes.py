@@ -15,13 +15,13 @@ from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams
 from abrsim.engine import DownloadHistory, SimConfig, simulate_session
 from abrsim.media import MediaError, classify_chunks
 from abrsim.schemes import (
+    MAX_ROLLOUT_EVALS,
     SCHEMES,
     BufferAwareRate,
     BufferBased,
     Cava,
     ConfigError,
     DecisionContext,
-    FilterSpec,
     Mpc,
     Pia,
     PiaStartup,
@@ -870,18 +870,17 @@ class TestFilters:
 
     def test_filter_spec_validation(self):
         with pytest.raises(ConfigError):
-            FilterSpec("cbf")
+            allowed_from_filter(FILTER_M, "cbf", None)
         with pytest.raises(ConfigError):
-            FilterSpec("cbf", 0.0)
+            allowed_from_filter(FILTER_M, "cbf", 0.0)
         with pytest.raises(ConfigError):
-            FilterSpec("nope", 80.0)
-        assert FilterSpec("none").kind == "none"
+            allowed_from_filter(FILTER_M, "nope", 80.0)
 
     def test_allowed_from_filter(self):
-        assert allowed_from_filter(FilterSpec("none"), FILTER_M) is None
-        assert allowed_from_filter(FilterSpec("cbf", 80.0), FILTER_M) == ((1, 2, 3),) * 3
-        assert allowed_from_filter(FilterSpec("tbf-", 80.0), TBF_M) == ((1, 2, 3),) * 3
-        assert allowed_from_filter(FilterSpec("tbf+", 80.0), TBF_M) == ((1, 2, 3, 4),) * 3
+        assert allowed_from_filter(FILTER_M, "none", None) is None
+        assert allowed_from_filter(FILTER_M, "cbf", 80.0) == ((1, 2, 3),) * 3
+        assert allowed_from_filter(TBF_M, "tbf-", 80.0) == ((1, 2, 3),) * 3
+        assert allowed_from_filter(TBF_M, "tbf+", 80.0) == ((1, 2, 3, 4),) * 3
 
     @given(
         data=st.data(),
@@ -1174,7 +1173,7 @@ class TestEngineIntegration:
 
     def test_cbf_filter_restricts_session_levels(self):
         trace = constant_trace(5000.0, 60)
-        allowed = allowed_from_filter(FilterSpec("cbf", 75.0), SMOKE_M)
+        allowed = allowed_from_filter(SMOKE_M, "cbf", 75.0)
         log = simulate_session(
             RateBased(), trace, SMOKE_M,
             SimConfig(startup_kind="latency", startup_value=0.0),
@@ -1184,3 +1183,48 @@ class TestEngineIntegration:
         assert all(d.level <= caps[d.chunk] for d in log.decisions)
         # after the bootstrap estimate settles, rb rides the cap (vmaf 75 == target)
         assert all(d.level == 2 for d in log.decisions[1:])
+
+
+# ------------------------------------------------------------ horizon limit
+
+LADDER3_12 = cbr_manifest([500, 1000, 2000], n_chunks=12)
+
+
+class TestHorizonLimit:
+    """A horizon that would cost one decision over MAX_ROLLOUT_EVALS rollout
+    evaluations is refused in `reset`, before the session walks anything."""
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Mpc(horizon=12), "mpc horizon 12 "),
+        (lambda: Pia(horizon=20_000), "pia horizon 20000 "),
+    ], ids=["mpc", "pia"])
+    def test_refused_before_any_interval(self, make, message):
+        scheme = make()
+
+        def walked(*args):
+            raise AssertionError("an interval was walked")
+
+        scheme.observe_interval = walked
+        with pytest.raises(ConfigError, match=message + "needs more than 50000 rollout evaluations"):
+            simulate_session(scheme, constant_trace(3000.0, 60), LADDER3_12, SimConfig())
+
+    def test_limit_counts_each_schemes_evaluations(self):
+        assert MAX_ROLLOUT_EVALS == 50_000
+        six = cbr_manifest([350, 600, 1000, 2000, 3000, 5000], n_chunks=12)
+        Mpc(horizon=6).reset(six)  # 6^6 = 46,656
+        with pytest.raises(ConfigError, match="mpc horizon 7 "):
+            Mpc(horizon=7).reset(six)
+        # 6^6000 has more digits than the interpreter will print
+        with pytest.raises(ConfigError, match="mpc horizon 1000000000 "):
+            Mpc(horizon=10**9).reset(cbr_manifest([350, 600, 1000, 2000, 3000, 5000], n_chunks=6000))
+        # only the chunks left count: 3^6 on a 6-chunk ladder
+        RobustMpc(horizon=12).reset(cbr_manifest([500, 1000, 2000], n_chunks=6))
+        with pytest.raises(ConfigError, match="robustmpc horizon 12 "):
+            RobustMpc(horizon=12).reset(LADDER3_12)
+        Pia(horizon=16_666).reset(LADDER3_12)  # 49,998
+        with pytest.raises(ConfigError, match="piae horizon 16667 "):
+            PiaStartup(horizon=16_667).reset(LADDER3_12)
+        # cava may run its argmin twice
+        Cava(horizon=8_333, inner_window=8_333).reset(LADDER3_12)
+        with pytest.raises(ConfigError, match="cava horizon 8334 "):
+            Cava(horizon=8_334, inner_window=8_334).reset(LADDER3_12)
