@@ -11,11 +11,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import MISSING, dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 
-from .control import ControlError, check_fields, read_json, read_value, require_finite, spec
+from .control import (MISSING, ControlError, Field, Record, check_fields, fields, read_json,
+                      read_value, replace, require_finite, spec)
 from .engine import SessionLog, SimConfig, SimulationError, simulate_session
 from .media import (
     BandwidthTrace,
@@ -175,8 +175,7 @@ def _spec_fields(cls, group: str = ""):
             yield (f"{group}.{key}" if group else key), at, kind
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One CLI job: media, traces, scheme choice, and output layout."""
 
     manifest_path: str | None = spec(None, str, name="manifest")
@@ -190,7 +189,7 @@ class RunConfig:
     target_quality: float | None = spec(None, float, lambda v: 0 < v <= 100,
                                         "target quality must lie in (0, 100]")
     weights: QoeWeights | None = None
-    sim: SimConfig = field(default_factory=SimConfig)
+    sim: SimConfig = Field(default_factory=SimConfig)
     gamma: float = spec(10000.0, float)
     reference_level: int | None = spec(None, int)
     include_oracle: bool = spec(False, bool)

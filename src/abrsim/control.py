@@ -1,11 +1,11 @@
-"""The PID-family schemes' control law and analytics, and the field reader
-(`read_value`, `spec`, `check_fields`) every parameter class checks its fields with."""
+"""The PID-family schemes' control law and analytics, the field reader
+(`read_value`, `spec`, `check_fields`) every parameter class checks its fields with,
+and `Record`, the base those classes declare their fields on."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
 
 DEFAULT_KP = 8.8e-3
 DEFAULT_KI = 3.6e-5
@@ -73,15 +73,111 @@ def require_finite(error: type[ValueError], **values) -> None:
         read_value(error, name, value, float)
 
 
+MISSING = object()  # the default of a field that has none
+
+
+class Field:
+    """One declared field of a `Record`, read as a `dataclasses.Field` is: `name`,
+    `type` (the annotation's text), `default`, `default_factory` and `metadata`."""
+
+    __slots__ = ("name", "type", "default", "default_factory", "metadata")
+
+    def __init__(self, default=MISSING, default_factory=MISSING, metadata=None):
+        self.name = self.type = None  # set when the class is built
+        self.default, self.default_factory = default, default_factory
+        self.metadata = metadata or {}
+
+
+class Record:
+    """A class whose annotated class attributes are its fields, in declaration
+    order, a base class's first (a redeclared field keeps the base's place).
+    The constructor takes the fields by position or name, fills defaults, then
+    calls `__post_init__`. A record is frozen: it compares and hashes by class
+    and fields, and refuses assignment with AttributeError (`__post_init__`
+    stores with `object.__setattr__`). A class declared `frozen=False`, and its
+    subclasses, is mutable and compares and hashes by identity."""
+
+    _fields: tuple[Field, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = {f.name: f for f in cls._fields}
+        for name, kind in vars(cls).get("__annotations__", {}).items():
+            value = vars(cls).get(name, MISSING)
+            f = own[name] = value if isinstance(value, Field) else Field(value)
+            f.name, f.type = name, kind
+            if f.default is not MISSING:
+                setattr(cls, name, f.default)
+            elif name in vars(cls):
+                delattr(cls, name)
+        cls._fields = tuple(own.values())
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        name = type(self).__name__
+        given = [f.name for f in self._fields[:len(args)]]
+        if len(args) > len(self._fields) or kwargs.keys() & given:
+            raise TypeError(f"{name}() takes each field once, by position or by name")
+        kwargs.update(zip(given, args))
+        for f in self._fields:
+            value = kwargs.pop(f.name, f.default)
+            if value is MISSING:
+                if f.default_factory is MISSING:
+                    raise TypeError(f"{name}() needs {f.name!r}")
+                value = f.default_factory()
+            object.__setattr__(self, f.name, value)
+        if kwargs:
+            raise TypeError(f"{name}() has no field {', '.join(map(repr, kwargs))}")
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def as_dict(self) -> dict:
+        """The fields by name, in order."""
+        return {f.name: getattr(self, f.name) for f in self._fields}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.as_dict().values()))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in self.as_dict().items())
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def fields(record) -> tuple[Field, ...]:
+    """The fields of a `Record` class or instance, in order."""
+    return record._fields
+
+
+def replace(record: Record, **changes) -> Record:
+    """A new record of `record`'s class with its fields and `changes`; it is built,
+    and so checked, anew."""
+    return type(record)(**(record.as_dict() | changes))
+
+
 def spec(default, kind, ok=None, message=None, name=None):
-    """A dataclass field that `check_fields` reads as `kind` by `read_value`'s rule,
+    """A record field that `check_fields` reads as `kind` by `read_value`'s rule,
     then bounds by `ok`, raising `message` (formatted with the value) if it fails;
     `name` is the field's name in errors. A MISSING default makes the field
     required, and a dict default is copied for each instance."""
     metadata = {"spec": (kind, ok, message, name)}
     if isinstance(default, dict):
-        return field(default_factory=default.copy, metadata=metadata)
-    return field(default=default, metadata=metadata)
+        return Field(default_factory=default.copy, metadata=metadata)
+    return Field(default, metadata=metadata)
 
 
 def check_fields(obj, error) -> None:
@@ -109,8 +205,7 @@ def check_fields(obj, error) -> None:
             raise error(message.format(value))
 
 
-@dataclass(frozen=True)
-class PidParams:
+class PidParams(Record):
     """PI controller gains plus setpoint weighting and anti-windup threshold."""
 
     kp: float = spec(DEFAULT_KP, float, lambda v: v > 0, "kp and ki must be positive")

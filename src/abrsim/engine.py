@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
-
-from .control import check_fields, spec
+from .control import Field, Record, check_fields, spec
 from .media import BandwidthTrace, VideoManifest
 from .schemes import AbrScheme, ConfigError, DecisionContext
 
@@ -18,8 +16,7 @@ class SimulationError(RuntimeError):
     """Session cannot proceed or violated an internal invariant."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """Session-level knobs. Playback starts after a fixed latency of
     `startup_value` seconds, or once `startup_value` chunks are fully buffered.
     The estimator is a harmonic mean over the last `estimator_window` per-second
@@ -54,19 +51,16 @@ class SimConfig:
         return max(self.max_buffer_s - margin, delta)
 
 
-@dataclass
-class DownloadHistory:
+class DownloadHistory(Record, frozen=False):
     """Observed throughput: per-second trace samples plus per-chunk means.
 
     Beside each sample list it keeps the samples' reciprocals (`inf` for a
     zero), so the harmonic estimator sums a slice instead of dividing anew."""
 
-    second_samples: list[float] = field(default_factory=list)
-    chunk_samples: list[float] = field(default_factory=list)
-    estimates: list[float] = field(default_factory=list)
-    _last_second: int = field(default=-1, repr=False)
-    _second_recips: list[float] = field(init=False, repr=False, compare=False)
-    _chunk_recips: list[float] = field(init=False, repr=False, compare=False)
+    second_samples: list[float] = Field(default_factory=list)
+    chunk_samples: list[float] = Field(default_factory=list)
+    estimates: list[float] = Field(default_factory=list)
+    _last_second: int = -1
 
     def __post_init__(self) -> None:
         self._second_recips = [_recip(v) for v in self.second_samples]
@@ -150,24 +144,36 @@ def advance_download(trace: BandwidthTrace, start_clock: float, size_bytes: int)
         t = float(sec + 1)
 
 
-@dataclass(slots=True)
 class Decision:
-    """One chunk's row of the session log, in `CSV_HEADER` order plus its stall time."""
+    """One chunk's row of the session log, in `CSV_HEADER` order plus its stall time.
+    The engine builds one per chunk, so it is a slotted class written out, not a
+    `Record`: mutable, unhashable, and equal to a `Decision` of equal fields."""
 
-    chunk: int
-    level: int
-    bitrate_kbps: float
-    vmaf: float | None
-    dl_start_s: float
-    dl_end_s: float
-    buffer_s: float
-    est_kbps: float
-    u: float | None
-    stall_s: float
+    __slots__ = ("chunk", "level", "bitrate_kbps", "vmaf", "dl_start_s", "dl_end_s",
+                 "buffer_s", "est_kbps", "u", "stall_s")
+    __hash__ = None
+
+    def __init__(self, chunk: int, level: int, bitrate_kbps: float, vmaf: float | None,
+                 dl_start_s: float, dl_end_s: float, buffer_s: float, est_kbps: float,
+                 u: float | None, stall_s: float) -> None:
+        self.chunk = chunk
+        self.level = level
+        self.bitrate_kbps = bitrate_kbps
+        self.vmaf = vmaf
+        self.dl_start_s = dl_start_s
+        self.dl_end_s = dl_end_s
+        self.buffer_s = buffer_s
+        self.est_kbps = est_kbps
+        self.u = u
+        self.stall_s = stall_s
+
+    def as_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    __eq__, __repr__ = Record.__eq__, Record.__repr__  # both read `as_dict`
 
 
-@dataclass(frozen=True)
-class SessionLog:
+class SessionLog(Record):
     """Complete deterministic record of one simulated session."""
 
     scheme_name: str
@@ -204,7 +210,9 @@ class SessionLog:
         return "\n".join(rows) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        data = self.as_dict()
+        data["decisions"] = [d.as_dict() for d in self.decisions]
+        return json.dumps(data, sort_keys=True, indent=2)
 
 
 class _Session:

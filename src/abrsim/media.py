@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field
-
-from .control import check_fields, read_json, read_value, spec
+from .control import MISSING, Record, check_fields, read_json, read_value, spec
 
 TRACE_HEADER = "t_s,bandwidth_kbps"
 
@@ -24,16 +22,14 @@ def _sample(t: int, value) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class BandwidthTrace:
+class BandwidthTrace(Record):
     """1 Hz bandwidth samples in kbps; zero-order hold between integer seconds.
 
     `kilobits_per_period`, the kilobits one pass over the samples carries, is
-    computed once and takes no part in equality or repr."""
+    computed once; it is an attribute, not a field."""
 
     name: str = spec(MISSING, str)
     samples: tuple[float, ...]
-    kilobits_per_period: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_fields(self, MediaError)
@@ -88,8 +84,7 @@ def parse_trace(text: str, name: str = "trace") -> BandwidthTrace:
     return BandwidthTrace(name, tuple(samples))
 
 
-@dataclass(frozen=True)
-class VideoManifest:
+class VideoManifest(Record):
     """A video's bitrate ladder, held as per-level rows.
 
     `declared_kbps[level - 1]` is a level's declared rate, `size_rows[level -
@@ -99,7 +94,7 @@ class VideoManifest:
     read: `avg_kbps[level - 1]`, total kilobits over total playback time;
     `rate_rows[level - 1][i]`, the bitrate of chunk i; and `quality_rows`, the
     vmaf rows, or None unless every chunk has a value. `check_levels` reads
-    the set of levels 1..L. The derived fields take no part in equality or repr.
+    the set of levels 1..L. The derived tables are attributes, not fields.
     """
 
     name: str = spec(MISSING, str)
@@ -108,10 +103,6 @@ class VideoManifest:
     declared_kbps: tuple[float, ...]
     size_rows: tuple[tuple[int, ...], ...]
     vmaf_rows: tuple[tuple[float | None, ...], ...]
-    avg_kbps: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    rate_rows: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
-    quality_rows: tuple[tuple[float, ...], ...] | None = field(init=False, repr=False, compare=False)
-    _level_set: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_fields(self, MediaError)

@@ -20,11 +20,9 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass
-
 from .engine import SessionLog, SimConfig, _read_levels, advance_download
 from .media import BandwidthTrace, VideoManifest
-from .control import check_fields, spec
+from .control import MISSING, Record, check_fields, spec
 from .schemes import ConfigError, require_quality
 
 LOW_QUALITY_VMAF = 60.0
@@ -35,8 +33,7 @@ _BEAM_WIDTH = 8  # states per chunk the upper-bound pass keeps
 # -- QoE ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QoeWeights:
+class QoeWeights(Record):
     """Penalty weights: mu per Mbps of switching, lam per second stalled."""
 
     mu: float = spec(MISSING, float, lambda v: v >= 0.0, "qoe weights must be >= 0")
@@ -77,8 +74,7 @@ _CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(Record):
     """Session summary; quality fields are None when metadata is missing."""
 
     avg_bitrate_kbps: float
@@ -101,7 +97,7 @@ class MetricsReport:
         return header + "\n" + ",".join(cells) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
 
 def session_metrics(
@@ -144,8 +140,7 @@ def session_metrics(
 # -- offline-optimal reference ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OfflineObjective:
+class OfflineObjective(Record):
     """Quality deviation plus switching cost plus gamma per second stalled."""
 
     target_quality: float = spec(MISSING, float, lambda v: 0.0 < v <= 100.0,

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .control import (
     ControlError,
+    Field,
     PidParams,
+    Record,
     anti_windup,
     bitrate_from_u,
     check_fields,
+    fields,
     pid_output,
     read_value,
+    replace,
     spec,
 )
 from .media import VideoManifest, classify_chunks
@@ -119,8 +122,7 @@ class RateBased(AbrScheme):
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
-@dataclass(eq=False)
-class BufferBased(AbrScheme):
+class BufferBased(AbrScheme, Record, frozen=False):
     """Map the buffer level linearly onto the rate ladder between two thresholds."""
 
     name = "bba0"
@@ -166,8 +168,7 @@ class BufferAwareRate(AbrScheme):
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
-@dataclass(eq=False)
-class Mpc(AbrScheme):
+class Mpc(AbrScheme, Record, frozen=False):
     """Exhaustive lookahead maximizing bitrate minus switch and stall penalties.
 
     Scores every level sequence over the horizon on a buffer rollout that
@@ -178,12 +179,12 @@ class Mpc(AbrScheme):
 
     name = "mpc"
     robust = False
+    eval_count = 0
 
     horizon: int = spec(5, int, lambda v: v >= 1, "mpc horizon must be >= 1")
     mu: float = spec(1.0, float, lambda v: v >= 0, "mu must be >= 0")
     lam: float | None = spec(None, float, lambda v: v >= 0, "lam must be >= 0")
     error_window: int = spec(5, int, lambda v: v >= 1, "error window must be >= 1")
-    eval_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -265,14 +266,13 @@ class RobustMpc(Mpc):
 _PID_KEYS = tuple(f.name for f in fields(PidParams))
 
 
-@dataclass(eq=False)
-class _PidScheme(AbrScheme):
+class _PidScheme(AbrScheme, Record, frozen=False):
     """Buffer-driven PI controller shared by the PID schemes: the integral fed by
     `observe_interval` toward `_target` (`freeze` suspends it), the PI step with
     setpoint weighting and anti-windup, and the rollout argmin. Subclasses supply
     `decide` and declare their other parameters as spec'd fields."""
 
-    pid: PidParams = field(default_factory=PidParams)
+    pid: PidParams = Field(default_factory=PidParams)
 
     def __post_init__(self) -> None:
         check_fields(self, ConfigError)
@@ -355,13 +355,12 @@ class _PidScheme(AbrScheme):
         return best_lvl
 
 
-@dataclass(eq=False)
 class Pia(_PidScheme):
     """PID controller on the buffer plus a short smoothing lookahead."""
 
     name = "pia"
 
-    pid: PidParams = field(default_factory=lambda: PidParams(beta=0.2))
+    pid: PidParams = Field(default_factory=lambda: PidParams(beta=0.2))
     horizon: int = spec(5, int, lambda v: v >= 1, "horizon must be >= 1")
     eta: float = spec(1.0, float, lambda v: v >= 0, "eta must be >= 0")
 
@@ -380,7 +379,6 @@ class Pia(_PidScheme):
         return self._argmin(ctx, u, kp, xr, 1.0, self.eta)
 
 
-@dataclass(eq=False)
 class PiaStartup(Pia):
     """Pia with ramped gain and buffer target for a faster startup phase: over the
     first tau seconds kp falls linearly from alpha*kp to kp and the target rises
@@ -389,7 +387,7 @@ class PiaStartup(Pia):
 
     name = "piae"
 
-    pid: PidParams = field(default_factory=PidParams)
+    pid: PidParams = Field(default_factory=PidParams)
     alpha: float = spec(4.0, float, lambda v: v > 1, "alpha must exceed 1")
     tau: float = spec(300.0, float, lambda v: v > 0, "tau must be positive")
 
@@ -419,7 +417,6 @@ class PiaStartup(Pia):
         return kp + (self.alpha * kp - kp) * (1.0 - clock_s / self.tau)
 
 
-@dataclass(eq=False)
 class Cava(_PidScheme):
     """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets; `reset`
     ranks the session manifest's positions into size quartiles."""
@@ -491,7 +488,6 @@ class Cava(_PidScheme):
         return self.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
 
 
-@dataclass(eq=False)
 class Quad(_PidScheme):
     """PID scheme that targets a quality value instead of maximal bitrate; it never
     forces the top level, so at saturation it still weighs quality."""
@@ -612,7 +608,7 @@ def build_scheme(name: str, raw: dict | None = None, *, target_quality: float | 
     class's fields, with the PidParams keys in place of `pid`. Each job-level
     value that is set reaches the schemes that declare it, and `raw` wins."""
     cls = scheme_class(name)
-    own = [f.name for f in fields(cls) if f.init] if is_dataclass(cls) else []
+    own = [f.name for f in fields(cls)] if issubclass(cls, Record) else []
     keys = [key for key in own if key != "pid"] + (list(_PID_KEYS) if "pid" in own else [])
     job = {"target_quality": target_quality, "reference_level": reference_level}
     params = {key: value for key, value in job.items() if key in keys and value is not None}

@@ -8,17 +8,14 @@ operating region is then grown greedily around the hottest cell.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, replace
-
-from .control import check_fields, is_valid_gain_pair, read_value, spec
+from .control import MISSING, Record, check_fields, is_valid_gain_pair, read_value, replace, spec
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
 from .schemes import ConfigError, Pia
 
 
-@dataclass(frozen=True)
-class GainGrid:
+class GainGrid(Record):
     """Strictly increasing kp/ki axes; validity comes from the damping band."""
 
     kp_values: tuple[float, ...] = spec(MISSING, [float])
@@ -43,8 +40,7 @@ class GainGrid:
         )
 
 
-@dataclass(frozen=True)
-class HeatMap:
+class HeatMap(Record):
     """Per-cell flag counts; invalid cells are masked, never silently zeroed."""
 
     kp_values: tuple[float, ...] = spec(MISSING, [float])
@@ -150,8 +146,7 @@ def sweep_gains(
     )
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Record):
     """Inclusive index bounds plus the gain ranges they span."""
 
     rows: tuple[int, int]

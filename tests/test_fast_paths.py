@@ -17,7 +17,6 @@ import itertools
 import math
 import pickle
 import random
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -39,7 +38,7 @@ from abrsim.metrics import (
     offline_optimal,
     score_sequence,
 )
-from abrsim.control import PidParams
+from abrsim.control import PidParams, replace
 from abrsim.schemes import (
     Cava,
     DecisionContext,

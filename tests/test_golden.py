@@ -176,7 +176,7 @@ GOLDEN_LOGS = {
 
 GOLDEN_LOG_JSON = {
     # (scheme, manifest, trace): sha256 of SessionLog.to_json(), which serializes
-    # every Decision field through `asdict`, stall_s and the stall list included
+    # every Decision field, stall_s and the stall list included
     ("pia", "vbr", "square7"):
         "31f56be25b4937cb3f9fe2192d89a41fd0ef2a6ca5613c6e094cf31fa55c8543",
     ("quad", "vbr", "noisy3"):

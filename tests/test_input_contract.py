@@ -16,7 +16,6 @@ import hashlib
 import inspect
 import json
 import re
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -24,7 +23,7 @@ import pytest
 import abrsim
 import abrsim.cli
 from abrsim.cli import _KEYS, RunConfig, _kind
-from abrsim.control import ControlError, PidParams
+from abrsim.control import ControlError, PidParams, Record, fields
 from abrsim.engine import SimConfig
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
 from abrsim.metrics import OfflineObjective, QoeWeights
@@ -55,7 +54,7 @@ def _config_json(key: str, bad: str) -> str:
 def _scheme_keys(name: str) -> list[str]:
     """Every `scheme_params` key the scheme takes: its constructor's fields, with
     the PID gains in place of `pid`."""
-    own = [f.name for f in fields(SCHEMES[name]) if f.init]
+    own = [f.name for f in fields(SCHEMES[name])]
     if "pid" not in own:
         return own
     return [key for key in own if key != "pid"] + [f.name for f in fields(PidParams)]
@@ -309,14 +308,14 @@ def test_python_built_media_values_are_stored_as_read():
 
 SPEC_CLASSES = (PidParams, SimConfig,
                 QoeWeights, OfflineObjective, GainGrid, RunConfig,
-                *(cls for cls in SCHEMES.values() if is_dataclass(cls)))
+                *(cls for cls in SCHEMES.values() if issubclass(cls, Record)))
 # an annotation naming a number, str, bool, list (held as a tuple) or dict
 _PLAIN = re.compile(r"\b(float|int|str|bool|tuple|dict)\b")
 
 
 @pytest.mark.parametrize("cls", SPEC_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_plain_field_carries_a_spec(cls):
-    plain = [f for f in fields(cls) if f.init and _PLAIN.search(f.type)]
+    plain = [f for f in fields(cls) if _PLAIN.search(f.type)]
     assert plain and [f.name for f in plain if "spec" not in f.metadata] == []
     # each __post_init__ on the chain of super() calls, from the class's own
     sources = []
@@ -330,10 +329,10 @@ def test_every_plain_field_carries_a_spec(cls):
 
 
 def test_every_scheme_takes_its_parameters_through_specs():
-    """A registered scheme is a spec'd dataclass (checked above) or takes no
+    """A registered scheme is a spec'd Record (checked above) or takes no
     constructor arguments."""
     unchecked = [name for name, cls in SCHEMES.items()
-                 if not (is_dataclass(cls) or cls.__init__ is object.__init__)]
+                 if not (issubclass(cls, Record) or cls.__init__ is object.__init__)]
     assert unchecked == []
 
 

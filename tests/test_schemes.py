@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
 from abrsim.cli import noisy_bandwidth
-from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams
+from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams, fields
 from abrsim.engine import DownloadHistory, SimConfig, simulate_session
 from abrsim.media import MediaError, classify_chunks
 from abrsim.schemes import (
