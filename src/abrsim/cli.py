@@ -14,8 +14,8 @@ import sys
 from operator import attrgetter
 from pathlib import Path
 
-from .control import (MISSING, ControlError, Field, Record, check_fields, fields, read_json,
-                      read_value, replace, require_finite, spec)
+from .control import (MISSING, ControlError, Field, Record, fields, read_json, read_value, replace,
+                      require_finite, spec)
 from .engine import SessionLog, SimConfig, SimulationError, simulate_session
 from .media import (
     BandwidthTrace,
@@ -168,14 +168,12 @@ def _spec_fields(cls, group: str = ""):
     for f in fields(cls):
         if not group and f.name in _OBJECTS:
             yield from _spec_fields(_OBJECTS[f.name], f.name)
-        elif "spec" in f.metadata:
-            kind, _, _, name = f.metadata["spec"]
-            key = name or f.name
+        elif f.kind is not None:
             at = f"{group}.{f.name}" if group else f.name
-            yield (f"{group}.{key}" if group else key), at, kind
+            yield (f"{group}.{f.key}" if group else f.key), at, f.kind
 
 
-class RunConfig(Record):
+class RunConfig(Record, error=ConfigError):
     """One CLI job: media, traces, scheme choice, and output layout."""
 
     manifest_path: str | None = spec(None, str, name="manifest")
@@ -200,7 +198,6 @@ class RunConfig(Record):
                                "runs are always deterministic; the flag cannot be disabled")
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
         for name in (self.scheme, *self.schemes):
             scheme_class(name)
 

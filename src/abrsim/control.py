@@ -1,6 +1,7 @@
 """The PID-family schemes' control law and analytics, the field reader
-(`read_value`, `spec`, `check_fields`) every parameter class checks its fields with,
-and `Record`, the base those classes declare their fields on."""
+(`read_value`, `spec`, `check_fields`), and `Record`, the base the parameter and
+log classes declare their fields on; a record checks its `spec` fields when built
+and raises its class's declared error."""
 
 from __future__ import annotations
 
@@ -23,11 +24,12 @@ _KIND_NAMES = {bool: "true or false", str: "a string", list: "a list", dict: "an
 
 
 def read_value(error, name: str, value, kind):
-    """`value`, as parsed from JSON, read as `kind`: float, int, bool, str, list,
-    dict, or `[kind]` for a list of that kind. A bool is never a number, an int
-    must be a whole number (an integral float reads as its int) and a float must
-    be finite (an int reads as its float). Anything else raises `error` (an
-    exception class, or a function from message to exception) naming `name`."""
+    """`value`, as parsed from JSON, read as `kind`: float, int, bool, str, list (a
+    tuple reads as one), dict, or `[kind]` for a list of that kind. A bool is never
+    a number, an int must be a whole number (an integral float reads as its int)
+    and a float must be finite (an int reads as its float). Anything else raises
+    `error` (an exception class, or a function from message to exception) naming
+    `name`."""
     if kind is float or kind is int:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             try:
@@ -43,6 +45,8 @@ def read_value(error, name: str, value, kind):
     if isinstance(kind, list):
         item = f"each item of {name}"
         return [read_value(error, item, v, kind[0]) for v in read_value(error, name, value, list)]
+    if kind is list and isinstance(value, tuple):  # a tuple reads as a list too
+        return list(value)
     if not isinstance(value, kind):
         raise error(f"{name} must be {_KIND_NAMES[kind]}, got {_shown(value)}")
     return value
@@ -77,40 +81,52 @@ MISSING = object()  # the default of a field that has none
 
 
 class Field:
-    """One declared field of a `Record`, read as a `dataclasses.Field` is: `name`,
-    `type` (the annotation's text), `default`, `default_factory` and `metadata`."""
+    """One declared field of a `Record`: `name`, `type` (the annotation's text),
+    `default` and `default_factory`, and for a `spec` field the `kind` it is read
+    as, its bound `ok` with the `message` raised when that fails, and the `key`
+    that names it in errors and config files (the field's name unless given)."""
 
-    __slots__ = ("name", "type", "default", "default_factory", "metadata")
+    __slots__ = ("name", "type", "default", "default_factory", "kind", "ok", "message", "key")
 
-    def __init__(self, default=MISSING, default_factory=MISSING, metadata=None):
+    def __init__(self, default=MISSING, default_factory=MISSING, kind=None, ok=None,
+                 message=None, key=None):
         self.name = self.type = None  # set when the class is built
         self.default, self.default_factory = default, default_factory
-        self.metadata = metadata or {}
+        self.kind, self.ok, self.message, self.key = kind, ok, message, key
 
 
 class Record:
     """A class whose annotated class attributes are its fields, in declaration
     order, a base class's first (a redeclared field keeps the base's place).
-    The constructor takes the fields by position or name, fills defaults, then
-    calls `__post_init__`. A record is frozen: it compares and hashes by class
-    and fields, and refuses assignment with AttributeError (`__post_init__`
-    stores with `object.__setattr__`). A class declared `frozen=False`, and its
-    subclasses, is mutable and compares and hashes by identity."""
+    The constructor takes the fields by position or name, fills defaults, checks
+    the `spec` fields by `check_fields` with the class's `error`, then calls
+    `__post_init__`. A class with a `spec` field names that error in its
+    declaration, `class SimConfig(Record, error=ConfigError)`, and its
+    subclasses inherit it; without one the class is refused with TypeError.
+    A record is frozen: it compares and hashes by class and fields, and refuses
+    assignment with AttributeError (`__post_init__` stores with
+    `object.__setattr__`). A class declared `frozen=False`, and its subclasses,
+    is mutable and compares and hashes by identity."""
 
     _fields: tuple[Field, ...] = ()
+    _error = None
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, frozen: bool = True, error=None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        if error is not None:
+            cls._error = error
         own = {f.name: f for f in cls._fields}
         for name, kind in vars(cls).get("__annotations__", {}).items():
             value = vars(cls).get(name, MISSING)
             f = own[name] = value if isinstance(value, Field) else Field(value)
-            f.name, f.type = name, kind
+            f.name, f.type, f.key = name, kind, f.key or name
             if f.default is not MISSING:
                 setattr(cls, name, f.default)
             elif name in vars(cls):
                 delattr(cls, name)
         cls._fields = tuple(own.values())
+        if cls._error is None and any(f.kind is not None for f in cls._fields):
+            raise TypeError(f"{cls.__name__} has spec fields but no error class")
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
@@ -130,6 +146,7 @@ class Record:
             object.__setattr__(self, f.name, value)
         if kwargs:
             raise TypeError(f"{name}() has no field {', '.join(map(repr, kwargs))}")
+        check_fields(self, self._error)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -172,12 +189,11 @@ def replace(record: Record, **changes) -> Record:
 def spec(default, kind, ok=None, message=None, name=None):
     """A record field that `check_fields` reads as `kind` by `read_value`'s rule,
     then bounds by `ok`, raising `message` (formatted with the value) if it fails;
-    `name` is the field's name in errors. A MISSING default makes the field
+    `name` is the field's key in errors. A MISSING default makes the field
     required, and a dict default is copied for each instance."""
-    metadata = {"spec": (kind, ok, message, name)}
     if isinstance(default, dict):
-        return Field(default_factory=default.copy, metadata=metadata)
-    return Field(default, metadata=metadata)
+        return Field(default_factory=default.copy, kind=kind, ok=ok, message=message, key=name)
+    return Field(default, kind=kind, ok=ok, message=message, key=name)
 
 
 def check_fields(obj, error) -> None:
@@ -186,26 +202,23 @@ def check_fields(obj, error) -> None:
     each bound in field order, so kinds are checked before ranges; raise `error`."""
     bounds = []
     for f in fields(obj):
-        if "spec" not in f.metadata:
+        if f.kind is None:
             continue
-        kind, ok, message, name = f.metadata["spec"]
         value = getattr(obj, f.name)
         if value is None and f.default is None:
             continue
-        if isinstance(kind, list) and isinstance(value, tuple):
-            value = list(value)  # a list kind is held as a tuple, so a caller may pass one
-        value = read_value(error, name or f.name, value, kind)
+        value = read_value(error, f.key, value, f.kind)
         if isinstance(value, (list, dict)):  # held as a copy, a list as a tuple
             value = tuple(value) if isinstance(value, list) else dict(value)
         object.__setattr__(obj, f.name, value)
-        if ok is not None:
-            bounds.append((ok, value, message))
+        if f.ok is not None:
+            bounds.append((f.ok, value, f.message))
     for ok, value, message in bounds:
         if not ok(value):
             raise error(message.format(value))
 
 
-class PidParams(Record):
+class PidParams(Record, error=ControlError):
     """PI controller gains plus setpoint weighting and anti-windup threshold."""
 
     kp: float = spec(DEFAULT_KP, float, lambda v: v > 0, "kp and ki must be positive")
@@ -214,9 +227,6 @@ class PidParams(Record):
     epsilon: float = spec(DEFAULT_EPSILON, float, lambda v: 0 < v < 1, "epsilon must lie in (0, 1)")
     target_buffer: float = spec(DEFAULT_TARGET_BUFFER_S, float, lambda v: v > 0,
                                 "target buffer must be positive")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ControlError)
 
 
 def pid_output(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from .control import Field, Record, check_fields, spec
+from .control import Field, Record, spec
 from .media import BandwidthTrace, VideoManifest
 from .schemes import AbrScheme, ConfigError, DecisionContext
 
@@ -16,7 +16,7 @@ class SimulationError(RuntimeError):
     """Session cannot proceed or violated an internal invariant."""
 
 
-class SimConfig(Record):
+class SimConfig(Record, error=ConfigError):
     """Session-level knobs. Playback starts after a fixed latency of
     `startup_value` seconds, or once `startup_value` chunks are fully buffered.
     The estimator is a harmonic mean over the last `estimator_window` per-second
@@ -36,7 +36,6 @@ class SimConfig(Record):
     first_chunk_level: int | None = spec(None, int)
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
         kind, value = self.startup_kind, self.startup_value
         if kind == "latency" and value < 0:
             raise ConfigError("startup delay must be >= 0")

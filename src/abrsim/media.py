@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from .control import MISSING, Record, check_fields, read_json, read_value, spec
+from .control import MISSING, Record, read_json, read_value, spec
 
 TRACE_HEADER = "t_s,bandwidth_kbps"
 
@@ -22,7 +22,7 @@ def _sample(t: int, value) -> float:
         return math.inf
 
 
-class BandwidthTrace(Record):
+class BandwidthTrace(Record, error=MediaError):
     """1 Hz bandwidth samples in kbps; zero-order hold between integer seconds.
 
     `kilobits_per_period`, the kilobits one pass over the samples carries, is
@@ -32,7 +32,6 @@ class BandwidthTrace(Record):
     samples: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        check_fields(self, MediaError)
         samples = tuple(self.samples)
         if not samples:
             raise MediaError("trace has no samples")
@@ -84,7 +83,7 @@ def parse_trace(text: str, name: str = "trace") -> BandwidthTrace:
     return BandwidthTrace(name, tuple(samples))
 
 
-class VideoManifest(Record):
+class VideoManifest(Record, error=MediaError):
     """A video's bitrate ladder, held as per-level rows.
 
     `declared_kbps[level - 1]` is a level's declared rate, `size_rows[level -
@@ -105,7 +104,6 @@ class VideoManifest(Record):
     vmaf_rows: tuple[tuple[float | None, ...], ...]
 
     def __post_init__(self) -> None:
-        check_fields(self, MediaError)
         declared = tuple(self.declared_kbps)
         sizes, vmafs = tuple(map(tuple, self.size_rows)), tuple(map(tuple, self.vmaf_rows))
         object.__setattr__(self, "declared_kbps", declared)
@@ -207,20 +205,17 @@ def classify_chunks(manifest: VideoManifest, reference_level: int) -> tuple[int,
     return tuple(classes)
 
 
-_REQUIRED = object()
-
-
 def _manifest_error(message: str) -> MediaError:
     # read_value's error hook: the prefix costs nothing on the ~10^4 reads that pass
     return MediaError(f"manifest field {message}")
 
 
-def _field(raw: dict, key: str, kind, default=_REQUIRED):
+def _field(raw: dict, key: str, kind, default=MISSING):
     """raw[key] read as `kind` by `control.read_value`; an absent or null key
     gives `default` and is a MediaError without one."""
     value = raw.get(key)
     if value is None:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise MediaError(f"manifest missing field {key!r}")
         return default
     return read_value(_manifest_error, key, value, kind)

@@ -22,7 +22,7 @@ import json
 import math
 from .engine import SessionLog, SimConfig, _read_levels, advance_download
 from .media import BandwidthTrace, VideoManifest
-from .control import MISSING, Record, check_fields, spec
+from .control import MISSING, Record, spec
 from .schemes import ConfigError, require_quality
 
 LOW_QUALITY_VMAF = 60.0
@@ -33,14 +33,11 @@ _BEAM_WIDTH = 8  # states per chunk the upper-bound pass keeps
 # -- QoE ----------------------------------------------------------------------
 
 
-class QoeWeights(Record):
+class QoeWeights(Record, error=ConfigError):
     """Penalty weights: mu per Mbps of switching, lam per second stalled."""
 
     mu: float = spec(MISSING, float, lambda v: v >= 0.0, "qoe weights must be >= 0")
     lam: float = spec(MISSING, float, lambda v: v >= 0.0, "qoe weights must be >= 0")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
 
 def default_weights(manifest: VideoManifest) -> QoeWeights:
@@ -140,15 +137,12 @@ def session_metrics(
 # -- offline-optimal reference ------------------------------------------------
 
 
-class OfflineObjective(Record):
+class OfflineObjective(Record, error=ConfigError):
     """Quality deviation plus switching cost plus gamma per second stalled."""
 
     target_quality: float = spec(MISSING, float, lambda v: 0.0 < v <= 100.0,
                                  "target quality must lie in (0, 100]")
     gamma: float = spec(10000.0, float, lambda v: v >= 0.0, "gamma must be >= 0")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
 
 def _bin(value: float) -> int:

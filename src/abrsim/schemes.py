@@ -11,7 +11,6 @@ from .control import (
     Record,
     anti_windup,
     bitrate_from_u,
-    check_fields,
     fields,
     pid_output,
     read_value,
@@ -122,7 +121,7 @@ class RateBased(AbrScheme):
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
-class BufferBased(AbrScheme, Record, frozen=False):
+class BufferBased(AbrScheme, Record, frozen=False, error=ConfigError):
     """Map the buffer level linearly onto the rate ladder between two thresholds."""
 
     name = "bba0"
@@ -131,7 +130,6 @@ class BufferBased(AbrScheme, Record, frozen=False):
     theta_high_s: float = spec(60.0, float)
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
         if self.theta_high_s <= self.theta_low_s:
             raise ConfigError("theta_high must exceed theta_low")
 
@@ -168,7 +166,7 @@ class BufferAwareRate(AbrScheme):
         return max(fits) if fits else min(ctx.allowed_levels)
 
 
-class Mpc(AbrScheme, Record, frozen=False):
+class Mpc(AbrScheme, Record, frozen=False, error=ConfigError):
     """Exhaustive lookahead maximizing bitrate minus switch and stall penalties.
 
     Scores every level sequence over the horizon on a buffer rollout that
@@ -185,9 +183,6 @@ class Mpc(AbrScheme, Record, frozen=False):
     mu: float = spec(1.0, float, lambda v: v >= 0, "mu must be >= 0")
     lam: float | None = spec(None, float, lambda v: v >= 0, "lam must be >= 0")
     error_window: int = spec(5, int, lambda v: v >= 1, "error window must be >= 1")
-
-    def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
 
     def reset(self, manifest: VideoManifest) -> None:
         _check_rollouts(self, manifest.n_levels ** min(self.horizon, manifest.n_chunks))
@@ -266,7 +261,7 @@ class RobustMpc(Mpc):
 _PID_KEYS = tuple(f.name for f in fields(PidParams))
 
 
-class _PidScheme(AbrScheme, Record, frozen=False):
+class _PidScheme(AbrScheme, Record, frozen=False, error=ConfigError):
     """Buffer-driven PI controller shared by the PID schemes: the integral fed by
     `observe_interval` toward `_target` (`freeze` suspends it), the PI step with
     setpoint weighting and anti-windup, and the rollout argmin. Subclasses supply
@@ -275,7 +270,6 @@ class _PidScheme(AbrScheme, Record, frozen=False):
     pid: PidParams = Field(default_factory=PidParams)
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
         if not isinstance(self.pid, PidParams):
             raise ConfigError(f"pid must be a PidParams, got {type(self.pid).__name__}")
         self.eval_count = 0

@@ -8,21 +8,20 @@ operating region is then grown greedily around the hottest cell.
 
 from __future__ import annotations
 
-from .control import MISSING, Record, check_fields, is_valid_gain_pair, read_value, replace, spec
+from .control import MISSING, Record, is_valid_gain_pair, read_value, replace, spec
 from .engine import SimConfig, simulate_session
 from .media import VideoManifest
 from .metrics import QoeWeights, qoe_score
 from .schemes import ConfigError, Pia
 
 
-class GainGrid(Record):
+class GainGrid(Record, error=ConfigError):
     """Strictly increasing kp/ki axes; validity comes from the damping band."""
 
     kp_values: tuple[float, ...] = spec(MISSING, [float])
     ki_values: tuple[float, ...] = spec(MISSING, [float])
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
         for name, axis in (("kp", self.kp_values), ("ki", self.ki_values)):
             if not axis:
                 raise ConfigError(f"{name} axis is empty")
@@ -40,7 +39,7 @@ class GainGrid(Record):
         )
 
 
-class HeatMap(Record):
+class HeatMap(Record, error=ConfigError):
     """Per-cell flag counts; invalid cells are masked, never silently zeroed."""
 
     kp_values: tuple[float, ...] = spec(MISSING, [float])
@@ -50,11 +49,11 @@ class HeatMap(Record):
     trace_count: int = spec(MISSING, int, lambda v: v >= 0, "trace count must be >= 0")
 
     def __post_init__(self) -> None:
-        check_fields(self, ConfigError)
         for name, kind in (("valid", bool), ("heat", int)):
-            table = tuple(tuple(read_value(ConfigError, f"{name}[{i}][{j}]", v, kind)
-                                for j, v in enumerate(_listed(f"{name}[{i}]", row)))
-                          for i, row in enumerate(_listed(name, getattr(self, name))))
+            rows = read_value(ConfigError, name, getattr(self, name), list)
+            table = tuple(tuple(read_value(ConfigError, f"{name}[{i}][{j}]", v, kind) for j, v
+                                in enumerate(read_value(ConfigError, f"{name}[{i}]", row, list)))
+                          for i, row in enumerate(rows))
             object.__setattr__(self, name, table)
             if len(table) != len(self.kp_values):
                 raise ConfigError(f"{name} must have one row per kp value")
@@ -71,11 +70,6 @@ class HeatMap(Record):
             for j, ki in enumerate(self.ki_values):
                 lines.append(f"{kp!r},{ki!r},{int(self.valid[i][j])},{self.heat[i][j]}")
         return "\n".join(lines) + "\n"
-
-
-def _listed(name: str, value) -> list:
-    """`value` read as a list by `read_value`; a tuple is one too."""
-    return read_value(ConfigError, name, list(value) if isinstance(value, tuple) else value, list)
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:

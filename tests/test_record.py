@@ -1,5 +1,5 @@
-"""The `Record` base the parameter and log classes are declared on, and the import
-path it keeps free of `dataclasses`."""
+"""The `Record` base the parameter and log classes are declared on, the field
+checks it runs at construction, and the import path it keeps free of `dataclasses`."""
 
 from __future__ import annotations
 
@@ -13,10 +13,11 @@ import pytest
 import abrsim
 from _builders import cbr_manifest, vbr_manifest
 from abrsim.cli import RunConfig
-from abrsim.control import ControlError, PidParams, fields, replace
+from abrsim.control import (MISSING, ControlError, PidParams, Record, fields, read_value, replace,
+                            spec)
 from abrsim.engine import SimConfig
 from abrsim.media import BandwidthTrace
-from abrsim.schemes import Mpc, Pia
+from abrsim.schemes import ConfigError, Mpc, Pia
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -112,3 +113,59 @@ def test_records_survive_a_pickle_round_trip(record):
         derived = ("avg_kbps", "rate_rows", "quality_rows", "_level_set")
         assert [getattr(clone, name) for name in derived] == \
             [getattr(record, name) for name in derived]
+
+
+def _gain_record() -> type:
+    class Gain(Record, error=ConfigError):
+        gain: float = spec(MISSING, float, lambda v: v > 0, "gain must be positive, got {}")
+        label: str = spec("g", str, name="tag")
+
+    return Gain
+
+
+def test_a_spec_field_needs_an_error_class():
+    with pytest.raises(TypeError, match="no error class"):
+        class Bare(Record):
+            gain: float = spec(1.0, float)
+
+    class Plain(Record):  # no spec field, so no error is needed
+        gain: float = 1.0
+
+    assert Plain().gain == 1.0
+
+
+def test_a_record_checks_its_spec_fields_with_no_post_init():
+    gain = _gain_record()
+    assert "__post_init__" not in vars(gain)
+    with pytest.raises(ConfigError, match=r"^gain must be a finite number, got nan$"):
+        gain(float("nan"))
+    with pytest.raises(ConfigError, match=r"^gain must be positive, got -1.0$"):
+        gain(-1)
+    with pytest.raises(ConfigError, match=r"^tag must be a string, got 3$"):
+        gain(1.0, 3)
+    assert repr(gain(2).gain) == "2.0"
+    assert "__post_init__" not in vars(PidParams)
+    with pytest.raises(ControlError, match=r"^kp must be a finite number, got nan$"):
+        PidParams(kp=float("nan"))
+
+
+def test_a_subclass_inherits_the_error_class():
+    class Wider(_gain_record()):
+        width: int = spec(1, int, lambda v: v >= 1, "width must be >= 1")
+
+    assert Wider._error is ConfigError
+    with pytest.raises(ConfigError, match=r"^width must be >= 1$"):
+        Wider(1.0, width=0)
+
+
+def test_the_spec_is_held_on_the_field():
+    gain, label = fields(_gain_record())
+    assert (gain.kind, gain.key, gain.ok(1.0), gain.message) == \
+        (float, "gain", True, "gain must be positive, got {}")
+    assert (label.kind, label.key, label.ok) == (str, "tag", None)
+    assert not hasattr(gain, "metadata")
+
+
+def test_a_tuple_reads_as_a_list():
+    assert read_value(ConfigError, "xs", (1, 2), list) == [1, 2]
+    assert read_value(ConfigError, "xs", (1, 2), [float]) == [1.0, 2.0]
