@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 from .control import (MISSING, ControlError, Field, Record, fields, read_json, read_value, replace,
@@ -145,13 +144,13 @@ _OBJECTS = {"weights": QoeWeights, "sim": SimConfig, "grid": GainGrid}
 
 
 def _arguments(values: dict) -> dict:
-    """RunConfig keyword arguments from {attribute path: value}; each object in
+    """RunConfig keyword arguments from {key: value}; each object in
     `_OBJECTS` that any value falls under is built from its own arguments, and
     one with no default (weights, grid) needs every one of them."""
-    args = {path: value for path, value in values.items() if "." not in path}
+    args = {key: value for key, value in values.items() if "." not in key}
     for group, cls in _OBJECTS.items():
-        inner = {path[len(group) + 1:]: value for path, value in values.items()
-                 if path.startswith(group + ".")}
+        inner = {key[len(group) + 1:]: value for key, value in values.items()
+                 if key.startswith(group + ".")}
         if inner:
             missing = [f.name for f in fields(cls) if f.name not in inner
                        and f.default is MISSING and f.default_factory is MISSING]
@@ -161,29 +160,27 @@ def _arguments(values: dict) -> dict:
     return args
 
 
-def _spec_fields(cls, group: str = ""):
-    """(key, attribute path, kind) of each spec field of `cls`, the RunConfig
-    attribute `group` if given, in field order; each object in `_OBJECTS` is
-    walked in its place. A key is the spec's name, else the field's, under its group."""
+def _spec_fields(cls, prefix: str = ""):
+    """(key, kind) of each spec field of `cls`, in field order; each object in
+    `_OBJECTS` is walked in its place. A key is the field's attribute path from
+    RunConfig, so "sim.rtt_s" is the `rtt_s` field of the `sim` object."""
     for f in fields(cls):
-        if not group and f.name in _OBJECTS:
-            yield from _spec_fields(_OBJECTS[f.name], f.name)
+        if not prefix and f.name in _OBJECTS:
+            yield from _spec_fields(_OBJECTS[f.name], f.name + ".")
         elif f.kind is not None:
-            at = f"{group}.{f.name}" if group else f.name
-            yield (f"{group}.{f.key}" if group else f.key), at, f.kind
+            yield prefix + f.name, f.kind
 
 
 class RunConfig(Record, error=ConfigError):
     """One CLI job: media, traces, scheme choice, and output layout."""
 
-    manifest_path: str | None = spec(None, str, name="manifest")
-    trace_paths: tuple[str, ...] = spec((), [str], name="traces")
+    manifest: str | None = spec(None, str)
+    traces: tuple[str, ...] = spec((), [str])
     trace_dir: str | None = spec(None, str)
     scheme: str = spec("pia", str)
     scheme_params: dict = spec({}, dict)
     schemes: tuple[str, ...] = spec((), [str])
-    filter_kind: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}",
-                            name="filter")
+    filter: str = spec("none", str, lambda v: v in FILTER_KINDS, "unknown filter kind {!r}")
     target_quality: float | None = spec(None, float, lambda v: 0 < v <= 100,
                                         "target quality must lie in (0, 100]")
     weights: QoeWeights | None = None
@@ -205,44 +202,32 @@ class RunConfig(Record, error=ConfigError):
     def from_json(cls, text: str) -> "RunConfig":
         given = {}
         for key, value in read_json(ConfigError, "config", text).items():
-            if key in _GROUPS and value is not None:
+            if key in _OBJECTS and value is not None:
                 inner = read_value(ConfigError, key, value, dict)
                 given.update((f"{key}.{k}", v) for k, v in inner.items())
             else:
                 given[key] = value
-        unknown = sorted(set(given) - set(_KEYS) - set(_GROUPS))
+        unknown = sorted(set(given) - set(_KEYS) - set(_OBJECTS))
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(unknown)} (expected any of: {', '.join(_KEYS)})"
             )
-        values = {
-            path: read_value(ConfigError, key, given[key], _kind(path))
-            for key, path in _KEYS.items()
-            if given.get(key) is not None
-        }
+        values = {key: read_value(ConfigError, key, given[key], kind)
+                  for key, kind in _KEYS.items() if given.get(key) is not None}
         return cls(**_arguments(values))
 
     def to_json(self) -> str:
-        data: dict = {}
-        for key, path in _KEYS.items():
-            group, _, name = key.rpartition(".")
-            if not group:
-                data[key] = attrgetter(path)(self)
-            elif getattr(self, group) is None:
-                data[group] = None
-            else:
-                data.setdefault(group, {})[name] = attrgetter(path)(self)
+        data = self.as_dict()  # every field is a key or an object of keys
+        for group in _OBJECTS:
+            if data[group] is not None:
+                data[group] = data[group].as_dict()
         return json.dumps(data, sort_keys=True, indent=2)
 
 
-# Every job-config key and the RunConfig attribute path it sets; its JSON type is
-# the kind in the spec of the field there. A dotted key sits inside an object, so
-# "sim.rtt_s" is {"sim": {"rtt_s": ...}}. An absent or null key keeps the default.
-_FIELDS = list(_spec_fields(RunConfig))
-_KEYS = {key: path for key, path, _ in _FIELDS}
-_kind = {path: kind for _, path, kind in _FIELDS}.__getitem__  # the kind at an attribute path
-# the keys that hold an object; each is also the name of the RunConfig attribute
-_GROUPS = {key.partition(".")[0] for key in _KEYS if "." in key}
+# Every job-config key, in field order, and its JSON type: the kind in the spec of
+# the RunConfig field it names. A dotted key sits inside an object, so "sim.rtt_s"
+# is {"sim": {"rtt_s": ...}}. An absent or null key keeps the default.
+_KEYS = dict(_spec_fields(RunConfig))
 
 
 # ------------------------------------------------------------- scheme assembly
@@ -270,22 +255,17 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"cannot read {path!r}: {exc}") from None
 
 
-# each job flag that overrides the config, and the RunConfig field it sets
-_FLAGS = {"scheme": "scheme", "filter": "filter_kind", "target_quality": "target_quality",
-          "out": "out_dir", "jobs": "jobs"}
-
-
 def _job(args: argparse.Namespace, one_trace: bool = False):
     """(config, manifest, traces) for a job: the config file with the flags over
     it, then the manifest, then every trace, each read and checked in turn."""
     config = RunConfig.from_json(_read_text(args.config)) if args.config else RunConfig()
-    # `is not None`, so `--jobs 0` is refused, not dropped
-    config = replace(config, **{name: getattr(args, flag) for flag, name in _FLAGS.items()
-                                if getattr(args, flag) is not None})
-    if not config.manifest_path:
+    # each flag's dest is the key it overrides; `is not None`, so `--jobs 0` is refused
+    config = replace(config, **{key: value for key, value in vars(args).items()
+                                if key in _KEYS and value is not None})
+    if not config.manifest:
         raise ConfigError("config needs a manifest path")
-    manifest = parse_manifest(_read_text(config.manifest_path))
-    paths = list(config.trace_paths)
+    manifest = parse_manifest(_read_text(config.manifest))
+    paths = list(config.traces)
     if config.trace_dir:
         if "\0" in config.trace_dir:  # Path.glob would match nothing and hide the cause
             raise ConfigError(f"cannot use trace_dir {config.trace_dir!r}: embedded null byte")
@@ -329,7 +309,7 @@ def _decisions_csv(log: SessionLog, allowed) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config, manifest, (trace,) = _job(args, one_trace=True)
-    allowed = allowed_from_filter(manifest, config.filter_kind, config.target_quality)
+    allowed = allowed_from_filter(manifest, config.filter, config.target_quality)
     scheme = build_scheme(config.scheme, config.scheme_params, target_quality=config.target_quality,
                           reference_level=config.reference_level)
     log, report = _session(scheme, trace, manifest, config, allowed)
@@ -382,7 +362,7 @@ def _compare_cell(task):
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config, manifest, traces = _job(args)
-    allowed = allowed_from_filter(manifest, config.filter_kind, config.target_quality)
+    allowed = allowed_from_filter(manifest, config.filter, config.target_quality)
     tasks = [(name, trace, manifest, config, allowed)
              for name in config.schemes or (config.scheme,) for trace in traces]
     if config.include_oracle:  # the oracle row is unfiltered
@@ -460,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON job config")
-    common.add_argument("--out", help="output directory (overrides config)")
+    common.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory (overrides config)")
     common.add_argument("--jobs", type=int, help="worker processes (overrides config)")
     common.add_argument("--scheme", help="scheme name (overrides config)")
     common.add_argument("--filter", choices=FILTER_KINDS, help="quality prefilter")

@@ -83,16 +83,14 @@ MISSING = object()  # the default of a field that has none
 class Field:
     """One declared field of a `Record`: `name`, `type` (the annotation's text),
     `default` and `default_factory`, and for a `spec` field the `kind` it is read
-    as, its bound `ok` with the `message` raised when that fails, and the `key`
-    that names it in errors and config files (the field's name unless given)."""
+    as and its bound `ok` with the `message` raised when that fails."""
 
-    __slots__ = ("name", "type", "default", "default_factory", "kind", "ok", "message", "key")
+    __slots__ = ("name", "type", "default", "default_factory", "kind", "ok", "message")
 
-    def __init__(self, default=MISSING, default_factory=MISSING, kind=None, ok=None,
-                 message=None, key=None):
+    def __init__(self, default=MISSING, default_factory=MISSING, kind=None, ok=None, message=None):
         self.name = self.type = None  # set when the class is built
         self.default, self.default_factory = default, default_factory
-        self.kind, self.ok, self.message, self.key = kind, ok, message, key
+        self.kind, self.ok, self.message = kind, ok, message
 
 
 class Record:
@@ -119,7 +117,7 @@ class Record:
         for name, kind in vars(cls).get("__annotations__", {}).items():
             value = vars(cls).get(name, MISSING)
             f = own[name] = value if isinstance(value, Field) else Field(value)
-            f.name, f.type, f.key = name, kind, f.key or name
+            f.name, f.type = name, kind
             if f.default is not MISSING:
                 setattr(cls, name, f.default)
             elif name in vars(cls):
@@ -186,14 +184,14 @@ def replace(record: Record, **changes) -> Record:
     return type(record)(**(record.as_dict() | changes))
 
 
-def spec(default, kind, ok=None, message=None, name=None):
+def spec(default, kind, ok=None, message=None):
     """A record field that `check_fields` reads as `kind` by `read_value`'s rule,
-    then bounds by `ok`, raising `message` (formatted with the value) if it fails;
-    `name` is the field's key in errors. A MISSING default makes the field
-    required, and a dict default is copied for each instance."""
+    then bounds by `ok`, raising `message` (formatted with the value) if it fails.
+    A MISSING default makes the field required, and a dict default is copied for
+    each instance."""
     if isinstance(default, dict):
-        return Field(default_factory=default.copy, kind=kind, ok=ok, message=message, key=name)
-    return Field(default, kind=kind, ok=ok, message=message, key=name)
+        return Field(default_factory=default.copy, kind=kind, ok=ok, message=message)
+    return Field(default, kind=kind, ok=ok, message=message)
 
 
 def check_fields(obj, error) -> None:
@@ -207,7 +205,7 @@ def check_fields(obj, error) -> None:
         value = getattr(obj, f.name)
         if value is None and f.default is None:
             continue
-        value = read_value(error, f.key, value, f.kind)
+        value = read_value(error, f.name, value, f.kind)
         if isinstance(value, (list, dict)):  # held as a copy, a list as a tuple
             value = tuple(value) if isinstance(value, list) else dict(value)
         object.__setattr__(obj, f.name, value)

@@ -231,7 +231,6 @@ class _Session:
         self.clock = 0.0
         self.buffer = 0.0
         self.last_level: int | None = None
-        self.stall_total = 0.0
         self.bytes_downloaded = 0
         self.play_accum = 0.0
         self.chunk_stall = 0.0
@@ -355,7 +354,6 @@ class _Session:
             played += play * h
             if stall > 0.0 and h > 0.0:
                 lost = stall * h
-                self.stall_total += lost
                 self.chunk_stall += lost
                 if self._stall_start is None:
                     self._stall_start = start
@@ -516,9 +514,12 @@ def simulate_session(
     end = session.clock
     startup = session.startup_latency if session.startup_latency is not None else end
     wall_stall = max(0.0, end - startup - session.play_accum)
-    if abs(session.stall_total - wall_stall) > 1e-9:
+    # every stalled interval lies in some chunk's fetch leg; fsum rounds the total
+    # once, so its error does not grow with the number of chunks
+    stall_total = math.fsum(d.stall_s for d in session.decisions)
+    if abs(stall_total - wall_stall) > 1e-9:
         raise SimulationError(
-            f"stall accounting mismatch: accumulated {session.stall_total!r} vs wall {wall_stall!r}"
+            f"stall accounting mismatch: accumulated {stall_total!r} vs wall {wall_stall!r}"
         )
     delivered = manifest.n_chunks * delta
     tol = max(1e-9, delivered * 1e-12)
@@ -542,6 +543,6 @@ def simulate_session(
         end_clock_s=end,
         play_time_s=session.play_accum,
         final_buffer_s=session.buffer,
-        stall_total_s=session.stall_total,
+        stall_total_s=stall_total,
         bytes_downloaded=session.bytes_downloaded,
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +294,23 @@ def test_vanishing_link_exits_1(workdir, capsys, command):
     )
     assert main([command, "--config", str(config)]) == 1
     assert "link too slow" in capsys.readouterr().err
+
+
+def test_long_stalling_session_passes_its_stall_check(workdir):
+    # 600 2 s chunks at 350 kbps over a 1-3 kbps link end near 2.1e5 s of stall;
+    # summed interval by interval, the total drifted past the check's 1e-9 bound
+    tmp, _, _ = workdir
+    ladder = write_manifest(tmp / "ladder.json", bitrates=(350, 600, 1000, 1750, 2750, 4300),
+                            n=600, vmafs=None)
+    rng = random.Random(2)
+    trace = tmp / "slow.csv"
+    trace.write_text("t_s,bandwidth_kbps\n" + "".join(f"{t},{rng.uniform(1, 3)!r}\n"
+                                                       for t in range(600)))
+    config = write_config(tmp / "cfg.json", manifest=str(ladder), traces=[str(trace)],
+                          scheme="rb", out_dir=str(tmp / "out"))
+    assert main(["run", "--config", str(config)]) == 0
+    report = json.loads((tmp / "out" / "metrics.json").read_text())
+    assert report["total_stall_s"] > 2e5
 
 
 def test_huge_rtt_exits_1(workdir, capsys):
@@ -1153,3 +1172,27 @@ def test_gen_trace_bad_params_exit_2(tmp_path):
         ["gen-trace", "--kind", "constant", "--kbps", "0", "--seconds", "10", "--out", str(tmp_path)]
     )
     assert code == 2
+
+
+# -- console entry point ----------------------------------------------------------
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_console_script_exits_with_main_code(tmp_path, monkeypatch, capsys):
+    # read by regex: Python 3.10 has no tomllib
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", PYPROJECT.read_text(),
+                        re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r'^abrsim\s*=\s*"(.*)"$', scripts, re.MULTILINE) == ["abrsim.cli:entry"]
+    argvs = {
+        0: ["abrsim", "gen-trace", "--kind", "constant", "--seconds", "10",
+            "--out", str(tmp_path / "t")],
+        2: ["abrsim", "run", "--config", str(tmp_path / "missing.json")],
+    }
+    for code, argv in argvs.items():
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+        assert info.value.code == code
+    assert (tmp_path / "t" / "const-2500.csv").is_file()
+    assert "cannot read" in capsys.readouterr().err

@@ -76,7 +76,6 @@ class _ReferenceState:
     buffer: float = 0.0
     playing: bool = False
     last_level: int | None = None
-    stall_accum: float = 0.0
     bytes_downloaded: int = 0
 
 
@@ -142,7 +141,6 @@ class _ReferenceSession:
         self.st.buffer = self.st.buffer + slope * h if snap is None else snap
         self.play_accum += play * h
         if stall > 0.0 and h > 0.0:
-            self.st.stall_accum += stall * h
             self.chunk_stall += stall * h
             if self._stall_start is None:
                 self._stall_start = start
@@ -355,9 +353,11 @@ def _reference_simulate(
     end = st.clock
     startup = session.startup_latency if session.startup_latency is not None else end
     wall_stall = max(0.0, end - startup - session.play_accum)
-    if abs(st.stall_accum - wall_stall) > 1e-9:
+    # the total is summed per chunk, as the engine sums it
+    stall_total = math.fsum(d.stall_s for d in session.decisions)
+    if abs(stall_total - wall_stall) > 1e-9:
         raise SimulationError(
-            f"stall accounting mismatch: accumulated {st.stall_accum!r} vs wall {wall_stall!r}"
+            f"stall accounting mismatch: accumulated {stall_total!r} vs wall {wall_stall!r}"
         )
     delivered = manifest.n_chunks * delta
     tol = max(1e-9, delivered * 1e-12)
@@ -382,7 +382,7 @@ def _reference_simulate(
         end_clock_s=end,
         play_time_s=session.play_accum,
         final_buffer_s=st.buffer,
-        stall_total_s=st.stall_accum,
+        stall_total_s=stall_total,
         bytes_downloaded=st.bytes_downloaded,
     )
 

@@ -178,7 +178,7 @@ GOLDEN_LOG_JSON = {
     # (scheme, manifest, trace): sha256 of SessionLog.to_json(), which serializes
     # every Decision field, stall_s and the stall list included
     ("pia", "vbr", "square7"):
-        "31f56be25b4937cb3f9fe2192d89a41fd0ef2a6ca5613c6e094cf31fa55c8543",
+        "83970c8060485d4a2ae2297731780e0f270be4ba1963aaa85f3492da54f3ea16",
     ("quad", "vbr", "noisy3"):
         "39b96f4b6e9b8f968618917c0fb67419d7d1288f4b249625f9948b1c975aedc6",
 }
@@ -336,11 +336,11 @@ GOLDEN_CLI_RUNS = {
         "0ba91c8f6f7998ac5e83cf3ee86defcaa42f0f901d21d5cad219ebafc0680a3f",
 }
 # compare.csv for pia/piae/cava/quad on two traces, target_quality 75 in the config
-GOLDEN_CLI_COMPARE = "2d1cc5ff96930ca8268e27ea5f7334265932d115fb2887061028efc0ebeddde3"
+GOLDEN_CLI_COMPARE = "bf165414b35a4e18ab713ffb99554625e880e0f925ab91c14091390e2455ebd0"
 # heatmap.csv for a 3x3 gain grid on three traces with pia's params from scheme_params
 GOLDEN_CLI_SWEEP = "6b1f1ad4c3c30c78d3efa50fef5a44711a6aad0b58f1697212cba6d769e33d3a"
 # metrics.json from `abrsim run` of pia with weights and a quality target, square7
-GOLDEN_CLI_METRICS = "3342fcca4cb3686672169296b4eba1e18eb21a44232e85c49920d68a63794a39"
+GOLDEN_CLI_METRICS = "5a37c365d64c6e4b54001801c550c745b2df5271eac2618cd1176bf3c6608426"
 # oracle.json from `abrsim oracle` on the oracle instance above, non-default sim
 # and gamma, with whole numbers given as JSON ints
 GOLDEN_CLI_ORACLE = "a8bdadcc93c853deb030f9196a5b592cacbae778bf95b157bee7f7f27f67faea"

@@ -21,7 +21,7 @@ import pytest
 
 import abrsim
 import abrsim.cli
-from abrsim.cli import _KEYS, RunConfig, _kind
+from abrsim.cli import _KEYS, RunConfig
 from abrsim.control import ControlError, PidParams, Record, fields
 from abrsim.engine import SimConfig
 from abrsim.media import BandwidthTrace, MediaError, VideoManifest
@@ -208,10 +208,9 @@ PYTHON_BUILT = {
     "oracle-text": (lambda: RunConfig(include_oracle="yes"), "include_oracle"),
     "out-dir-number": (lambda: RunConfig(out_dir=3), "out_dir"),
     "heat-count-text": (lambda: HeatMap(**_HEAT_TABLES, trace_count="3"), "trace_count"),
-    # a field whose config key differs from its name is named by its key
-    "manifest-number": (lambda: RunConfig(manifest_path=7), "manifest"),
-    "traces-text": (lambda: RunConfig(trace_paths="t.csv"), "traces"),
-    "filter-number": (lambda: RunConfig(filter_kind=3), "filter"),
+    "manifest-number": (lambda: RunConfig(manifest=7), "manifest"),
+    "traces-text": (lambda: RunConfig(traces="t.csv"), "traces"),
+    "filter-number": (lambda: RunConfig(filter=3), "filter"),
     "startup-kind-number": (lambda: SimConfig(startup_kind=3), "startup_kind"),
     "estimator-kind-number": (lambda: SimConfig(estimator_kind=3), "estimator_kind"),
     "estimator-window-text": (lambda: SimConfig(estimator_window="2"), "estimator_window"),
@@ -340,29 +339,22 @@ def test_heat_map_trace_count_carries_a_spec():
 
 
 def test_every_config_key_reads_its_type_from_a_spec():
-    for path in _KEYS.values():
-        assert _kind(path) is not None, path
+    for key, kind in _KEYS.items():
+        assert kind is not None, key
 
 
-# every job-config key and the RunConfig attribute path it sets, in order
+# every job-config key, in order; each is the RunConfig attribute path it sets
 KEYS_PINNED = [
-    ("manifest", "manifest_path"), ("traces", "trace_paths"), ("trace_dir", "trace_dir"),
-    ("scheme", "scheme"), ("scheme_params", "scheme_params"), ("schemes", "schemes"),
-    ("filter", "filter_kind"), ("target_quality", "target_quality"),
-    ("weights.mu", "weights.mu"), ("weights.lam", "weights.lam"),
-    ("sim.startup_kind", "sim.startup_kind"), ("sim.startup_value", "sim.startup_value"),
-    ("sim.max_buffer_s", "sim.max_buffer_s"), ("sim.resume_margin_s", "sim.resume_margin_s"),
-    ("sim.rtt_s", "sim.rtt_s"), ("sim.estimator_kind", "sim.estimator_kind"),
-    ("sim.estimator_window", "sim.estimator_window"),
-    ("sim.first_chunk_level", "sim.first_chunk_level"), ("gamma", "gamma"),
-    ("reference_level", "reference_level"), ("include_oracle", "include_oracle"),
-    ("grid.kp_values", "grid.kp_values"), ("grid.ki_values", "grid.ki_values"),
-    ("out_dir", "out_dir"), ("jobs", "jobs"), ("deterministic", "deterministic"),
+    "manifest", "traces", "trace_dir", "scheme", "scheme_params", "schemes", "filter",
+    "target_quality", "weights.mu", "weights.lam", "sim.startup_kind", "sim.startup_value",
+    "sim.max_buffer_s", "sim.resume_margin_s", "sim.rtt_s", "sim.estimator_kind",
+    "sim.estimator_window", "sim.first_chunk_level", "gamma", "reference_level",
+    "include_oracle", "grid.kp_values", "grid.ki_values", "out_dir", "jobs", "deterministic",
 ]
 
 
 def test_config_keys_and_their_paths_are_pinned():
-    assert list(_KEYS.items()) == KEYS_PINNED
+    assert list(_KEYS) == KEYS_PINNED
 
 
 def test_unknown_key_error_lists_every_key_in_order():

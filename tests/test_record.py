@@ -118,7 +118,7 @@ def test_records_survive_a_pickle_round_trip(record):
 def _gain_record() -> type:
     class Gain(Record, error=ConfigError):
         gain: float = spec(MISSING, float, lambda v: v > 0, "gain must be positive, got {}")
-        label: str = spec("g", str, name="tag")
+        tag: str = spec("g", str)
 
     return Gain
 
@@ -159,10 +159,10 @@ def test_a_subclass_inherits_the_error_class():
 
 
 def test_the_spec_is_held_on_the_field():
-    gain, label = fields(_gain_record())
-    assert (gain.kind, gain.key, gain.ok(1.0), gain.message) == \
-        (float, "gain", True, "gain must be positive, got {}")
-    assert (label.kind, label.key, label.ok) == (str, "tag", None)
+    gain, tag = fields(_gain_record())
+    assert (gain.kind, gain.ok(1.0), gain.message) == \
+        (float, True, "gain must be positive, got {}")
+    assert (tag.kind, tag.ok) == (str, None)
     assert not hasattr(gain, "metadata")
 
 

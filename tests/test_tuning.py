@@ -178,6 +178,8 @@ def test_sweep_jobs_do_not_change_results():
     par = sweep_gains(SWEEP_GRID, traces, SWEEP_MANIFEST, None, WEIGHTS, SimConfig(), jobs=2)
     assert seq.heat == par.heat
     assert seq.valid == par.valid
+    # no config is the default SimConfig
+    assert sweep_gains(SWEEP_GRID, traces, SWEEP_MANIFEST, None, WEIGHTS) == seq
 
 
 def test_heatmap_csv_layout():
