@@ -202,6 +202,10 @@ class RunConfig(Record, error=ConfigError):
     def from_json(cls, text: str) -> "RunConfig":
         given = {}
         for key, value in read_json(ConfigError, "config", text).items():
+            if "." in key and key in _KEYS:
+                group, name = key.split(".", 1)
+                raise ConfigError(f'config key {key} belongs inside its object: '
+                                  f'{{"{group}": {{"{name}": ...}}}}')
             if key in _OBJECTS and value is not None:
                 inner = read_value(ConfigError, key, value, dict)
                 given.update((f"{key}.{k}", v) for k, v in inner.items())

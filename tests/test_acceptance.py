@@ -250,28 +250,35 @@ class _CountingMpc(Mpc):
         return level
 
 
+def _timed_session(scheme, trace, manifest) -> float:
+    started = time.perf_counter()
+    simulate_session(scheme, trace, manifest, SimConfig())
+    return time.perf_counter() - started
+
+
 def test_c06_complexity_contract():
     n_chunks, n_levels, horizon = 600, 6, 5
     manifest = cbr_manifest((350, 800, 1400, 2000, 2850, 4300), n_chunks=n_chunks)
     trace = constant_trace(2200.0, 60)
-
-    pia = _CountingPia()
-    started = time.perf_counter()
-    simulate_session(pia, trace, manifest, SimConfig())
-    pia_t = time.perf_counter() - started
-    assert pia.per_decision == [n_levels * horizon] * n_chunks
-
-    mpc = _CountingMpc()
-    started = time.perf_counter()
-    simulate_session(mpc, trace, manifest, SimConfig())
-    mpc_t = time.perf_counter() - started
     assert n_levels**horizon == 7776
     expected = [n_levels ** min(horizon, n_chunks - i) for i in range(n_chunks)]
-    assert mpc.per_decision == expected
-    assert mpc.per_decision[0] == 7776
 
-    assert mpc_t / pia_t > 50.0
-    _verdict(6, "decision complexity contract")
+    # Each session's time is the best of three alternating runs, so a run that
+    # the host slowed does not set the ratio; every run's counts are checked.
+    pia_t = mpc_t = float("inf")
+    for _ in range(3):
+        pia, mpc = _CountingPia(), _CountingMpc()
+        pia_t = min(pia_t, _timed_session(pia, trace, manifest))
+        assert pia.per_decision == [n_levels * horizon] * n_chunks
+        mpc_t = min(mpc_t, _timed_session(mpc, trace, manifest))
+        assert mpc.per_decision == expected
+        assert mpc.per_decision[0] == 7776
+
+    assert mpc_t / pia_t > 50.0, (
+        f"MPC/PID time ratio {mpc_t / pia_t:.1f} is not above 50: "
+        f"mpc_t {mpc_t:.3f} s, pia_t {pia_t:.4f} s"
+    )
+    _verdict(6, f"decision complexity contract, MPC/PID time ratio {mpc_t / pia_t:.1f}")
 
 
 # -- 7: ramped-startup trend ------------------------------------------------------------

@@ -376,6 +376,9 @@ def test_too_fast_link_exits_1_naming_trace_scheme_and_chunk(workdir, capsys, ca
         (dict(scheme="rb", grid={"kp_values": [0.0088]}), "grid needs ki_values"),
         (dict(scheme="rb", manifest=None), "config needs a manifest path"),
         (dict(scheme="rb", traces=None), "config needs at least one trace"),
+        ({"scheme": "rb", "sim.rtt_s": 5}, "config key sim.rtt_s belongs inside its object"),
+        ({"scheme": "rb", "sim.rtt_s": 5, "sim": {"rtt_s": 1}},
+         "config key sim.rtt_s belongs inside its object"),
     ],
     ids=[
         "kp-nan",
@@ -400,6 +403,8 @@ def test_too_fast_link_exits_1_naming_trace_scheme_and_chunk(workdir, capsys, ca
         "grid-without-ki",
         "no-manifest",
         "no-traces",
+        "flat-dotted-key",
+        "flat-dotted-key-beside-its-object",
     ],
 )
 def test_run_bad_scheme_or_weight_values_exit_2(workdir, capsys, fields, message):

@@ -220,6 +220,47 @@ def test_mpc_walk_matches_product_reference(seed):
         _assert_walk_matches_reference(RobustMpc(horizon=horizon, mu=mu, lam=lam), ctx)
 
 
+def _edge_contexts():
+    """The ties and floors the walk's hand-written `max` must score as `max` does:
+    a buffer equal to one level's download time, now or one step in; an estimate
+    of 0, which reads as the floor; the last chunk, where every horizon is 1; and
+    a ladder whose rates are all equal, so every sequence ties."""
+    cbr = cbr_manifest((1000, 2000, 4000), n_chunks=6)
+    vbr = _seeded_vbr(7, n_levels=3, n_chunks=6)
+    for manifest in (cbr, vbr):
+        delta = manifest.chunk_duration_s
+        for i, lvl, est in ((0, 1, 500.0), (2, 3, 1700.0), (5, 2, 2300.0)):
+            dl = manifest.rate_rows[lvl - 1][i] * delta / est
+            yield _ctx(manifest, chunk_index=i, buffer_s=dl, est_kbps=est,
+                       last_level=None if i == 0 else 2, allowed=(1, 2, 3))
+        for i in (0, 3, manifest.n_chunks - 1):
+            for buffer_s in (0.0, -0.0, 3.0):
+                yield _ctx(manifest, chunk_index=i, buffer_s=buffer_s, est_kbps=0.0,
+                           last_level=None if i == 0 else 1, allowed=(3, 1, 2))
+    # one step in: after chunk i at `lvl` the buffer is chunk i + 1's download time
+    # at `lvl`, which these dyadic rates and estimates reach bit for bit
+    for i, lvl, est in ((0, 1, 500.0), (2, 3, 2000.0), (4, 2, 1000.0)):
+        delta = cbr.chunk_duration_s
+        dl = cbr.rate_rows[lvl - 1][i] * delta / est
+        ahead = cbr.rate_rows[lvl - 1][i + 1] * delta / est
+        buffer_s = dl + ahead - delta
+        assert max(buffer_s - dl, 0.0) + delta == ahead
+        yield _ctx(cbr, chunk_index=i, buffer_s=buffer_s, est_kbps=est,
+                   last_level=None if i == 0 else 2, allowed=(lvl, 1))
+    flat = cbr_manifest((800, 800, 800), n_chunks=4)
+    for i, last in ((0, None), (2, 3), (3, 2)):
+        yield _ctx(flat, chunk_index=i, buffer_s=1.0, est_kbps=900.0, last_level=last,
+                   allowed=(2, 3, 1))
+
+
+@pytest.mark.parametrize("scheme_class", [Mpc, RobustMpc])
+@pytest.mark.parametrize("horizon", [1, 2, 5])
+@pytest.mark.parametrize("lam, mu", [(None, 1.0), (0.0, 1.0), (0.0, 0.0), (4.3, 2.5)])
+def test_mpc_walk_matches_product_reference_at_the_edges(scheme_class, horizon, lam, mu):
+    for ctx in _edge_contexts():
+        _assert_walk_matches_reference(scheme_class(horizon=horizon, mu=mu, lam=lam), ctx)
+
+
 @pytest.mark.parametrize("allowed", [(1, 2, 3), (3, 2, 1), (2, 1)])
 def test_mpc_walk_resolves_ties_to_the_first_sequence(allowed):
     # Levels 1 and 2 have identical rates, so every sequence through one has

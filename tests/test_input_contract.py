@@ -370,6 +370,15 @@ def test_unknown_key_error_lists_every_key_in_order():
     )
 
 
+@pytest.mark.parametrize("text", ['{"sim.rtt_s": 5}', '{"sim.rtt_s": 5, "sim": {"rtt_s": 1}}'])
+def test_a_flat_dotted_key_is_refused(text):
+    # a dotted key names a field inside its object; at the top it is no second spelling
+    message = 'config key sim.rtt_s belongs inside its object: {"sim": {"rtt_s": ...}}'
+    with pytest.raises(ConfigError) as raised:
+        RunConfig.from_json(text)
+    assert str(raised.value) == message
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

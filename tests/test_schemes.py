@@ -226,6 +226,24 @@ class TestMpc:
         assert plain.decide(ctx) == 2
         assert robust.decide(ctx) == 1  # effective estimate 1200
 
+    @pytest.mark.parametrize(
+        "estimates, samples, window, worst",
+        [
+            # estimates run one ahead: pairs are (1000, 1000), (3000, 1000), (2000, 1000)
+            ([1000.0, 3000.0, 2000.0, 1500.0], [1000.0, 1000.0, 1000.0], 2, 2.0),
+            # samples run one ahead: the last pair is (1000, 4000), not (1000, 500)
+            ([2000.0, 1000.0], [1000.0, 4000.0, 500.0], 1, 0.0),
+            # a window past the history reads every pair; a zero sample is skipped
+            ([1500.0, 1200.0, 9000.0], [1000.0, 0.0], 5, 0.5),
+            ([], [1000.0], 3, 0.0),
+        ],
+    )
+    def test_worst_overestimate_pairs_from_the_start(self, estimates, samples, window, worst):
+        history = DownloadHistory(estimates=estimates, chunk_samples=samples)
+        pairs = list(zip(estimates, samples))[-window:]
+        reference = max([0.0] + [(e - a) / a for e, a in pairs if a > 0])
+        assert RobustMpc(error_window=window)._worst_overestimate(history) == reference == worst
+
     def test_robust_without_history_matches_plain(self):
         m = cbr_manifest([1000, 2000], n_chunks=4)
         ctx = ctx_for(m, buffer_s=4.0, est_kbps=2400.0)
