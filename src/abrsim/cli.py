@@ -327,11 +327,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-# The exact solver's frontier still grows steeply with chunk count once its
-# bounds stop pruning. On a 6-level 300-4300 kbps VBR ladder over a seeded
-# 1000/4000 kbps square wave, the slowest of gamma 0 / 100 / 1e4 takes about
-# 0.03 / 0.36 / 0.5 s at 16 / 24 / 32 chunks, then 2.6 s at 40 and 16 s at 48
-# (2-core Xeon VM, Python 3.11). Refuse longer manifests instead of hanging.
+# The exact solver's frontier grows steeply with chunk count once its bounds stop
+# pruning. On ROADMAP item 7's instance (a 6-level 300-4300 kbps VBR ladder over
+# square_wave(1000, 4000, 30, 600, seed=7)), the slowest of gamma 0 / 100 / 1e4
+# takes about 0.05 / 0.13 / 1.3 / 4.6 / 11 s at 16 / 24 / 32 / 40 / 48 chunks
+# (median of 3; 2-core Xeon VM, Python 3.11.7). Refuse longer manifests.
 ORACLE_MAX_CHUNKS = 32
 
 

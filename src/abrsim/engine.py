@@ -233,7 +233,7 @@ class _Session:
         self.last_level: int | None = None
         self.bytes_downloaded = 0
         self.play_accum = 0.0
-        self.chunk_stall = 0.0
+        self.chunk_stalls: list[float] = []  # the current chunk's stalled terms
         self.stalls: list[tuple[float, float]] = []
         self._stall_start: float | None = None
         self._stall_acc = 0.0
@@ -354,7 +354,7 @@ class _Session:
             played += play * h
             if stall > 0.0 and h > 0.0:
                 lost = stall * h
-                self.chunk_stall += lost
+                self.chunk_stalls.append(lost)
                 if self._stall_start is None:
                     self._stall_start = start
                 self._stall_acc += lost
@@ -414,7 +414,7 @@ class _Session:
         size = manifest.size_rows[level - 1][i]
         bitrate = manifest.rate_rows[level - 1][i]
         vmaf = manifest.vmaf_rows[level - 1][i]
-        self.chunk_stall = 0.0
+        self.chunk_stalls = stalls = []
         dl_start = self.clock
         kilobits = size * 8.0 / 1000.0
         _check_download_span(self.trace, kilobits)
@@ -432,10 +432,12 @@ class _Session:
         config = self.config
         if config.startup_kind == "chunks_buffered" and i + 1 == int(config.startup_value):
             self.startup_latency = dl_end
+        # fsum, so a chunk stalled over many intervals stays inside the 1e-9 check
+        stall = math.fsum(stalls) if stalls else 0.0
         # positional, in field order: chunk, level, bitrate_kbps, vmaf, dl_start_s,
         # dl_end_s, buffer_s, est_kbps, u, stall_s
         self.decisions.append(
-            Decision(i, level, bitrate, vmaf, dl_start, dl_end, buffer, est, u, self.chunk_stall)
+            Decision(i, level, bitrate, vmaf, dl_start, dl_end, buffer, est, u, stall)
         )
 
 

@@ -177,18 +177,6 @@ class VideoManifest(Record, error=MediaError):
                 if level not in self._level_set:
                     raise MediaError(f"level {level} outside 1..{self.n_levels}")
 
-    def windowed_bitrate_kbps(self, level: int, start: int, window: int) -> float:
-        """Mean chunk bitrate of one level over [start, start+window), truncated
-        at video end."""
-        self.check_levels((level,))
-        row = self.rate_rows[level - 1]
-        if not 0 <= start < len(row):
-            raise MediaError("window start outside track")
-        if window < 1:
-            raise MediaError("window must be >= 1")
-        span = row[start : start + window]
-        return sum(span) / len(span)
-
 
 def classify_chunks(manifest: VideoManifest, reference_level: int) -> tuple[int, ...]:
     """Per-position complexity quartile (1..4) by stable rank of reference-track size."""

@@ -17,7 +17,7 @@ from .control import (
     replace,
     spec,
 )
-from .media import VideoManifest, classify_chunks
+from .media import MediaError, VideoManifest, classify_chunks
 
 if TYPE_CHECKING:
     from .engine import DownloadHistory
@@ -297,14 +297,11 @@ class _PidScheme(AbrScheme, Record, frozen=False, error=ConfigError):
         self.last_u = u
         return u, force_max
 
-    def _rollout_rate(self, ctx: DecisionContext, level: int) -> float:
-        """The rate `_argmin` rolls `level` out at; `_argmin` has range-checked it."""
-        return ctx.manifest.avg_kbps[level - 1]
-
-    def _argmin(self, ctx: DecisionContext, u, kp, xr, alpha, eta) -> int:
+    def _argmin(self, ctx: DecisionContext, rates, u, kp, xr, alpha, eta) -> int:
         """Allowed level with the least cost: the sum of (u_k * rate - alpha * est)^2
-        stepping the closed loop one chunk at a time over the horizon, plus eta
-        times the squared change in track average from the last level.
+        stepping the closed loop one chunk at a time over the horizon, with `rate`
+        the level's entry `rates[level - 1]`, plus eta times the squared change in
+        track average from the last level.
 
         Every level scores all H steps in ascending level order, and a later
         level must cost strictly less to win; the state after the last step is
@@ -329,7 +326,7 @@ class _PidScheme(AbrScheme, Record, frozen=False, error=ConfigError):
         manifest.check_levels(levels)
         best = best_lvl = None
         for lvl in levels:
-            rate = self._rollout_rate(ctx, lvl)
+            rate = rates[lvl - 1]
             d = rate * delta / est
             cost = 0.0
             x, integral, uk, ind = x0, integral0, u, ind0
@@ -372,7 +369,7 @@ class Pia(_PidScheme):
         u, force_max = self._control(ctx, kp, xr)
         if force_max:
             return max(ctx.allowed_levels)
-        return self._argmin(ctx, u, kp, xr, 1.0, self.eta)
+        return self._argmin(ctx, ctx.manifest.avg_kbps, u, kp, xr, 1.0, self.eta)
 
 
 class PiaStartup(Pia):
@@ -413,6 +410,13 @@ class PiaStartup(Pia):
         return kp + (self.alpha * kp - kp) * (1.0 - clock_s / self.tau)
 
 
+def _window_mean(row, start: int, window: int) -> float:
+    """Mean of `row` over [start, start + window), truncated at the row's end; the
+    caller range-checks `start`, and `window` is at least 1."""
+    span = row[start : start + window]
+    return sum(span) / len(span)
+
+
 class Cava(_PidScheme):
     """PID scheme for VBR ladders: windowed chunk sizes, class-aware targets; `reset`
     ranks the session manifest's positions into size quartiles."""
@@ -451,16 +455,15 @@ class Cava(_PidScheme):
     def _target(self, clock_s: float) -> float:
         return self._target_buffer
 
-    def _rollout_rate(self, ctx: DecisionContext, level: int) -> float:
-        return ctx.manifest.windowed_bitrate_kbps(level, ctx.chunk_index, self.inner_window)
-
     def decide(self, ctx: DecisionContext) -> int:
+        i, manifest = ctx.chunk_index, ctx.manifest
+        if not 0 <= i < manifest.n_chunks:
+            raise MediaError(f"chunk index {i} outside 0..{manifest.n_chunks - 1}")
         kp = self.pid.kp
         xr = self._target_buffer = self._outer_target(ctx)
         u, force_max = self._control(ctx, kp, xr)
         if force_max:
             return max(ctx.allowed_levels)
-        i = ctx.chunk_index
         is_q4 = self._q4[i]
         alpha = self.alpha_q4 if is_q4 else self.alpha_q123
         if is_q4 and self.q4_low_buffer_relief and ctx.buffer_s <= self.safe_buffer_s:
@@ -468,19 +471,21 @@ class Cava(_PidScheme):
         eta = 1.0
         if i > 0 and self._q4[i - 1] != is_q4:
             eta = 0.0  # class switch: do not penalize the level change
-        level = self._argmin(ctx, u, kp, xr, alpha, eta)
+        # each level's mean bitrate over the inner window, for both argmin passes
+        rates = [_window_mean(row, i, self.inner_window) for row in manifest.rate_rows]
+        level = self._argmin(ctx, rates, u, kp, xr, alpha, eta)
         if not is_q4 and level <= self.low_level_cutoff and ctx.buffer_s > self.safe_buffer_s:
-            level = self._argmin(ctx, u, kp, xr, 1.0, eta)
+            level = self._argmin(ctx, rates, u, kp, xr, 1.0, eta)
         return level
 
     def _outer_target(self, ctx: DecisionContext) -> float:
-        if ctx.last_level is None:
+        last = ctx.last_level
+        if last is None:
             return self.base_target_buffer_s
         manifest = ctx.manifest
-        # the window range-checks the last level
-        upcoming = manifest.windowed_bitrate_kbps(ctx.last_level, ctx.chunk_index,
-                                                  self.outer_window)
-        ratio = upcoming / max(manifest.avg_kbps[ctx.last_level - 1], _EST_FLOOR_KBPS)
+        manifest.check_levels((last,))
+        upcoming = _window_mean(manifest.rate_rows[last - 1], ctx.chunk_index, self.outer_window)
+        ratio = upcoming / max(manifest.avg_kbps[last - 1], _EST_FLOOR_KBPS)
         return self.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
 
 

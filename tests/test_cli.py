@@ -313,6 +313,23 @@ def test_long_stalling_session_passes_its_stall_check(workdir):
     assert report["total_stall_s"] > 2e5
 
 
+def test_one_long_stalling_chunk_passes_its_stall_check(workdir):
+    # 2 chunks over a 0.001-0.003 kbps link: each chunk stalls about 6e5 s, over
+    # about 6e5 intervals, and summed interval by interval the chunk's stall
+    # drifted past the check's 1e-9 bound
+    tmp, _, _ = workdir
+    ladder = write_manifest(tmp / "ladder.json", bitrates=(600, 1200), n=2, vmafs=None)
+    rng = random.Random(1)
+    trace = tmp / "slow.csv"
+    trace.write_text("t_s,bandwidth_kbps\n" + "".join(f"{t},{rng.uniform(0.001, 0.003)!r}\n"
+                                                       for t in range(600)))
+    config = write_config(tmp / "cfg.json", manifest=str(ladder), traces=[str(trace)],
+                          scheme="rb", out_dir=str(tmp / "out"))
+    assert main(["run", "--config", str(config)]) == 0
+    report = json.loads((tmp / "out" / "metrics.json").read_text())
+    assert report["total_stall_s"] > 1e6
+
+
 def test_huge_rtt_exits_1(workdir, capsys):
     tmp, manifest, trace = workdir
     config = write_config(

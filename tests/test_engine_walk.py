@@ -96,7 +96,7 @@ class _ReferenceSession:
         self.st = _ReferenceState()
         self.history = _ReferenceHistory()
         self.play_accum = 0.0
-        self.chunk_stall = 0.0
+        self.chunk_stalls: list[float] = []
         self.stalls: list[tuple[float, float]] = []
         self._stall_start: float | None = None
         self._stall_acc = 0.0
@@ -141,7 +141,7 @@ class _ReferenceSession:
         self.st.buffer = self.st.buffer + slope * h if snap is None else snap
         self.play_accum += play * h
         if stall > 0.0 and h > 0.0:
-            self.chunk_stall += stall * h
+            self.chunk_stalls.append(stall * h)
             if self._stall_start is None:
                 self._stall_start = start
             self._stall_acc += stall * h
@@ -294,7 +294,7 @@ class _ReferenceSession:
         size = self.manifest.size_rows[level - 1][i]
         vmaf = self.manifest.vmaf_rows[level - 1][i]
         bitrate = size * 8.0 / 1000.0 / self.manifest.chunk_duration_s
-        self.chunk_stall = 0.0
+        self.chunk_stalls = []
         dl_start = self.st.clock
         if self.config.rtt_s > 0:
             self._advance_idle(self.config.rtt_s)
@@ -323,7 +323,8 @@ class _ReferenceSession:
                 buffer_s=buffer_at_decision,
                 est_kbps=est,
                 u=u,
-                stall_s=self.chunk_stall,
+                # each chunk's stall is the exactly rounded sum of its terms
+                stall_s=math.fsum(self.chunk_stalls),
             )
         )
 

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from _builders import cbr_manifest, vbr_manifest
 from abrsim.engine import DownloadHistory, SimConfig, advance_download
-from abrsim.media import BandwidthTrace, MediaError
+from abrsim.media import BandwidthTrace
 from abrsim.metrics import (
     _BEAM_WIDTH,
     OfflineObjective,
@@ -47,6 +47,7 @@ from abrsim.schemes import (
     PiaStartup,
     Quad,
     RobustMpc,
+    _window_mean,
 )
 
 
@@ -104,17 +105,8 @@ def test_table_row_is_chunk_bitrate(manifest):
 def test_table_window_is_windowed_avg_bitrate(manifest, window):
     for level in manifest.levels:
         for start in range(manifest.n_chunks):
-            got = manifest.windowed_bitrate_kbps(level, start, window)
+            got = _window_mean(manifest.rate_rows[level - 1], start, window)
             assert got == windowed_avg_bitrate(manifest, level, start, window)
-
-
-def test_table_window_keeps_range_checks():
-    manifest = MANIFESTS[1]
-    for start, window in ((-1, 2), (manifest.n_chunks, 2), (0, 0)):
-        with pytest.raises(ValueError) as reference:
-            windowed_avg_bitrate(manifest, 1, start, window)
-        with pytest.raises(type(reference.value), match=str(reference.value)):
-            manifest.windowed_bitrate_kbps(1, start, window)
 
 
 def test_tables_stay_out_of_equality_and_repr_and_survive_pickling():
@@ -333,10 +325,6 @@ def _reference_transition(trace, manifest, config, chunk_index, level, x_key, t_
 
 def windowed_avg_bitrate(manifest, level: int, start: int, window: int) -> float:
     """Mean per-chunk bitrate over chunks [start, start+window), truncated at video end."""
-    if not 0 <= start < manifest.n_chunks:
-        raise MediaError("window start outside track")
-    if window < 1:
-        raise MediaError("window must be >= 1")
     span = range(start, min(start + window, manifest.n_chunks))
     return sum(chunk_bitrate(manifest, level, i) for i in span) / len(span)
 
@@ -522,7 +510,7 @@ def test_dp_is_brute_force_within_its_bounds(config, instance):
 # -- PID rollout argmin -----------------------------------------------------------
 
 
-def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
+def _reference_argmin(scheme, ctx, rates, u, kp, xr, alpha, eta) -> int:
     """The rollout argmin as first written: every invariant recomputed per step."""
     self = scheme
     pid, horizon = self.pid, self.horizon
@@ -535,7 +523,7 @@ def _reference_argmin(scheme, ctx, u, kp, xr, alpha, eta) -> int:
         prev_rate = manifest.avg_kbps[ctx.last_level - 1]
     best = best_lvl = None
     for lvl in sorted(ctx.allowed_levels):
-        rate = self._rollout_rate(ctx, lvl)
+        rate = rates[lvl - 1]
         d = rate * delta / est
         cost = 0.0
         x, integral, uk = ctx.buffer_s, self.integral, u
@@ -571,12 +559,20 @@ _ARGMIN_MANIFESTS = (
 )
 
 
-def _pid_scheme(kind, pid, horizon):
+def _pid_scheme(kind, pid, horizon, window):
     if kind == "pia":
         return Pia(pid=pid, horizon=horizon)
     if kind == "piae":
         return PiaStartup(pid=replace(pid, beta=1.0), horizon=horizon)
-    return Cava(pid=pid, horizon=horizon, inner_window=max(10, horizon))
+    return Cava(pid=pid, horizon=horizon, inner_window=max(window, horizon))
+
+
+def _rollout_rates(scheme, manifest, chunk_index):
+    """The rate row each PID scheme hands its argmin, from the references above."""
+    if isinstance(scheme, Cava):
+        window = scheme.inner_window
+        return [windowed_avg_bitrate(manifest, lvl, chunk_index, window) for lvl in manifest.levels]
+    return [track_avg_bitrate(manifest, lvl) for lvl in manifest.levels]
 
 
 @st.composite
@@ -587,6 +583,8 @@ def _argmin_cases(draw):
         draw(st.sampled_from(("pia", "piae", "cava"))),
         draw(st.sampled_from(_PID_PARAMS)),
         draw(st.integers(1, 6)),
+        # a window of 50 runs past the end of every manifest here, from any chunk
+        draw(st.sampled_from((1, 3, 10, 50))),
     )
     scheme.integral = draw(st.sampled_from((0.0, -250.0, 1234.5)))
     scheme.freeze = draw(st.booleans())
@@ -608,7 +606,7 @@ def _argmin_cases(draw):
     xr = draw(st.sampled_from((pid.target_buffer, 2.0 * delta, 30.0)))
     alpha = draw(st.sampled_from((1.0, 0.8, 1.1)))
     eta = draw(st.sampled_from((0.0, 1.0, 2.5)))
-    return scheme, ctx, (u, kp, xr, alpha, eta)
+    return scheme, ctx, _rollout_rates(scheme, manifest, chunk_index), (u, kp, xr, alpha, eta)
 
 
 class _Eta(float):
@@ -635,22 +633,43 @@ class _Term(float):
         return cost + float(self)
 
 
-def _argmin_run(argmin, scheme, ctx, u, kp, xr, alpha, eta):
+def _argmin_run(argmin, scheme, ctx, rates, u, kp, xr, alpha, eta):
     """(level, evaluations, rollout costs) of one argmin call."""
     seen = []
     before = scheme.eval_count
-    level = argmin(ctx, u, kp, xr, alpha, _Eta(eta, seen))
+    level = argmin(ctx, rates, u, kp, xr, alpha, _Eta(eta, seen))
     return level, scheme.eval_count - before, seen
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=_argmin_cases())
 def test_pid_argmin_matches_reference(case):
-    scheme, ctx, args = case
+    scheme, ctx, rates, args = case
     state = (scheme.integral, scheme.freeze)
-    want = _argmin_run(partial(_reference_argmin, scheme), scheme, ctx, *args)
-    got = _argmin_run(scheme._argmin, scheme, ctx, *args)
+    want = _argmin_run(partial(_reference_argmin, scheme), scheme, ctx, rates, *args)
+    got = _argmin_run(scheme._argmin, scheme, ctx, rates, *args)
     assert got == want
     assert got[1] == scheme.horizon * len(ctx.allowed_levels)
     assert len(got[2]) == (0 if ctx.last_level is None else len(ctx.allowed_levels))
     assert (scheme.integral, scheme.freeze) == state
+
+
+@pytest.mark.parametrize("window", [5, 10, 50])
+@pytest.mark.parametrize("manifest", _ARGMIN_MANIFESTS[:2])
+def test_cava_hands_each_argmin_pass_the_windowed_row(monkeypatch, manifest, window):
+    scheme = Cava(inner_window=window)
+    scheme.reset(manifest)
+    argmin, rows = scheme._argmin, []
+
+    def recording(ctx, rates, *args):
+        rows.append((ctx.chunk_index, list(rates)))
+        return argmin(ctx, rates, *args)
+
+    monkeypatch.setattr(scheme, "_argmin", recording)
+    for i in range(manifest.n_chunks):
+        for est, last in ((300.0, None), (300.0, 1), (4000.0, 2)):
+            ctx = DecisionContext(i, 12.0, 0.0, est, last, manifest.levels, manifest, 1)
+            scheme.decide(ctx)
+    assert len(rows) > 3 * manifest.n_chunks  # some decisions ran the relief pass
+    for i, rates in rows:
+        assert rates == _rollout_rates(scheme, manifest, i)

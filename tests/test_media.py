@@ -19,6 +19,7 @@ from abrsim.media import (
     parse_manifest,
     parse_trace,
 )
+from abrsim.schemes import _window_mean
 
 from _builders import JSON_VALUES, cbr_manifest, vbr_manifest
 
@@ -449,24 +450,16 @@ class TestTrackStats:
 
     def test_windowed_avg(self):
         m = vbr_manifest([[250000, 750000], [500000, 1500000]])
-        assert m.windowed_bitrate_kbps(1, 0, 2) == 2000.0
-        assert m.windowed_bitrate_kbps(1, 0, 1) == 1000.0
-        assert m.windowed_bitrate_kbps(1, 1, 5) == 3000.0
-
-    def test_windowed_rejects_bad_args(self):
-        m = vbr_manifest([[250000], [500000]])
-        with pytest.raises(MediaError):
-            m.windowed_bitrate_kbps(1, 1, 1)
-        with pytest.raises(MediaError):
-            m.windowed_bitrate_kbps(1, 0, 0)
-        with pytest.raises(MediaError, match="level 3 outside 1..2"):
-            m.windowed_bitrate_kbps(3, 0, 1)
+        row = m.rate_rows[0]
+        assert _window_mean(row, 0, 2) == 2000.0
+        assert _window_mean(row, 0, 1) == 1000.0
+        assert _window_mean(row, 1, 5) == 3000.0
 
     @given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=20))
     def test_window_of_one_is_chunk_bitrate(self, sizes):
         m = vbr_manifest([sizes, [2 * s for s in sizes]])
         for i, size in enumerate(m.size_rows[0]):
-            assert m.windowed_bitrate_kbps(1, i, 1) == size * 8.0 / 1000.0 / m.chunk_duration_s
+            assert _window_mean(m.rate_rows[0], i, 1) == size * 8.0 / 1000.0 / m.chunk_duration_s
 
 
 def _rows_manifest(duration=2.0, declared=(400.0, 800.0), sizes=((100, 100), (200, 200)),

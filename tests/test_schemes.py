@@ -594,6 +594,20 @@ class TestCava:
         scheme.observe_interval(2.0, 5.0, 200.0)
         assert scheme.integral == 50.0
 
+    @pytest.mark.parametrize("chunk_index", [-1, 4])
+    @pytest.mark.parametrize("last_level, buffer_s", [(None, 30.0), (2, 30.0), (None, 200.0)],
+                             ids=["no-last-level", "last-level", "forced-top"])
+    def test_chunk_index_outside_the_manifest_is_refused(self, chunk_index, last_level, buffer_s):
+        # at buffer 200 s the PI output saturates and anti-windup forces the top level
+        scheme = cava_for(CAVA_M1)
+        scheme.integral = 50.0
+        ctx = ctx_for(CAVA_M1, chunk_index=chunk_index, buffer_s=buffer_s, est_kbps=900.0,
+                      last_level=last_level)
+        with pytest.raises(MediaError, match=rf"^chunk index {chunk_index} outside 0\.\.3$"):
+            scheme.decide(ctx)
+        assert (scheme.integral, scheme.freeze, scheme.last_u, scheme.eval_count) == (
+            50.0, False, None, 0)
+
     def test_low_level_exception_reinflates(self):
         # Q1 argmin under deflation is level 1, buffer 30 > 10 -> redo with alpha=1
         scheme = cava_n1(CAVA_M1)
