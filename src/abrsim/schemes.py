@@ -60,7 +60,9 @@ def require_quality(manifest: VideoManifest) -> tuple[tuple[float, ...], ...]:
 
 class DecisionContext(NamedTuple):
     """Everything a scheme may inspect when choosing the next chunk's level; a
-    named tuple, so it is immutable and cheap to build once per chunk."""
+    named tuple, so it is immutable and cheap to build once per chunk. Every
+    scheme's `decide` reads its levels through `checked_levels`, the one check
+    of a decision's inputs."""
 
     chunk_index: int
     buffer_s: float
@@ -72,19 +74,19 @@ class DecisionContext(NamedTuple):
     playing_indicator: int
     history: "DownloadHistory | None" = None
 
-    def allowed_pairs(self) -> tuple[tuple[int, float], ...]:
-        """(level, bitrate kbps of this chunk) pairs for the allowed levels."""
-        levels, manifest, i = self.allowed_levels, self.manifest, self.chunk_index
+    def checked_levels(self) -> list[int]:
+        """The allowed levels in ascending order. MediaError for a chunk index
+        outside 0..n-1, a last level outside 1..L, an empty allowed set or an
+        allowed level outside 1..L, so a scheme then indexes the rows directly."""
+        manifest, i, levels = self.manifest, self.chunk_index, self.allowed_levels
+        if not 0 <= i < manifest.n_chunks:
+            raise MediaError(f"chunk index {i} outside 0..{manifest.n_chunks - 1}")
+        if self.last_level is not None:
+            manifest.check_levels((self.last_level,))
+        if not levels:
+            raise MediaError(f"no allowed levels for chunk {i}")
         manifest.check_levels(levels)
-        rows = manifest.rate_rows
-        return tuple([(lvl, rows[lvl - 1][i]) for lvl in levels])
-
-    def track_pairs(self) -> tuple[tuple[int, float], ...]:
-        """(level, track average bitrate kbps) pairs for the allowed levels."""
-        levels, manifest = self.allowed_levels, self.manifest
-        manifest.check_levels(levels)
-        avg = manifest.avg_kbps
-        return tuple([(lvl, avg[lvl - 1]) for lvl in levels])
+        return sorted(levels)
 
 
 class AbrScheme:
@@ -116,9 +118,10 @@ class RateBased(AbrScheme):
     name = "rb"
 
     def decide(self, ctx: DecisionContext) -> int:
-        est = ctx.est_kbps
-        fits = [lvl for lvl, rate in ctx.track_pairs() if rate <= est]
-        return max(fits) if fits else min(ctx.allowed_levels)
+        levels = ctx.checked_levels()
+        est, avg = ctx.est_kbps, ctx.manifest.avg_kbps
+        fits = [lvl for lvl in levels if avg[lvl - 1] <= est]
+        return fits[-1] if fits else levels[0]
 
 
 class BufferBased(AbrScheme, Record, frozen=False, error=ConfigError):
@@ -134,7 +137,8 @@ class BufferBased(AbrScheme, Record, frozen=False, error=ConfigError):
             raise ConfigError("theta_high must exceed theta_low")
 
     def decide(self, ctx: DecisionContext) -> int:
-        pairs = ctx.track_pairs()
+        avg = ctx.manifest.avg_kbps
+        pairs = [(lvl, avg[lvl - 1]) for lvl in ctx.checked_levels()]
         lo_lvl, lo_rate = min(pairs, key=lambda p: (p[1], p[0]))
         hi_lvl, hi_rate = max(pairs, key=lambda p: (p[1], -p[0]))
         if ctx.buffer_s < self.theta_low_s:
@@ -154,16 +158,13 @@ class BufferAwareRate(AbrScheme):
     min_buffer_chunks = 4.0
 
     def decide(self, ctx: DecisionContext) -> int:
+        levels = ctx.checked_levels()
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
         manifest, i, x = ctx.manifest, ctx.chunk_index, ctx.buffer_s
         floor = self.min_buffer_chunks * manifest.chunk_duration_s
-        manifest.check_levels(ctx.allowed_levels)
         sizes = manifest.size_rows
-        fits = [
-            lvl for lvl in ctx.allowed_levels
-            if x - sizes[lvl - 1][i] * 8.0 / 1000.0 / est >= floor
-        ]
-        return max(fits) if fits else min(ctx.allowed_levels)
+        fits = [lvl for lvl in levels if x - sizes[lvl - 1][i] * 8.0 / 1000.0 / est >= floor]
+        return fits[-1] if fits else levels[0]
 
 
 class Mpc(AbrScheme, Record, frozen=False, error=ConfigError):
@@ -188,6 +189,7 @@ class Mpc(AbrScheme, Record, frozen=False, error=ConfigError):
         _check_rollouts(self, manifest.n_levels ** min(self.horizon, manifest.n_chunks))
 
     def decide(self, ctx: DecisionContext) -> int:
+        levels = ctx.checked_levels()
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
         if self.robust:
             est = est / (1.0 + self._worst_overestimate(ctx.history))
@@ -199,12 +201,9 @@ class Mpc(AbrScheme, Record, frozen=False, error=ConfigError):
         h = min(self.horizon, ctx.manifest.n_chunks - i)
         prev_rate = None
         if ctx.last_level is not None:
-            ctx.manifest.check_levels((ctx.last_level,))
             prev_rate = ctx.manifest.rate_rows[ctx.last_level - 1][i - 1]
         delta = ctx.manifest.chunk_duration_s
         mu = self.mu
-        levels = sorted(ctx.allowed_levels)
-        ctx.manifest.check_levels(levels)
         rows = ctx.manifest.rate_rows
         # (level, rate, download seconds) per horizon step, in sorted level order
         steps = []
@@ -297,8 +296,8 @@ class _PidScheme(AbrScheme, Record, frozen=False, error=ConfigError):
         self.last_u = u
         return u, force_max
 
-    def _argmin(self, ctx: DecisionContext, rates, u, kp, xr, alpha, eta) -> int:
-        """Allowed level with the least cost: the sum of (u_k * rate - alpha * est)^2
+    def _argmin(self, ctx: DecisionContext, levels, rates, u, kp, xr, alpha, eta) -> int:
+        """Level of `levels` with the least cost: the sum of (u_k * rate - alpha * est)^2
         stepping the closed loop one chunk at a time over the horizon, with `rate`
         the level's entry `rates[level - 1]`, plus eta times the squared change in
         track average from the last level.
@@ -320,10 +319,7 @@ class _PidScheme(AbrScheme, Record, frozen=False, error=ConfigError):
         avg = manifest.avg_kbps
         prev_rate = None
         if ctx.last_level is not None:
-            manifest.check_levels((ctx.last_level,))
             prev_rate = avg[ctx.last_level - 1]
-        levels = sorted(ctx.allowed_levels)
-        manifest.check_levels(levels)
         best = best_lvl = None
         for lvl in levels:
             rate = rates[lvl - 1]
@@ -365,11 +361,12 @@ class Pia(_PidScheme):
         return self.pid.kp
 
     def decide(self, ctx: DecisionContext) -> int:
+        levels = ctx.checked_levels()
         kp, xr = self._kp(ctx.clock_s), self._target(ctx.clock_s)
         u, force_max = self._control(ctx, kp, xr)
         if force_max:
-            return max(ctx.allowed_levels)
-        return self._argmin(ctx, ctx.manifest.avg_kbps, u, kp, xr, 1.0, self.eta)
+            return levels[-1]
+        return self._argmin(ctx, levels, ctx.manifest.avg_kbps, u, kp, xr, 1.0, self.eta)
 
 
 class PiaStartup(Pia):
@@ -456,14 +453,13 @@ class Cava(_PidScheme):
         return self._target_buffer
 
     def decide(self, ctx: DecisionContext) -> int:
+        levels = ctx.checked_levels()
         i, manifest = ctx.chunk_index, ctx.manifest
-        if not 0 <= i < manifest.n_chunks:
-            raise MediaError(f"chunk index {i} outside 0..{manifest.n_chunks - 1}")
         kp = self.pid.kp
         xr = self._target_buffer = self._outer_target(ctx)
         u, force_max = self._control(ctx, kp, xr)
         if force_max:
-            return max(ctx.allowed_levels)
+            return levels[-1]
         is_q4 = self._q4[i]
         alpha = self.alpha_q4 if is_q4 else self.alpha_q123
         if is_q4 and self.q4_low_buffer_relief and ctx.buffer_s <= self.safe_buffer_s:
@@ -473,9 +469,9 @@ class Cava(_PidScheme):
             eta = 0.0  # class switch: do not penalize the level change
         # each level's mean bitrate over the inner window, for both argmin passes
         rates = [_window_mean(row, i, self.inner_window) for row in manifest.rate_rows]
-        level = self._argmin(ctx, rates, u, kp, xr, alpha, eta)
+        level = self._argmin(ctx, levels, rates, u, kp, xr, alpha, eta)
         if not is_q4 and level <= self.low_level_cutoff and ctx.buffer_s > self.safe_buffer_s:
-            level = self._argmin(ctx, rates, u, kp, xr, 1.0, eta)
+            level = self._argmin(ctx, levels, rates, u, kp, xr, 1.0, eta)
         return level
 
     def _outer_target(self, ctx: DecisionContext) -> float:
@@ -483,7 +479,6 @@ class Cava(_PidScheme):
         if last is None:
             return self.base_target_buffer_s
         manifest = ctx.manifest
-        manifest.check_levels((last,))
         upcoming = _window_mean(manifest.rate_rows[last - 1], ctx.chunk_index, self.outer_window)
         ratio = upcoming / max(manifest.avg_kbps[last - 1], _EST_FLOOR_KBPS)
         return self.base_target_buffer_s * min(max(ratio, 1.0), 2.0)
@@ -504,23 +499,21 @@ class Quad(_PidScheme):
                                     "low buffer threshold must be positive")
 
     def decide(self, ctx: DecisionContext) -> int:
+        levels = ctx.checked_levels()
         quality = require_quality(ctx.manifest)
         u, _ = self._control(ctx, self.pid.kp, self.pid.target_buffer)
         est = max(ctx.est_kbps, _EST_FLOOR_KBPS)
-        if ctx.buffer_s < self.low_buffer_chunks * ctx.manifest.chunk_duration_s:
-            want = min(self.fair_level, bitrate_from_u(u, est, ctx.allowed_pairs()))
-            fits = [lvl for lvl in ctx.allowed_levels if lvl <= want]
-            return max(fits) if fits else min(ctx.allowed_levels)
-        i = ctx.chunk_index
+        manifest, i, last = ctx.manifest, ctx.chunk_index, ctx.last_level
+        rows = manifest.rate_rows
+        if ctx.buffer_s < self.low_buffer_chunks * manifest.chunk_duration_s:
+            pairs = [(lvl, rows[lvl - 1][i]) for lvl in levels]
+            want = min(self.fair_level, bitrate_from_u(u, est, pairs))
+            fits = [lvl for lvl in levels if lvl <= want]
+            return fits[-1] if fits else levels[0]
         qr = self.target_quality
-        manifest, last = ctx.manifest, ctx.last_level
         prev_q = None
         if last is not None:
-            manifest.check_levels((last,))
             prev_q = quality[last - 1][i - 1]
-        levels = sorted(ctx.allowed_levels)
-        manifest.check_levels(levels)
-        rows = manifest.rate_rows
         best = best_lvl = None
         for lvl in levels:
             rate = rows[lvl - 1][i]

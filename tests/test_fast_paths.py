@@ -647,7 +647,8 @@ def test_pid_argmin_matches_reference(case):
     scheme, ctx, rates, args = case
     state = (scheme.integral, scheme.freeze)
     want = _argmin_run(partial(_reference_argmin, scheme), scheme, ctx, rates, *args)
-    got = _argmin_run(scheme._argmin, scheme, ctx, rates, *args)
+    checked = lambda c, *rest: scheme._argmin(c, c.checked_levels(), *rest)
+    got = _argmin_run(checked, scheme, ctx, rates, *args)
     assert got == want
     assert got[1] == scheme.horizon * len(ctx.allowed_levels)
     assert len(got[2]) == (0 if ctx.last_level is None else len(ctx.allowed_levels))
@@ -661,9 +662,9 @@ def test_cava_hands_each_argmin_pass_the_windowed_row(monkeypatch, manifest, win
     scheme.reset(manifest)
     argmin, rows = scheme._argmin, []
 
-    def recording(ctx, rates, *args):
+    def recording(ctx, levels, rates, *args):
         rows.append((ctx.chunk_index, list(rates)))
-        return argmin(ctx, rates, *args)
+        return argmin(ctx, levels, rates, *args)
 
     monkeypatch.setattr(scheme, "_argmin", recording)
     for i in range(manifest.n_chunks):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _builders import cbr_manifest, constant_trace, vbr_manifest
+from abrsim import schemes
 from abrsim.cli import noisy_bandwidth
 from abrsim.control import DEFAULT_KI, DEFAULT_KP, PidParams, fields
 from abrsim.engine import DownloadHistory, SimConfig, simulate_session
@@ -67,6 +70,21 @@ LADDER6 = cbr_manifest([350, 600, 1000, 2000, 3000, 5000], n_chunks=6)
 
 # ----------------------------------------------------------- decision context
 
+# (chunk index, last level, buffer s, allowed, message) on a 6-chunk, 5-level
+# ladder. At buffer 200 s with integral 50 the PI output saturates, so the PID
+# schemes would force the top allowed level.
+REFUSED_CONTEXTS = {
+    "chunk--1": (-1, None, 30.0, None, r"^chunk index -1 outside 0\.\.5$"),
+    "chunk--1-last-level": (-1, 2, 30.0, None, r"^chunk index -1 outside 0\.\.5$"),
+    "chunk--1-forced-top": (-1, None, 200.0, None, r"^chunk index -1 outside 0\.\.5$"),
+    "chunk-6": (6, None, 30.0, None, r"^chunk index 6 outside 0\.\.5$"),
+    "chunk-6-last-level": (6, 2, 30.0, None, r"^chunk index 6 outside 0\.\.5$"),
+    "chunk-6-forced-top": (6, None, 200.0, None, r"^chunk index 6 outside 0\.\.5$"),
+    "no-allowed-levels": (2, None, 30.0, (), r"^no allowed levels for chunk 2$"),
+    "forced-top-level-6": (2, None, 200.0, (2, 6), r"^level 6 outside 1\.\.5$"),
+}
+
+
 class TestDecisionContext:
     def test_fields_are_read_only(self):
         ctx = ctx_for(LADDER5)
@@ -97,6 +115,38 @@ class TestDecisionContext:
         ctx = ctx_for(m, chunk_index=2, buffer_s=40.0, last_level=bad)
         with pytest.raises(MediaError, match=rf"level {bad} outside 1\.\.5"):
             scheme.decide(ctx)
+
+    # Every scheme checks a decision's inputs in one place, before any state changes.
+    @pytest.mark.parametrize("name, case", [
+        (name, case) for name in sorted(SCHEMES) for case in REFUSED_CONTEXTS
+        if case != "forced-top-level-6" or name in ("pia", "piae", "cava", "quad")
+    ])
+    def test_context_outside_the_manifest_is_refused_before_any_state_change(self, name, case):
+        chunk_index, last_level, buffer_s, allowed, message = REFUSED_CONTEXTS[case]
+        m = cbr_manifest([350, 600, 1000, 2000, 3000], n_chunks=6, vmafs=[40, 55, 70, 85, 95])
+        scheme = build_scheme(name)
+        scheme.reset(m)
+        if hasattr(scheme, "integral"):
+            scheme.integral = 50.0
+        keys = ("integral", "freeze", "last_u", "eval_count")
+        state = [getattr(scheme, key, None) for key in keys]
+        ctx = ctx_for(m, chunk_index=chunk_index, buffer_s=buffer_s, last_level=last_level,
+                      allowed=allowed)
+        with pytest.raises(MediaError, match=message):
+            scheme.decide(ctx)
+        assert [getattr(scheme, key, None) for key in keys] == state
+
+    def test_only_checked_levels_reads_the_raw_levels(self):
+        # `check_levels` and `allowed_levels` are read in schemes.py only inside
+        # `DecisionContext.checked_levels`, so no scheme grows its own copy of the check
+        tree = ast.parse(Path(schemes.__file__).read_text())
+        (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DecisionContext"]
+        (fn,) = [n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "checked_levels"]
+        inside = {id(n) for n in ast.walk(fn)}
+        reads = [n for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr in ("check_levels", "allowed_levels")]
+        outside = [n.lineno for n in reads if id(n) not in inside]
+        assert reads and outside == []
 
 
 # ---------------------------------------------------------------- rate-based
@@ -593,20 +643,6 @@ class TestCava:
         assert scheme.eval_count == 0
         scheme.observe_interval(2.0, 5.0, 200.0)
         assert scheme.integral == 50.0
-
-    @pytest.mark.parametrize("chunk_index", [-1, 4])
-    @pytest.mark.parametrize("last_level, buffer_s", [(None, 30.0), (2, 30.0), (None, 200.0)],
-                             ids=["no-last-level", "last-level", "forced-top"])
-    def test_chunk_index_outside_the_manifest_is_refused(self, chunk_index, last_level, buffer_s):
-        # at buffer 200 s the PI output saturates and anti-windup forces the top level
-        scheme = cava_for(CAVA_M1)
-        scheme.integral = 50.0
-        ctx = ctx_for(CAVA_M1, chunk_index=chunk_index, buffer_s=buffer_s, est_kbps=900.0,
-                      last_level=last_level)
-        with pytest.raises(MediaError, match=rf"^chunk index {chunk_index} outside 0\.\.3$"):
-            scheme.decide(ctx)
-        assert (scheme.integral, scheme.freeze, scheme.last_u, scheme.eval_count) == (
-            50.0, False, None, 0)
 
     def test_low_level_exception_reinflates(self):
         # Q1 argmin under deflation is level 1, buffer 30 > 10 -> redo with alpha=1
